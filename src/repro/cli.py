@@ -453,7 +453,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             day=args.day,
-            naive=args.naive,
         )
     except ValueError as exc:
         print(f"bad fleet config: {exc}", file=sys.stderr)
@@ -554,7 +553,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             day=args.day,
-            naive=args.naive,
         )
     except ValueError as exc:
         print(f"bad replay config: {exc}", file=sys.stderr)
@@ -673,6 +671,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags several verbs share, declared once as parent parsers
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument("--metrics", action="store_true",
+                         help="print the labeled metrics registry afterwards")
+    metrics.add_argument("--metrics-out", default=None, metavar="METRICS.json",
+                         help="write the metrics registry snapshot as JSON "
+                              "(schema repro-metrics/1)")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="worker processes (output is byte-identical to "
+                           "--jobs 1)")
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--nodes", type=int, default=4)
+    shape.add_argument("--pods", type=int, default=8)
+    listing = argparse.ArgumentParser(add_help=False)
+    listing.add_argument("--list", action="store_true",
+                         help="list scenario names and exit")
+
     p_tables = sub.add_parser("tables", help="render paper tables from the implementation")
     p_tables.add_argument("number", nargs="?", type=int, choices=range(1, 6))
     p_tables.set_defaults(fn=_cmd_tables)
@@ -682,52 +698,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("--tables", action="store_true")
     p_decide.set_defaults(fn=_cmd_decide)
 
-    p_scen = sub.add_parser("scenarios", help="run the §6.6 scenario comparison")
-    p_scen.add_argument("--nodes", type=int, default=4)
-    p_scen.add_argument("--pods", type=int, default=8)
-    p_scen.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the matrix (output is "
-                             "byte-identical to --jobs 1)")
-    p_scen.add_argument("--list", action="store_true",
-                        help="list scenario names and exit")
-    p_scen.add_argument("--metrics", action="store_true",
-                        help="print the labeled metrics registry afterwards")
-    p_scen.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                        help="write the metrics registry snapshot as JSON "
-                             "(schema repro-metrics/1)")
+    p_scen = sub.add_parser("scenarios", parents=[shape, jobs, listing, metrics],
+                            help="run the §6.6 scenario comparison")
     p_scen.set_defaults(fn=_cmd_scenarios)
 
-    p_start = sub.add_parser("startup", help="cross-engine startup comparison")
-    p_start.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_start.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
+    p_start = sub.add_parser("startup", parents=[metrics],
+                             help="cross-engine startup comparison")
     p_start.set_defaults(fn=_cmd_startup)
 
     p_trace = sub.add_parser(
-        "trace", help="run one scenario and export a Perfetto timeline"
+        "trace", parents=[shape, metrics],
+        help="run one scenario and export a Perfetto timeline",
     )
     p_trace.add_argument("scenario", metavar="scenario",
                          help="scenario name (hyphens or underscores)")
     p_trace.add_argument("--out", default="trace.json",
                          help="output path for the Chrome trace JSON")
-    p_trace.add_argument("--nodes", type=int, default=4)
-    p_trace.add_argument("--pods", type=int, default=8)
     p_trace.add_argument("--wall", action="store_true",
                          help="also record wall-clock span durations "
                               "(non-deterministic args; off by default)")
     p_trace.add_argument("--pretty", action="store_true",
                          help="indent the JSON output")
-    p_trace.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_trace.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
     p_trace.set_defaults(fn=_cmd_trace)
 
     p_chaos = sub.add_parser(
         "chaos",
+        parents=[shape, jobs, listing, metrics],
         help="run one scenario under a deterministic fault plan",
         description="Arm the fault injector with a seeded (or file-supplied) "
                     "plan, run the scenario, and report injections, retries, "
@@ -741,23 +737,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--seeds", default=None, metavar="A..B",
                          help="run a seed sweep over the inclusive range "
                               "(or a single seed) instead of one --seed run")
-    p_chaos.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for a --seeds sweep (output "
-                              "is byte-identical to --jobs 1)")
     p_chaos.add_argument("--faults", default=None, metavar="PLAN.json",
                          help="load the fault plan from a JSON file instead "
                               "of generating one from the seed(s)")
     p_chaos.add_argument("--save-plan", default=None, metavar="PLAN.json",
                          help="write the effective fault plan to a JSON file")
-    p_chaos.add_argument("--nodes", type=int, default=4)
-    p_chaos.add_argument("--pods", type=int, default=8)
     p_chaos.add_argument("--trace", default="chaos-trace.json",
                          help="output path for the Chrome trace JSON")
     p_chaos.add_argument("--out", default=None, metavar="REPORT.json",
                          help="also write the chaos report document as JSON "
                               "(schema repro-chaos-report/2)")
-    p_chaos.add_argument("--list", action="store_true",
-                         help="list scenario names and exit")
     p_chaos.add_argument("--pretty", action="store_true",
                          help="indent the trace JSON output")
     p_chaos.add_argument("--sample-interval", type=float, default=None,
@@ -769,15 +758,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the sampled time-series as JSON (schema "
                               "repro-timeseries/1; implies sampling at the "
                               "default interval)")
-    p_chaos.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_chaos.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     p_slo = sub.add_parser(
         "slo",
+        parents=[shape, listing, metrics],
         help="score a chaos run against declarative SLO rules",
         description="Run one scenario under a deterministic fault plan with "
                     "virtual-time time-series sampling on, evaluate "
@@ -796,8 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo.add_argument("--rules", default=None, metavar="RULES.json",
                        help="load SLO rules from a JSON file (default: the "
                             "built-in chaos rule set)")
-    p_slo.add_argument("--nodes", type=int, default=4)
-    p_slo.add_argument("--pods", type=int, default=8)
     p_slo.add_argument("--sample-interval", type=float, default=5.0,
                        metavar="SECONDS",
                        help="virtual-time sampling interval (default 5.0)")
@@ -807,17 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo.add_argument("--timeseries", default=None, metavar="SERIES.json",
                        help="write the sampled time-series as JSON (schema "
                             "repro-timeseries/1)")
-    p_slo.add_argument("--list", action="store_true",
-                       help="list scenario names and exit")
-    p_slo.add_argument("--metrics", action="store_true",
-                       help="print the labeled metrics registry afterwards")
-    p_slo.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                       help="write the metrics registry snapshot as JSON "
-                            "(schema repro-metrics/1)")
     p_slo.set_defaults(fn=_cmd_slo)
 
     p_fleet = sub.add_parser(
         "fleet",
+        parents=[jobs, metrics],
         help="run the trace-driven multi-tenant fleet workload",
         description="Simulate a fleet of tenants pulling Zipf-distributed "
                     "images through per-tenant registries onto a shared node "
@@ -839,13 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "worker count — see --jobs)")
     p_fleet.add_argument("--day", type=float, default=1800.0,
                          help="diurnal period in virtual seconds")
-    p_fleet.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (output is byte-identical "
-                              "to --jobs 1)")
-    p_fleet.add_argument("--naive", action="store_true",
-                         help="run the pre-optimization engine (one event "
-                              "per start, linear node scans) — same results, "
-                              "much slower; exists for the perf baseline")
     p_fleet.add_argument("--chaos", action="store_true",
                          help="generate a fleet-sized fault plan from --seed "
                               "(node crashes + registry windows) and deliver "
@@ -876,15 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the sampled time-series as JSON (schema "
                               "repro-timeseries/1; implies sampling at the "
                               "default interval)")
-    p_fleet.add_argument("--metrics", action="store_true",
-                         help="print the labeled metrics registry afterwards")
-    p_fleet.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                         help="write the metrics registry snapshot as JSON "
-                              "(schema repro-metrics/1)")
     p_fleet.set_defaults(fn=_cmd_fleet)
 
     p_replay = sub.add_parser(
         "replay",
+        parents=[jobs, metrics],
         help="replay fleet traces through the real §6.5 control plane",
         description="Feed the fleet workload's arrival traces (diurnal "
                     "Poisson, Zipf tenants/images) through the real "
@@ -907,13 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "worker count — see --jobs)")
     p_replay.add_argument("--day", type=float, default=1800.0,
                           help="diurnal period in virtual seconds")
-    p_replay.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (output is byte-identical "
-                               "to --jobs 1)")
-    p_replay.add_argument("--naive", action="store_true",
-                          help="run the retained linear-scan control plane "
-                               "(same results, much slower; the perf "
-                               "baseline)")
     p_replay.add_argument("--faults", default=None, metavar="PLAN.json",
                           help="deliver a fault plan's registry windows into "
                                "the replay pull path (node crashes in the "
@@ -930,11 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the sampled time-series as JSON (schema "
                                "repro-timeseries/1; implies sampling at the "
                                "default interval)")
-    p_replay.add_argument("--metrics", action="store_true",
-                          help="print the labeled metrics registry afterwards")
-    p_replay.add_argument("--metrics-out", default=None, metavar="METRICS.json",
-                          help="write the metrics registry snapshot as JSON "
-                               "(schema repro-metrics/1)")
     p_replay.set_defaults(fn=_cmd_replay)
     return parser
 

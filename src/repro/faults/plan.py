@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
 import typing as _t
 
 from repro.sim.rng import DeterministicRNG
@@ -109,12 +110,24 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "FaultEvent":
+        """Parse one plan entry.  A NaN, infinite or negative ``at``, a
+        NaN or negative ``duration``, or a NaN or non-positive ``factor``
+        is a :class:`ValueError` naming the field."""
+        at = float(data["at"])  # type: ignore[arg-type]
+        duration = float(data.get("duration", 0.0))  # type: ignore[arg-type]
+        factor = float(data.get("factor", 1.0))  # type: ignore[arg-type]
+        if not (math.isfinite(at) and at >= 0.0):
+            raise ValueError(f"fault event 'at' must be a finite time >= 0, got {at}")
+        if not duration >= 0.0:
+            raise ValueError(f"fault event 'duration' must be >= 0, got {duration}")
+        if not factor > 0.0:
+            raise ValueError(f"fault event 'factor' must be > 0, got {factor}")
         return cls(
             kind=FaultKind(data["kind"]),
-            at=float(data["at"]),  # type: ignore[arg-type]
-            duration=float(data.get("duration", 0.0)),  # type: ignore[arg-type]
+            at=at,
+            duration=duration,
             target=_t.cast("str | None", data.get("target")),
-            factor=float(data.get("factor", 1.0)),  # type: ignore[arg-type]
+            factor=factor,
         )
 
 

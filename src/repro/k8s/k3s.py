@@ -22,15 +22,9 @@ class _ControlPlane:
     #: resident control-plane memory (one reason not to run it per job)
     resident_memory = 2 * 2**30
 
-    def __init__(
-        self,
-        env: Environment,
-        network: Interconnect | None = None,
-        indexed: bool = True,
-    ):
+    def __init__(self, env: Environment, network: Interconnect | None = None):
         self.env = env
         self.network = network
-        self.indexed = indexed
         self.api = APIServer()
         self.scheduler: K8sScheduler | None = None
         self.ready = env.event()
@@ -38,7 +32,7 @@ class _ControlPlane:
 
     def _start(self):
         yield self.env.timeout(self.startup_cost)
-        self.scheduler = K8sScheduler(self.env, self.api, indexed=self.indexed)
+        self.scheduler = K8sScheduler(self.env, self.api)
         self.ready.succeed(self.env.now)
 
     @property

@@ -33,17 +33,12 @@ class KubeletInAllocationScenario(IntegrationScenario):
 
     def __init__(self, env: Environment, n_nodes: int = 4, seed: int = 0,
                  allocation_user: int = 1000,
-                 allocation_time_limit: float = 24 * 3600,
-                 naive: bool = False):
+                 allocation_time_limit: float = 24 * 3600):
         super().__init__(env, n_nodes, seed)
         self.allocation_time_limit = allocation_time_limit
-        #: ``naive=True`` retains the pre-optimization linear-scan
-        #: scheduler/kubelet paths — the oracle the indexed control
-        #: plane is held byte-identical to
-        self.naive = naive
-        self.wlm = SlurmController(env, self.hosts, indexed=not naive)
+        self.wlm = SlurmController(env, self.hosts)
         #: the standing control plane on a service node (outside compute)
-        self.k3s = K3sServer(env, indexed=not naive)
+        self.k3s = K3sServer(env)
         #: Slingshot interconnect carrying kubelet <-> server traffic (Fig. 1)
         self.network = Interconnect(self.hosts[0].nic)
         self.allocation_user = allocation_user
@@ -101,7 +96,6 @@ class KubeletInAllocationScenario(IntegrationScenario):
             network=self.network,
             user_proc=user_proc,
             cgroup_path=cg_path,
-            naive=self.naive,
         )
         kubelet.start()
         self.kubelets.append(kubelet)

@@ -45,7 +45,6 @@ class SlurmController:
         partition: str = "batch",
         backfill: bool = True,
         preemption: bool = False,
-        indexed: bool = True,
     ):
         #: PreemptMode=REQUEUE: a higher-priority job may requeue running
         #: lower-priority jobs when it cannot otherwise be placed (§6)
@@ -53,9 +52,9 @@ class SlurmController:
         self.env = env
         self.nodes = [WLMNode(h, partition) for h in hosts]
         self.partition = partition
-        self.scheduler = BackfillScheduler(backfill=backfill, indexed=indexed)
-        #: projected end times of running jobs; feeds the indexed
-        #: scheduler's shadow-time lookup
+        self.scheduler = BackfillScheduler(backfill=backfill)
+        #: projected end times of running jobs; feeds the scheduler's
+        #: shadow-time lookup
         self._calendar = CompletionCalendar()
         self.accounting = AccountingDB()
         self.spank = SpankStack()
@@ -128,11 +127,7 @@ class SlurmController:
             yield self._bell.wait()
             yield self.env.timeout(self.sched_latency)
             decisions = self.scheduler.schedule(
-                self.queue,
-                self.nodes,
-                self.env.now,
-                running=list(self.running.values()),
-                calendar=self._calendar if self.scheduler.indexed else None,
+                self.queue, self.nodes, self.env.now, self._calendar
             )
             if _trace.tracer.enabled:
                 # The pass's think time elapsed just before the decision.

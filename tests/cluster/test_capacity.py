@@ -1,15 +1,17 @@
 """CapacityIndex must make the exact decisions of the linear-scan oracle.
 
-The fleet engine's byte-identity between fast and naive modes rests on
-this: :class:`repro.cluster.CapacityIndex` (O(log nodes)) and
-:class:`repro.cluster.LinearCapacityScan` (O(nodes) reference) must
-return the *same node id* for every alloc in any interleaving of
+The fleet engine's byte-identity with its one-event-per-start oracle
+rests on this: :class:`repro.cluster.CapacityIndex` (O(log nodes)) and
+:class:`tests.oracles.capacity.LinearCapacityScan` (O(nodes) reference)
+must return the *same node id* for every alloc in any interleaving of
 allocations and releases — not just a node that fits.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import CapacityIndex, LinearCapacityScan
+from repro.cluster import CapacityIndex
+
+from tests.oracles.capacity import LinearCapacityScan
 
 NODE_CPUS = 8
 

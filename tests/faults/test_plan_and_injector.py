@@ -1,5 +1,7 @@
 """Unit tests for fault plans, the injector, and retry policies."""
 
+import json
+
 import pytest
 
 from repro.faults import (
@@ -67,6 +69,26 @@ def test_plan_json_roundtrip(tmp_path):
     back = FaultPlan.from_file(str(path))
     assert back.seed == 99
     assert back.events == plan.events
+
+
+@pytest.mark.parametrize("field, value", [
+    ("at", float("nan")),
+    ("at", float("inf")),
+    ("at", -1.0),
+    ("duration", -10.0),
+    ("duration", float("nan")),
+    ("factor", 0.0),
+    ("factor", -2.0),
+    ("factor", float("nan")),
+])
+def test_plan_rejects_bad_event_numbers_where_it_enters(field, value):
+    """A NaN crash time used to surface as an int conversion deep in the
+    fleet pump, and a negative duration as a node still down (and its
+    cores leaked) after the drain; both now fail at parse time."""
+    entry = {"kind": "node_crash", "at": 5.0, "duration": 10.0,
+             "target": "fleet-node-00000", field: value}
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        FaultPlan.from_json(json.dumps({"events": [entry]}))
 
 
 def test_plan_from_bare_event_list():

@@ -1,7 +1,7 @@
 """Property test: the indexed scheduler equals the linear-scan oracle.
 
-The indexed path (pending queue + lazy-deletion node heap) is a pure
-perf rewrite of the retained ``indexed=False`` linear pass; for any
+The production pass (pending queue + lazy-deletion node heap) is a pure
+perf rewrite of the linear pass in :mod:`tests.oracles.k8s`; for any
 node fleet and pod stream the two must produce identical bindings,
 stats and node allocations at identical virtual times.
 """
@@ -21,6 +21,8 @@ from repro.k8s import (
 )
 from repro.k8s.objects import NodeCondition
 from repro.sim import Environment
+
+from tests.oracles.k8s import LinearK8sScheduler
 
 ZONES = ("a", "b")
 
@@ -71,12 +73,12 @@ pod_strategy = st.lists(
 )
 
 
-def run_mode(indexed, nodes_data, pods_data):
+def run_mode(scheduler_cls, nodes_data, pods_data):
     env = Environment()
     api = APIServer()
     for i, (cpu, gpu, ready, zone) in enumerate(nodes_data):
         api.create("Node", make_node(f"n{i:02}", cpu, gpu, ready, zone))
-    sched = K8sScheduler(env, api, indexed=indexed)
+    sched = scheduler_cls(env, api)
 
     def driver(env):
         pods = []
@@ -111,6 +113,6 @@ def run_mode(indexed, nodes_data, pods_data):
 @settings(max_examples=30, deadline=None)
 @given(node_strategy, pod_strategy)
 def test_indexed_scheduler_matches_linear_oracle(nodes_data, pods_data):
-    indexed = run_mode(True, nodes_data, pods_data)
-    linear = run_mode(False, nodes_data, pods_data)
+    indexed = run_mode(K8sScheduler, nodes_data, pods_data)
+    linear = run_mode(LinearK8sScheduler, nodes_data, pods_data)
     assert indexed == linear

@@ -1,7 +1,6 @@
 """Fleet→scenario replay bridge: determinism, parallel identity, and
-fast-vs-naive equivalence on a small fleet."""
+equivalence with the linear control-plane oracles on a small fleet."""
 
-import dataclasses
 import json
 
 from repro.scenarios.fleet_replay import (
@@ -9,6 +8,8 @@ from repro.scenarios.fleet_replay import (
     run_fleet_replay,
 )
 from repro.workload.fleet import FleetConfig
+
+from tests.oracles.control_plane import use_control_plane_oracles
 
 SMALL = FleetConfig(
     tenants=3, nodes=6, starts=30, images=4, seed=1, shards=2, day=600.0
@@ -41,10 +42,7 @@ def test_replay_is_deterministic_and_jobs_invariant():
     assert doc_json(SMALL, jobs=2) == serial      # parallel: byte-identical
 
 
-def test_replay_fast_matches_naive_oracle():
-    fast = json.loads(doc_json(SMALL))
-    naive = json.loads(doc_json(dataclasses.replace(SMALL, naive=True)))
-    # the only allowed difference is the config flag itself
-    assert fast["config"].pop("naive") is False
-    assert naive["config"].pop("naive") is True
-    assert fast == naive
+def test_replay_fast_matches_naive_oracle(monkeypatch):
+    fast = doc_json(SMALL)
+    use_control_plane_oracles(monkeypatch)
+    assert doc_json(SMALL) == fast

@@ -1,9 +1,10 @@
-"""Property test: the indexed backfill scheduler equals the naive one.
+"""Property test: the indexed backfill scheduler equals the linear one.
 
 The availability index (free-core buckets + merge heap) and the
 completion calendar (sorted job-end list feeding the shadow-time probe)
-are pure perf rewrites of the retained linear paths; for any job mix
-the two controllers must start, place and finish every job identically.
+are pure perf rewrites of the linear scheduler in :mod:`tests.oracles.wlm`;
+for any job mix the two controllers must start, place and finish every
+job identically.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import HostNode
 from repro.sim import Environment
 from repro.wlm import JobSpec, SlurmController
+
+from tests.oracles.wlm import LinearSlurmController
 
 job_strategy = st.lists(
     st.tuples(
@@ -26,10 +29,10 @@ job_strategy = st.lists(
 )
 
 
-def run_mode(indexed, jobs):
+def run_mode(controller_cls, jobs):
     env = Environment()
     hosts = [HostNode(name=f"n{i}") for i in range(4)]
-    ctl = SlurmController(env, hosts, indexed=indexed)
+    ctl = controller_cls(env, hosts)
     submitted = [
         ctl.submit(JobSpec(
             name=f"j{i}",
@@ -53,4 +56,4 @@ def run_mode(indexed, jobs):
 @settings(max_examples=30, deadline=None)
 @given(job_strategy)
 def test_indexed_backfill_matches_naive_oracle(jobs):
-    assert run_mode(True, jobs) == run_mode(False, jobs)
+    assert run_mode(SlurmController, jobs) == run_mode(LinearSlurmController, jobs)

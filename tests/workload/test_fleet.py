@@ -21,8 +21,13 @@ from repro.workload.fleet import (
     run_fleet,
 )
 
+from tests.oracles.fleet import use_fleet_oracle
+
 #: small enough for unit tests, big enough to exercise queueing + cold pulls
 SMALL = FleetConfig(tenants=8, nodes=16, starts=400, images=6, shards=4)
+#: a few nodes under a long queue: completion order decides placements
+CONTENDED = FleetConfig(tenants=8, nodes=4, starts=600, images=6, shards=2,
+                        day=600.0)
 
 
 @pytest.fixture()
@@ -35,8 +40,18 @@ def _profile_clean():
 # -- config -------------------------------------------------------------------
 
 def test_config_json_roundtrip():
-    config = dataclasses.replace(SMALL, zipf_s=1.7, naive=True)
+    config = dataclasses.replace(SMALL, zipf_s=1.7)
     assert FleetConfig.from_json(config.to_json()) == config
+    # the retired engine-mode key is still written, always false
+    assert json.loads(config.to_json())["naive"] is False
+    data = json.loads(config.to_json())
+    data["naive"] = True
+    with pytest.raises(ValueError, match="naive"):
+        FleetConfig.from_json(json.dumps(data))
+    data["naive"] = False
+    data["epochs"] = 2.0
+    with pytest.raises(ValueError, match="epochs"):
+        FleetConfig.from_json(json.dumps(data))
 
 
 @pytest.mark.parametrize("bad", [
@@ -71,14 +86,12 @@ def test_double_run_is_deterministic():
     assert first == second
 
 
-def test_naive_mode_matches_optimized_engine():
-    fast = fleet_report_document(run_fleet(SMALL))
-    naive = fleet_report_document(
-        run_fleet(dataclasses.replace(SMALL, naive=True))
-    )
-    assert naive["config"].pop("naive") is True
-    assert fast["config"].pop("naive") is False
-    assert fast == naive
+def test_naive_mode_matches_optimized_engine(monkeypatch):
+    """The epoch pump equals the one-event-per-start oracle, byte for byte."""
+    fast = [fleet_report_document(run_fleet(c)) for c in (SMALL, CONTENDED)]
+    assert fast[1]["summary"]["pending_peak"] > 100
+    use_fleet_oracle(monkeypatch)
+    assert [fleet_report_document(run_fleet(c)) for c in (SMALL, CONTENDED)] == fast
 
 
 def test_parallel_jobs_byte_identical():
@@ -133,17 +146,18 @@ def test_find_leaks_reports_stuck_slot_and_queue():
 
 # -- pressure counters --------------------------------------------------------
 
-def test_fleet_surfaces_queue_and_liveness_peaks(_profile_clean):
+def test_fleet_surfaces_queue_and_liveness_peaks(_profile_clean, monkeypatch):
     profile.counters.reset()
     run_fleet(SMALL)
     snap = profile.counters.snapshot()
     assert snap["event_queue_peak"] > 0
     assert snap["live_objects_peak"] > 0
-    # naive mode reports the same pressure through the per-event path
+    # the one-event-per-start oracle reports the same pressure
     profile.counters.reset()
-    run_fleet(dataclasses.replace(SMALL, naive=True))
-    naive_snap = profile.counters.snapshot()
-    assert naive_snap["live_objects_peak"] == snap["live_objects_peak"]
+    use_fleet_oracle(monkeypatch)
+    run_fleet(SMALL)
+    oracle_snap = profile.counters.snapshot()
+    assert oracle_snap["live_objects_peak"] == snap["live_objects_peak"]
 
 
 # -- shard cells --------------------------------------------------------------
