@@ -246,6 +246,18 @@ def _sample_interval(args: argparse.Namespace):
     return None
 
 
+def _load_fault_plan(path: str):
+    """Read a ``--faults`` file; a malformed plan is reported on stderr
+    and returns None, which the verbs turn into exit status 2."""
+    from repro.faults.plan import FaultPlan
+
+    try:
+        return FaultPlan.from_file(path)
+    except (KeyError, ValueError) as exc:
+        print(f"bad fault plan: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.plan import FaultPlan
     from repro.obs import metrics as obs_metrics
@@ -271,7 +283,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_chaos
 
     if args.faults:
-        plan = FaultPlan.from_file(args.faults)
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
     else:
         node_names = [f"nid{i:04}" for i in range(args.nodes)]
         plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
@@ -326,7 +340,6 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     byte-identical output, trace files and report JSON.
     """
     from repro.faults.chaos import chaos_report_document
-    from repro.faults.plan import FaultPlan
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
     from repro.obs.export import validate_chrome_trace
@@ -352,7 +365,10 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
         scenario_cls.name, seeds, n_nodes=args.nodes, n_pods=args.pods
     )
     if args.faults:
-        plan_json = FaultPlan.from_file(args.faults).to_json()
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
+        plan_json = plan.to_json()
         cells = [_dc.replace(cell, plan_json=plan_json) for cell in cells]
     want_metrics = args.metrics or bool(args.metrics_out)
     if want_metrics:
@@ -430,7 +446,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     exactly that.  ``--chaos`` / ``--faults`` deliver a fault plan into
     every shard; ``--slo`` scores the sampled ``fleet.*`` series.
     """
-    from repro.faults.plan import FaultPlan
     from repro.obs import metrics as obs_metrics
     from repro.obs import timeseries as obs_timeseries
     from repro.workload.fleet import (
@@ -462,7 +477,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     plan = None
     if args.faults:
-        plan = FaultPlan.from_file(args.faults)
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
     elif args.chaos:
         plan = generate_fleet_plan(config, seed=args.seed)
     if args.save_plan:
@@ -559,9 +576,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     plan = None
     if args.faults:
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan.from_file(args.faults)
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
     want_metrics = args.metrics or bool(args.metrics_out)
     if want_metrics:
         from repro.sim import profile as sim_profile
@@ -625,7 +642,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
         return 2
     if args.faults:
-        plan = FaultPlan.from_file(args.faults)
+        plan = _load_fault_plan(args.faults)
+        if plan is None:
+            return 2
     else:
         node_names = [f"nid{i:04}" for i in range(args.nodes)]
         plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)

@@ -110,16 +110,18 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "FaultEvent":
-        """Parse one plan entry.  A NaN, infinite or negative ``at``, a
-        NaN or negative ``duration``, or a NaN or non-positive ``factor``
-        is a :class:`ValueError` naming the field."""
+        """Parse one plan entry.  A NaN, infinite or negative ``at`` or
+        ``duration``, or a NaN or non-positive ``factor`` is a
+        :class:`ValueError` naming the field."""
         at = float(data["at"])  # type: ignore[arg-type]
         duration = float(data.get("duration", 0.0))  # type: ignore[arg-type]
         factor = float(data.get("factor", 1.0))  # type: ignore[arg-type]
         if not (math.isfinite(at) and at >= 0.0):
             raise ValueError(f"fault event 'at' must be a finite time >= 0, got {at}")
-        if not duration >= 0.0:
-            raise ValueError(f"fault event 'duration' must be >= 0, got {duration}")
+        if not (math.isfinite(duration) and duration >= 0.0):
+            raise ValueError(
+                f"fault event 'duration' must be a finite time >= 0, got {duration}"
+            )
         if not factor > 0.0:
             raise ValueError(f"fault event 'factor' must be > 0, got {factor}")
         return cls(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.faults import (
     KIND_POINTS,
     FaultEvent,
@@ -77,6 +78,7 @@ def test_plan_json_roundtrip(tmp_path):
     ("at", -1.0),
     ("duration", -10.0),
     ("duration", float("nan")),
+    ("duration", float("inf")),
     ("factor", 0.0),
     ("factor", -2.0),
     ("factor", float("nan")),
@@ -89,6 +91,23 @@ def test_plan_rejects_bad_event_numbers_where_it_enters(field, value):
              "target": "fleet-node-00000", field: value}
     with pytest.raises(ValueError, match=f"'{field}'"):
         FaultPlan.from_json(json.dumps({"events": [entry]}))
+
+
+@pytest.mark.parametrize("verb", [
+    ["chaos", "kubelet_in_allocation"],
+    ["chaos", "kubelet_in_allocation", "--seeds", "0..1"],
+    ["slo", "kubelet_in_allocation"],
+    ["fleet"],
+    ["replay"],
+])
+def test_cli_reports_bad_fault_plan(verb, tmp_path, capsys):
+    """Every verb that reads ``--faults`` exits 2 with the field named,
+    instead of a traceback."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps([{"kind": "node_crash", "at": -1.0}]))
+    assert main([*verb, "--faults", str(plan_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad fault plan:") and "'at'" in err
 
 
 def test_plan_from_bare_event_list():

@@ -28,6 +28,7 @@ from repro.sim import Environment
 from repro.wlm import JobState, SlurmController
 
 from tests.k8s.conftest import make_cri
+from tests.oracles.kubelet import StoreScanKubelet
 
 
 def make_pod(name, image="registry.site.local/pipelines/step:v1", duration=10.0, cpu=1.0):
@@ -63,6 +64,36 @@ def test_kubelet_registers_and_runs_pod(env, registry):
     assert pod.node_name == "knode"
     assert kubelet.stats["pods_started"] == 1
     assert pod.end_time - pod.start_time == pytest.approx(5, abs=0.1)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_pod_watch_routing_keyed_vs_store_scan_oracle(env, registry, oracle):
+    """The production kubelet registers its Pod watch keyed by node; the
+    store-scan oracle joins the unkeyed fan-out.  Both run the pod, so the
+    oracle equivalence tests compare keyed routing against the fan-out."""
+    server = K3sServer(env)
+    cri, _ = make_cri(registry)
+    kubelet = (StoreScanKubelet if oracle else Kubelet)(env, server.api, "knode", cri)
+
+    def bring_up(env):
+        yield server.ready
+        kubelet.start()
+
+    env.process(bring_up(env))
+    pod = make_pod("job-1", duration=5)
+
+    def submit(env):
+        yield env.timeout(15)
+        watchers = server.api._watchers["Pod"]
+        mine = [cb for _seq, cb in watchers.unkeyed if cb == kubelet._on_pod_watch]
+        assert bool(mine) is oracle
+        assert ("knode" in watchers.keyed) is not oracle
+        server.api.create("Pod", pod)
+
+    env.process(submit(env))
+    env.run(until=60)
+    assert pod.phase is PodPhase.SUCCEEDED
+    assert pod.node_name == "knode"
 
 
 def test_k3s_much_faster_cold_start_than_full_k8s():
