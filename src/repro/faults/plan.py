@@ -110,27 +110,46 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "FaultEvent":
-        """Parse one plan entry.  A NaN, infinite or negative ``at`` or
-        ``duration``, or a NaN or non-positive ``factor`` is a
-        :class:`ValueError` naming the field."""
-        at = float(data["at"])  # type: ignore[arg-type]
-        duration = float(data.get("duration", 0.0))  # type: ignore[arg-type]
-        factor = float(data.get("factor", 1.0))  # type: ignore[arg-type]
+        """Parse one plan entry.  A missing or unknown ``kind``, a missing
+        ``at``, a non-numeric ``at``/``duration``/``factor``, a NaN,
+        infinite or negative ``at`` or ``duration``, or a non-finite or
+        non-positive ``factor`` is a :class:`ValueError` naming the field."""
+        try:
+            kind = FaultKind(data.get("kind"))
+        except ValueError:
+            valid = ", ".join(k.value for k in FaultKind)
+            raise ValueError(
+                f"fault event 'kind' must be one of {valid}; got {data.get('kind')!r}"
+            ) from None
+        at = _number(data, "at")
+        duration = _number(data, "duration", 0.0)
+        factor = _number(data, "factor", 1.0)
         if not (math.isfinite(at) and at >= 0.0):
             raise ValueError(f"fault event 'at' must be a finite time >= 0, got {at}")
         if not (math.isfinite(duration) and duration >= 0.0):
             raise ValueError(
                 f"fault event 'duration' must be a finite time >= 0, got {duration}"
             )
-        if not factor > 0.0:
-            raise ValueError(f"fault event 'factor' must be > 0, got {factor}")
+        if not (math.isfinite(factor) and factor > 0.0):
+            raise ValueError(f"fault event 'factor' must be finite and > 0, got {factor}")
         return cls(
-            kind=FaultKind(data["kind"]),
+            kind=kind,
             at=at,
             duration=duration,
             target=_t.cast("str | None", data.get("target")),
             factor=factor,
         )
+
+
+def _number(data: dict[str, object], field: str, default: float | None = None) -> float:
+    """``data[field]`` as a float, or a :class:`ValueError` naming the
+    field when it is missing (and required) or not a number."""
+    value = data.get(field, default)
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        problem = f"must be a number, got {value!r}" if field in data else "is missing"
+        raise ValueError(f"fault event '{field}' {problem}") from None
 
 
 class FaultPlan:

@@ -12,12 +12,10 @@ the in-kernel driver).
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 from repro.fs.tree import FileTree
 from repro.sim import profile as _profile
-
-_image_counter = itertools.count(1)
+from repro.world import world
 
 #: default compression ratio for typical container content (mixed
 #: binaries/text); mksquashfs with zstd commonly lands around here.
@@ -39,7 +37,7 @@ class SquashImage:
     ):
         if not 0 < compression_ratio <= 1:
             raise ValueError("compression_ratio must be in (0, 1]")
-        self.image_id = next(_image_counter)
+        self.image_id = next(world.image)
         self.tree = tree
         self.uncompressed_size = tree.total_size()
         self.compressed_size = int(self.uncompressed_size * compression_ratio)
@@ -108,33 +106,27 @@ def tree_content_digest(tree: FileTree) -> str:
     return digest
 
 
-#: (tree content digest, ratio, built_by_uid, writable_by) -> image.
-#: Packing is content-addressed like the flatten/convert caches in
-#: :mod:`repro.oci.squash`: re-packing identical content returns the
-#: same immutable image instead of minting a new one, and the repeat
-#: counts as a ``flatten_cache_hits`` materialization saved.
-_PACK_CACHE: dict[tuple[str, float, int, frozenset[int]], SquashImage] = {}
-
-
-def clear_pack_cache() -> None:
-    """Drop the pack memo (test isolation helper)."""
-    _PACK_CACHE.clear()
-
-
 def pack_squash(
     tree: FileTree,
     compression_ratio: float = DEFAULT_COMPRESSION_RATIO,
     built_by_uid: int = 0,
     writable_by: frozenset[int] = frozenset(),
 ) -> SquashImage:
-    """Pack a file tree into a single-file image (mksquashfs analogue)."""
+    """Pack a file tree into a single-file image (mksquashfs analogue).
+
+    Content-addressed like the flatten/convert caches in
+    :mod:`repro.oci.squash` (``world.pack``, keyed by tree content digest,
+    ratio, uid and writers): re-packing identical content returns the same
+    immutable image instead of minting a new one, and the repeat counts as
+    a ``flatten_cache_hits`` materialization saved.
+    """
     key = (
         tree_content_digest(tree),
         compression_ratio,
         built_by_uid,
         frozenset(writable_by),
     )
-    cached = _PACK_CACHE.get(key)
+    cached = world.pack.get(key)
     if cached is not None:
         counters = _profile.counters
         if counters.enabled:
@@ -146,5 +138,5 @@ def pack_squash(
         built_by_uid=built_by_uid,
         writable_by=writable_by,
     )
-    _PACK_CACHE[key] = image
+    world.pack[key] = image
     return image

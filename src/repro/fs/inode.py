@@ -25,12 +25,10 @@ converse does not hold: an unshared directory may hold shared children
 from __future__ import annotations
 
 import hashlib
-import itertools
 import typing as _t
 
 from repro.sim import profile as _profile
-
-_inode_counter = itertools.count(1)
+from repro.world import world
 
 
 class FsError(OSError):
@@ -43,7 +41,7 @@ class Node:
     kind: str = "node"
 
     def __init__(self, uid: int = 0, gid: int = 0, mode: int = 0o644):
-        self.ino = next(_inode_counter)
+        self.ino = next(world.inode)
         self.uid = uid
         self.gid = gid
         self.mode = mode

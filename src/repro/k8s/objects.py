@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import typing as _t
 
-_uid_counter = itertools.count(1)
+from repro.world import world
 
 
 @dataclasses.dataclass
@@ -15,7 +14,7 @@ class ObjectMeta:
     name: str
     namespace: str = "default"
     labels: dict[str, str] = dataclasses.field(default_factory=dict)
-    uid: str = dataclasses.field(default_factory=lambda: f"uid-{next(_uid_counter)}")
+    uid: str = dataclasses.field(default_factory=lambda: f"uid-{next(world.k8s_uid)}")
     resource_version: int = 0
 
     @property

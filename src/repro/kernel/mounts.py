@@ -8,13 +8,11 @@ invisible to everyone beyond the real root of the host system" (§3.2).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing as _t
 
 from repro.fs.drivers import MountDriver, MountedView
 from repro.kernel.errors import EBUSY, EINVAL, ENOENT
-
-_mount_counter = itertools.count(1)
+from repro.world import world
 
 
 @dataclasses.dataclass
@@ -38,7 +36,7 @@ class MountTable:
 
     def add(self, target: str, view: MountedView, flags: _t.Iterable[str] = ()) -> MountEntry:
         target = target.rstrip("/") or "/"
-        entry = MountEntry(next(_mount_counter), target, view, frozenset(flags))
+        entry = MountEntry(next(world.mount), target, view, frozenset(flags))
         self.entries.append(entry)
         return entry
 

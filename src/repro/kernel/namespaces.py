@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 
 from repro.kernel.errors import EINVAL, EPERM
-
-_ns_counter = itertools.count(1)
+from repro.world import world
 
 #: kernel limit on user-namespace nesting depth
 MAX_USERNS_LEVEL = 32
@@ -62,7 +60,7 @@ class Namespace:
     """A non-user namespace instance."""
 
     def __init__(self, kind: NamespaceKind, owner: "UserNamespace | None", creator_uid: int = 0):
-        self.ns_id = next(_ns_counter)
+        self.ns_id = next(world.ns)
         self.kind = kind
         #: the user namespace that owns this namespace — capability checks
         #: against this namespace are evaluated in the owner userns.

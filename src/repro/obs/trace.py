@@ -237,7 +237,8 @@ class Tracer:
 
     # -- state transfer (shard runner) ---------------------------------------
     def capture_state(self) -> dict[str, object]:
-        """A picklable copy of the recorded events and thread names.
+        """A picklable copy of the recorded events, thread names, tid
+        cursor and wall-clock flag.
 
         Event tuples carry only strings, numbers and plain dicts, so the
         blob crosses a ``multiprocessing`` boundary unchanged; the
@@ -247,7 +248,19 @@ class Tracer:
         return {
             "events": list(self._events),
             "thread_names": dict(self._thread_names),
+            "next_tid": self._next_tid,
+            "wall_clock": self.wall_clock,
         }
+
+    def install_state(self, state: dict[str, object]) -> None:
+        """Replace the tracer's rows with a :meth:`capture_state` blob,
+        restoring its tid cursor and wall-clock flag.  (To fold another
+        shard's rows in on top instead, use :meth:`absorb`.)"""
+        self.reset()
+        self._events.extend(_t.cast(list, state["events"]))
+        self._thread_names.update(_t.cast(dict, state["thread_names"]))
+        self._next_tid = _t.cast(int, state["next_tid"])
+        self.wall_clock = _t.cast(bool, state["wall_clock"])
 
     def absorb(self, state: dict[str, object], label: str | None = None) -> None:
         """Adopt another shard's :meth:`capture_state` blob.

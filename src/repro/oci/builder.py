@@ -21,6 +21,8 @@ from repro.oci.image import ImageConfig, OCIImage
 from repro.oci.layer import Layer, diff_trees
 from repro.oci.shell import run_commands
 from repro.oci.sif import SIFImage
+from repro.sim import profile as _profile
+from repro.world import replay_prefix
 
 
 class BuildError(ValueError):
@@ -115,18 +117,16 @@ class Builder:
     ) -> OCIImage:
         """Build an OCI image, replaying identical prefix builds.
 
-        Context-free builds go through the shard prefix-replay cache:
-        keyed by the dockerfile *and* the exact global counter
-        fingerprint, so a hit only ever occurs when the world state
-        matches the recorded build bit-for-bit (a warm-snapshot fork).
-        Everything else — including every build in a normally advancing
-        process — takes the cold path below.
+        Context-free builds go through the world's prefix-replay cache
+        (:func:`repro.world.replay_prefix`): keyed by the dockerfile *and*
+        the exact positions of the world's id counters, so a hit only
+        ever occurs when the world matches the recorded build bit-for-bit
+        (a warm-snapshot fork).  Everything else — including every build
+        in a normally advancing process — takes the cold path below.
         """
         if context is not None:
             return self._build_dockerfile_cold(text, context, build_uid)
-        from repro.shard.state import replay_prefix
-
-        image, stats = replay_prefix(
+        (image, stats), replayed = replay_prefix(
             "build_dockerfile",
             f"{build_uid}\n{text}",
             lambda: (
@@ -134,6 +134,9 @@ class Builder:
                 dict(self.last_build_stats),
             ),
         )
+        counters = _profile.counters
+        if replayed and counters.enabled:
+            counters.warm_replays += 1
         self.last_build_stats = dict(stats)
         return image
 

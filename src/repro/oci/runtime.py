@@ -10,7 +10,6 @@ exactly once, here.
 from __future__ import annotations
 
 import enum
-import itertools
 import typing as _t
 
 from repro.fs.drivers import MountedView, mount_bind
@@ -24,8 +23,7 @@ from repro.kernel.process import SimProcess
 from repro.kernel.syscalls import Kernel
 from repro.oci.bundle import Bundle
 from repro.oci.hooks import HookPoint, HookRegistry
-
-_container_counter = itertools.count(1)
+from repro.world import world
 
 
 class ContainerState(enum.Enum):
@@ -108,7 +106,7 @@ class OCIRuntime:
         problems = bundle.validate()
         if problems:
             raise EINVAL(f"invalid bundle: {problems}")
-        cid = container_id or f"ctr-{next(_container_counter)}"
+        cid = container_id or f"ctr-{next(world.container)}"
         if cid in self.containers:
             raise EINVAL(f"container id {cid} already in use")
         container = Container(cid, bundle, self)

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 
 from repro.fs.images import DEFAULT_COMPRESSION_RATIO, SquashImage, pack_squash
 from repro.fs.tree import FileTree
 from repro.oci.digest import digest_str
 from repro.oci.image import ImageConfig
 from repro.signing.keys import KeyPair, Signature, SignatureError
-
-_sif_counter = itertools.count(1)
+from repro.world import world
 
 
 class SIFPartition(enum.Enum):
@@ -41,7 +39,7 @@ class SIFImage:
         built_by_uid: int = 0,
         compression_ratio: float = DEFAULT_COMPRESSION_RATIO,
     ):
-        self.sif_id = next(_sif_counter)
+        self.sif_id = next(world.sif)
         self.config = config
         self.definition = definition
         self.built_by_uid = built_by_uid

@@ -5,11 +5,11 @@ directory, or to a filesystem image on a shared storage" (§4.1.4).  The
 conversion cost (flatten + mksquashfs) is what engines amortize with
 their native-format caches (Table 2).
 
-This module is also the process-wide content-addressed cache for the
-materialization work itself: flatten results and squash conversions are
-keyed by the image's manifest digest, so each distinct image is
-flattened and packed exactly once no matter how many engines, registries
-or benchmark sweeps ask for it.  Cached flattens are handed out as O(1)
+This module also owns the content-addressed caching of the
+materialization work itself (the dicts live on :data:`repro.world.world`):
+flatten results and squash conversions are keyed by the image's manifest
+digest, so each distinct image is flattened and packed exactly once no
+matter how many engines, registries or benchmark sweeps ask for it.  Cached flattens are handed out as O(1)
 copy-on-write clones; cached conversions return the same (immutable)
 :class:`SquashImage` — the simulated *cost* of a conversion is
 deterministic, so virtual-time results are unchanged, only the
@@ -22,28 +22,16 @@ from repro.fs.images import DEFAULT_COMPRESSION_RATIO, PACK_BANDWIDTH, SquashIma
 from repro.fs.tree import FileTree
 from repro.oci.image import OCIImage
 from repro.sim import profile as _profile
+from repro.world import world
 
 #: layer extraction throughput (untar + decompress), bytes/second
 EXTRACT_BANDWIDTH = 450e6
-
-#: manifest digest -> master flattened tree (never handed out directly;
-#: callers always get a CoW clone of it)
-_FLATTEN_CACHE: dict[str, FileTree] = {}
-
-#: (manifest digest, built_by_uid, compression_ratio) -> (image, cost)
-_CONVERT_CACHE: dict[tuple[str, int, float], tuple[SquashImage, float]] = {}
 
 
 def _count_flatten_hit() -> None:
     counters = _profile.counters
     if counters.enabled:
         counters.flatten_cache_hits += 1
-
-
-def clear_caches() -> None:
-    """Drop the content-addressed caches (test isolation helper)."""
-    _FLATTEN_CACHE.clear()
-    _CONVERT_CACHE.clear()
 
 
 def flatten_image(image: OCIImage) -> FileTree:
@@ -53,10 +41,10 @@ def flatten_image(image: OCIImage) -> FileTree:
     assembled from identical layers share one master tree, and every
     call returns a copy-on-write clone of it.
     """
-    master = _FLATTEN_CACHE.get(image.digest)
+    master = world.flatten.get(image.digest)
     if master is None:
         master = image.flatten()
-        _FLATTEN_CACHE[image.digest] = master
+        world.flatten[image.digest] = master
     else:
         _count_flatten_hit()
     return master.clone()
@@ -86,12 +74,12 @@ def oci_to_squash(
     the simulated cost each caller charges stays identical.
     """
     key = (image.digest, built_by_uid, compression_ratio)
-    cached = _CONVERT_CACHE.get(key)
+    cached = world.convert.get(key)
     if cached is not None:
         _count_flatten_hit()
         return cached
     tree = flatten_image(image)
     squash = pack_squash(tree, compression_ratio=compression_ratio, built_by_uid=built_by_uid)
     cost = extract_cost(image) + tree.total_size() / PACK_BANDWIDTH
-    _CONVERT_CACHE[key] = (squash, cost)
+    world.convert[key] = (squash, cost)
     return squash, cost

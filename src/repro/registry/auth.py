@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import typing as _t
 
-_token_counter = itertools.count(1)
+from repro.world import world
 
 
 class AuthError(PermissionError):
@@ -67,7 +66,7 @@ class OIDCAuth(AuthProvider):
         return self._users.get(username) == hashlib.sha256(secret.encode()).hexdigest()
 
     def issue_idp_token(self, username: str) -> str:
-        token = f"idp-{username}-{next(_token_counter)}"
+        token = f"idp-{username}-{next(world.token)}"
         self.add_user(username, token)
         return token
 
@@ -108,7 +107,7 @@ class AuthService:
         for provider in self.providers:
             if provider.authenticate(username, secret):
                 token = Token(
-                    value=f"tok-{next(_token_counter)}",
+                    value=f"tok-{next(world.token)}",
                     username=username,
                     provider=provider.name,
                     scopes=frozenset(scopes),

@@ -3,9 +3,10 @@
 Partitions scenario matrices and chaos seed sweeps into independent
 (scenario, config, seed) cells, runs them across N worker processes,
 and merges the outputs into artifacts byte-identical to a serial run.
-See :mod:`repro.shard.state` for the world-state/determinism model,
-:mod:`repro.shard.cells` for the work units, and
-:mod:`repro.shard.runner` for the execution/merge engine.
+See :mod:`repro.world` for the world-state/determinism model,
+:mod:`repro.shard.state` for warm snapshots, :mod:`repro.shard.cells`
+for the work units, and :mod:`repro.shard.runner` for the
+execution/merge engine.
 """
 
 from repro.shard.cells import (
@@ -26,10 +27,9 @@ from repro.shard.runner import (
     merge_profiles,
     run_cells,
 )
-from repro.shard.state import COUNTER_SITES, WarmSnapshot, WorldState, warm_scenario_prefix
+from repro.shard.state import WarmSnapshot, warm_scenario_prefix
 
 __all__ = [
-    "COUNTER_SITES",
     "CellResult",
     "ChaosCell",
     "FleetCell",
@@ -37,7 +37,6 @@ __all__ = [
     "ScenarioCell",
     "ShardResult",
     "WarmSnapshot",
-    "WorldState",
     "chaos_seed_sweep",
     "default_start_method",
     "merge_profiles",

@@ -20,9 +20,10 @@ serial run**.  Three invariants make that hold:
    counters and histogram buckets add, ``peak_queue_depth`` maxes,
    trace rows are re-keyed onto fresh tids per cell.
 
-The parent's own world state and observability state are saved before
-the first cell and restored before merging, so calling the runner is
-invisible to surrounding code beyond the merged-in results.
+The parent's world (a :class:`~repro.world.WorldState` copy) and each
+observability sink (through its public ``capture_state``/``install_state``)
+are saved before the first cell and restored before merging, so calling
+the runner is invisible to surrounding code beyond the merged-in results.
 """
 
 from __future__ import annotations
@@ -31,9 +32,13 @@ import dataclasses
 import multiprocessing as _mp
 import typing as _t
 
+from repro.obs.metrics import registry as _registry
+from repro.obs.timeseries import recorder as _recorder
+from repro.obs.trace import tracer as _tracer
 from repro.shard.cells import Cell
-from repro.shard.state import WarmSnapshot, WorldState
+from repro.shard.state import WarmSnapshot
 from repro.sim import profile as _profile
+from repro.world import WorldState
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,17 +90,10 @@ def default_start_method() -> str:
 
 def merge_profiles(snaps: _t.Iterable[dict[str, int]]) -> dict[str, int]:
     """Fold per-cell counter snapshots: sums, max for high-water marks."""
-    out = {field: 0 for field in _profile._FIELDS}
-    peaks = _profile.PEAK_FIELDS
+    block = _profile.SimCounters()
     for snap in snaps:
-        for field in _profile._FIELDS:
-            value = snap.get(field, 0)
-            if field in peaks:
-                if value > out[field]:
-                    out[field] = value
-            else:
-                out[field] += value
-    return out
+        block.merge(snap)
+    return block.snapshot()
 
 
 def _execute_cell(
@@ -105,13 +103,9 @@ def _execute_cell(
 
     This is the only place cells execute, so serial and pooled runs are
     the same code path; it deliberately clobbers the process-wide state
-    (the parent saves/restores around the whole batch)."""
-    from repro.obs.metrics import registry as _registry
-    from repro.obs.timeseries import recorder as _recorder
-    from repro.obs.trace import tracer as _tracer
-
+    and leaves the sinks as the cell left them (the parent saves/restores
+    around the whole batch, and the next cell resets them)."""
     counters = _profile.counters
-    prev_enabled = counters.enabled
     counters.reset()
     counters.enabled = True
     if snapshot is not None:
@@ -129,25 +123,15 @@ def _execute_cell(
         _recorder.enable(interval=obs.timeseries, reset=False)
     else:
         _recorder.enabled = False
-    try:
-        value = cell.run()
-    finally:
-        profile_snap = counters.snapshot()
-        counters.enabled = prev_enabled
-        metrics_state = _registry.capture_state() if obs.metrics else None
-        _registry.enabled = False
-        trace_state = _tracer.capture_state() if obs.trace else None
-        _tracer.enabled = False
-        ts_state = _recorder.capture_state() if obs.timeseries is not None else None
-        _recorder.enabled = False
+    value = cell.run()
     return CellResult(
         index=index,
         label=cell.label,
         value=value,
-        profile=profile_snap,
-        metrics=metrics_state,
-        trace=trace_state,
-        timeseries=ts_state,
+        profile=counters.snapshot(),
+        metrics=_registry.capture_state() if obs.metrics else None,
+        trace=_tracer.capture_state() if obs.trace else None,
+        timeseries=_recorder.capture_state() if obs.timeseries is not None else None,
     )
 
 
@@ -187,22 +171,11 @@ def run_cells(
     """
     cells = list(cells)
     obs = obs or ObsConfig()
-    counters = _profile.counters
-    from repro.obs.metrics import registry as _registry
-    from repro.obs.timeseries import recorder as _recorder
-    from repro.obs.trace import tracer as _tracer
-
     saved_world = WorldState.capture()
-    saved_profile = counters.snapshot()
-    saved_profile_enabled = counters.enabled
-    saved_metrics = _registry.capture_state()
-    saved_metrics_enabled = _registry.enabled
-    saved_trace = _tracer.capture_state()
-    saved_trace_enabled = _tracer.enabled
-    saved_wall_clock = _tracer.wall_clock
-    saved_next_tid = _tracer._next_tid
-    saved_ts = _recorder.capture_state()
-    saved_ts_enabled = _recorder.enabled
+    saved = [
+        (sink, sink.capture_state(), sink.enabled)
+        for sink in (_profile.counters, _registry, _tracer, _recorder)
+    ]
     try:
         if jobs <= 1 or len(cells) <= 1:
             results = [
@@ -220,22 +193,12 @@ def run_cells(
     finally:
         # Put the parent back exactly as it was before merging anything in.
         saved_world.install()
-        for field, value in saved_profile.items():
-            setattr(counters, field, value)
-        counters.enabled = saved_profile_enabled
-        _registry.install_state(saved_metrics)
-        _registry.enabled = saved_metrics_enabled
-        _tracer.reset()
-        _tracer._events.extend(saved_trace["events"])
-        _tracer._thread_names.update(saved_trace["thread_names"])
-        _tracer._next_tid = saved_next_tid
-        _tracer.enabled = saved_trace_enabled
-        _tracer.wall_clock = saved_wall_clock
-        _recorder.install_state(saved_ts)
-        _recorder.enabled = saved_ts_enabled
+        for sink, state, enabled in saved:
+            sink.install_state(state)
+            sink.enabled = enabled
 
     merged = merge_profiles(result.profile for result in results)
-    counters.merge(merged)
+    _profile.counters.merge(merged)
     if obs.metrics:
         for result in results:
             _registry.install_state(result.metrics, merge=True)

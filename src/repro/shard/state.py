@@ -1,32 +1,12 @@
-"""Process-wide world state: capture, install, and warm snapshots.
+"""Warm snapshots: replay a shared prefix once, fork it before every cell.
 
-Determinism in this repository is anchored on a small set of *global*
-id counters (inode numbers, image/container/mount/namespace ids, k8s
-uids, registry token serials, signing key serials) plus the
-content-addressed materialization caches in :mod:`repro.oci.squash` and
-:mod:`repro.fs.images`.  Every simulated artifact digest and entity
-name is a pure function of the draws it makes from these counters, so
-two runs that start from the *same counter positions* produce
-byte-identical results — and two runs that start from different
-positions produce different digests even for identical content (bulk
-file digests hash their inode number by design).
-
-:class:`WorldState` makes that state an explicit, picklable value:
-
-- :meth:`WorldState.capture` reads the counters non-destructively
-  (peek one value, rebind a fresh ``itertools.count`` at it) and
-  shallow-copies the caches;
-- :meth:`WorldState.install` rebinds every counter and replaces the
-  cache contents, making the current process's world state equal to the
-  captured one;
-- :meth:`WorldState.pristine` is the state of a freshly imported
-  process: every counter at 1, every cache empty.
-
-The shard runner installs a known state before **every** cell — in the
-parent for serial runs and in pool workers for parallel runs — which is
-what makes cell results independent of execution order and worker
-placement, and therefore byte-identical between ``--jobs 1`` and
-``--jobs N``.
+Every id draw and content cache lives on the single
+:data:`repro.world.world` object, and a :class:`~repro.world.WorldState`
+copy of it is the whole determinism state.  The shard runner installs a
+known state before **every** cell — in the parent for serial runs and in
+pool workers for parallel runs — which is what makes cell results
+independent of execution order and worker placement, and therefore
+byte-identical between ``--jobs 1`` and ``--jobs N``.
 
 :class:`WarmSnapshot` layers the snapshot/fork mechanism on top: build
 once by replaying the shared scenario *prefix* (site image built,
@@ -42,150 +22,11 @@ clock).
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import itertools
 import pickle
 import typing as _t
 
 from repro.sim import profile as _profile
-
-#: every module-global ``itertools.count`` that feeds simulated ids.
-#: (The per-instance counters — apiserver resource versions, Slurm job
-#: ids, kernel pids, Environment sequence numbers — are born fresh with
-#: their owning object inside each cell and need no capture.)
-COUNTER_SITES: tuple[tuple[str, str], ...] = (
-    ("repro.fs.inode", "_inode_counter"),
-    ("repro.fs.images", "_image_counter"),
-    ("repro.kernel.mounts", "_mount_counter"),
-    ("repro.kernel.namespaces", "_ns_counter"),
-    ("repro.oci.runtime", "_container_counter"),
-    ("repro.oci.sif", "_sif_counter"),
-    ("repro.registry.auth", "_token_counter"),
-    ("repro.signing.keys", "_key_counter"),
-    ("repro.k8s.objects", "_uid_counter"),
-)
-
-
-def _site_key(module: str, attr: str) -> str:
-    return f"{module}.{attr}"
-
-
-def _peek_counter(module: str, attr: str) -> int:
-    """Read a counter's next value without consuming it (draw one value,
-    rebind a fresh count at that value)."""
-    mod = importlib.import_module(module)
-    value = next(getattr(mod, attr))
-    setattr(mod, attr, itertools.count(value))
-    return value
-
-
-def _set_counter(module: str, attr: str, value: int) -> None:
-    mod = importlib.import_module(module)
-    setattr(mod, attr, itertools.count(value))
-
-
-def _counter_positions() -> dict[str, int]:
-    return {_site_key(m, a): _peek_counter(m, a) for m, a in COUNTER_SITES}
-
-
-#: (kind, key, counter fingerprint) -> (value, counter positions after).
-#: The prefix-replay cache behind :func:`replay_prefix`: because the key
-#: embeds the *exact* global counter positions the producer started
-#: from, a hit can only occur when the world is in the identical state
-#: it was in when the entry was recorded — which in practice means right
-#: after a :meth:`WarmSnapshot.fork` counter rewind.  Outside shard
-#: replays every build advances the counters, so the fingerprint never
-#: repeats and the cache is inert.
-_REPLAY_CACHE: dict[tuple, tuple[object, dict[str, int]]] = {}
-
-
-def replay_prefix(kind: str, key: str, produce: _t.Callable[[], _t.Any]) -> _t.Any:
-    """Run ``produce()`` once per (inputs, world state); replay after.
-
-    On a hit the recorded value is returned and the global counters jump
-    to the positions the original run left behind, so the process state
-    after a replay is indistinguishable from having re-run the producer
-    — every later draw yields the same ids, digests and names.  Each
-    replay counts as a ``warm_replays`` profile event.
-    """
-    before = _counter_positions()
-    cache_key = (kind, key, tuple(sorted(before.items())))
-    hit = _REPLAY_CACHE.get(cache_key)
-    if hit is not None:
-        value, after = hit
-        for module, attr in COUNTER_SITES:
-            _set_counter(module, attr, after[_site_key(module, attr)])
-        counters = _profile.counters
-        if counters.enabled:
-            counters.warm_replays += 1
-        return value
-    value = produce()
-    _REPLAY_CACHE[cache_key] = (value, _counter_positions())
-    return value
-
-
-@dataclasses.dataclass
-class WorldState:
-    """A picklable checkpoint of the process-wide simulation state."""
-
-    #: ``module.attr`` -> next value the counter will yield
-    counters: dict[str, int]
-    #: manifest digest -> master flattened tree
-    flatten_cache: dict[str, object]
-    #: (manifest digest, uid, ratio) -> (SquashImage, cost)
-    convert_cache: dict[tuple, tuple]
-    #: (tree digest, ratio, uid, writable_by) -> SquashImage
-    pack_cache: dict[tuple, object]
-    #: the :func:`replay_prefix` entries (fingerprint-keyed builds)
-    replay_cache: dict[tuple, tuple] = dataclasses.field(default_factory=dict)
-
-    @classmethod
-    def capture(cls) -> "WorldState":
-        """Snapshot the current process state (non-destructive)."""
-        from repro.fs import images as _images
-        from repro.oci import squash as _squash
-
-        return cls(
-            counters=_counter_positions(),
-            flatten_cache=dict(_squash._FLATTEN_CACHE),
-            convert_cache=dict(_squash._CONVERT_CACHE),
-            pack_cache=dict(_images._PACK_CACHE),
-            replay_cache=dict(_REPLAY_CACHE),
-        )
-
-    @classmethod
-    def pristine(cls) -> "WorldState":
-        """The state of a freshly imported process: counters at 1,
-        caches empty."""
-        return cls(
-            counters={_site_key(m, a): 1 for m, a in COUNTER_SITES},
-            flatten_cache={},
-            convert_cache={},
-            pack_cache={},
-            replay_cache={},
-        )
-
-    def install(self) -> None:
-        """Make the current process's world state equal this snapshot.
-
-        The live cache dicts are cleared and refilled (not rebound), so
-        modules that imported them keep working; the snapshot's own
-        dicts are never handed out, so cells cannot mutate the
-        checkpoint they forked from.
-        """
-        for module, attr in COUNTER_SITES:
-            _set_counter(module, attr, self.counters[_site_key(module, attr)])
-        from repro.fs import images as _images
-        from repro.oci import squash as _squash
-
-        _squash._FLATTEN_CACHE.clear()
-        _squash._FLATTEN_CACHE.update(self.flatten_cache)
-        _squash._CONVERT_CACHE.clear()
-        _squash._CONVERT_CACHE.update(self.convert_cache)
-        _images._PACK_CACHE.clear()
-        _images._PACK_CACHE.update(self.pack_cache)
-        _REPLAY_CACHE.clear()
-        _REPLAY_CACHE.update(self.replay_cache)
+from repro.world import WorldState
 
 
 def warm_scenario_prefix(n_nodes: int = 4) -> None:
@@ -212,44 +53,29 @@ def warm_scenario_prefix(n_nodes: int = 4) -> None:
 class WarmSnapshot:
     """A checkpoint of a warmed-up simulation prefix.
 
-    ``base`` is the counter state the warmup started from (cells rewind
-    to it so their draws replay the warmup's); the cache dicts hold the
-    materialization results the warmup produced.  The whole object is a
-    plain pickle — workers receive it as bytes through the pool
-    initializer.
+    ``base_counters`` is the counter state the warmup started from
+    (cells rewind to it so their draws replay the warmup's); ``world``
+    is the state the warmup left behind, whose caches hold what it
+    materialized.  The whole object is a plain pickle — workers receive
+    it as bytes through the pool initializer.
     """
 
     base_counters: dict[str, int]
-    flatten_cache: dict[str, object]
-    convert_cache: dict[tuple, tuple]
-    pack_cache: dict[tuple, object]
-    replay_cache: dict[tuple, tuple] = dataclasses.field(default_factory=dict)
+    world: WorldState
 
     @classmethod
-    def build(
-        cls,
-        warmup: _t.Callable[[], None] | None = None,
-        base: WorldState | None = None,
-    ) -> "WarmSnapshot":
-        """Run ``warmup`` from ``base`` (default: pristine) and
-        checkpoint what it materialized.  The caller's own world state
-        is saved and restored around the build, so taking a snapshot is
-        invisible to the surrounding process.
+    def build(cls, warmup: _t.Callable[[], None]) -> "WarmSnapshot":
+        """Run ``warmup`` from a pristine world and checkpoint what it
+        materialized.  The caller's own world state is saved and restored
+        around the build, so taking a snapshot is invisible to the
+        surrounding process.
         """
         saved = WorldState.capture()
-        base = base or WorldState.pristine()
+        base = WorldState.pristine()
         try:
             base.install()
-            if warmup is not None:
-                warmup()
-            warm = WorldState.capture()
-            return cls(
-                base_counters=dict(base.counters),
-                flatten_cache=warm.flatten_cache,
-                convert_cache=warm.convert_cache,
-                pack_cache=warm.pack_cache,
-                replay_cache=warm.replay_cache,
-            )
+            warmup()
+            return cls(base_counters=base.counters, world=WorldState.capture())
         finally:
             saved.install()
 
@@ -257,17 +83,6 @@ class WarmSnapshot:
     def for_scenario_prefix(cls, n_nodes: int = 4) -> "WarmSnapshot":
         """The standard snapshot: shared site prefix at ``n_nodes``."""
         return cls.build(lambda: warm_scenario_prefix(n_nodes))
-
-    @property
-    def warm(self) -> bool:
-        """Whether the snapshot actually carries cached materializations
-        (a cold snapshot is just a counter rewind)."""
-        return bool(
-            self.flatten_cache
-            or self.convert_cache
-            or self.pack_cache
-            or self.replay_cache
-        )
 
     def fork(self) -> None:
         """Install this snapshot as the current process's world state.
@@ -277,13 +92,7 @@ class WarmSnapshot:
         image digests hit the warmed caches (each such hit counts as a
         ``warm_replays`` profile event).
         """
-        WorldState(
-            counters=dict(self.base_counters),
-            flatten_cache=self.flatten_cache,
-            convert_cache=self.convert_cache,
-            pack_cache=self.pack_cache,
-            replay_cache=self.replay_cache,
-        ).install()
+        dataclasses.replace(self.world, counters=self.base_counters).install()
         counters = _profile.counters
         if counters.enabled:
             counters.snapshot_forks += 1

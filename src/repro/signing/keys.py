@@ -5,9 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
-import itertools
 
-_key_counter = itertools.count(1)
+from repro.world import world
 
 
 class SignatureError(Exception):
@@ -34,7 +33,7 @@ class KeyPair:
 
     def __init__(self, owner: str):
         self.owner = owner
-        n = next(_key_counter)
+        n = next(world.key)
         self._secret = hashlib.sha256(f"secret:{owner}:{n}".encode()).digest()
         self.public_id = hashlib.sha256(self._secret).hexdigest()[:16]
 

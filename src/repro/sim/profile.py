@@ -33,7 +33,8 @@ wall-clock noise:
 - ``shard_cells_run``: matrix cells executed by the
   :mod:`repro.shard` runner (serial and parallel alike);
 - ``snapshot_forks``: times a :class:`~repro.shard.WarmSnapshot` was
-  forked into the process-wide world state;
+  forked into :data:`repro.world.world`, the one object that holds every
+  id counter and content cache;
 - ``warm_replays``: prefix materializations (e.g. whole dockerfile
   builds) replayed from a warm snapshot's fingerprint-keyed cache
   instead of re-simulated — the counters jump to the recorded
@@ -139,6 +140,16 @@ class SimCounters:
         only meaningful when the inner workload pushed a new peak.
         """
         return {field: getattr(self, field) - baseline.get(field, 0) for field in _FIELDS}
+
+    #: the shard runner's state-transfer name for :meth:`snapshot`
+    capture_state = snapshot
+
+    def install_state(self, state: dict[str, int], merge: bool = False) -> None:
+        """Load a :meth:`snapshot` back: replace the values wholesale, or
+        with ``merge=True`` fold them in as :meth:`merge` does."""
+        if not merge:
+            self.reset()
+        self.merge(state)
 
     def merge(self, snap: dict[str, int]) -> None:
         """Fold another block's :meth:`snapshot` into this one.

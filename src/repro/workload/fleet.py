@@ -171,10 +171,22 @@ class FleetConfig:
             )
         if len(self.cpu_choices) != len(self.cpu_shares):
             raise ValueError("cpu_choices and cpu_shares must align")
-        if self.epoch <= 0 or self.day <= 0:
-            raise ValueError("epoch and day must be positive")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        reals = [
+            (name, getattr(self, name))
+            for name in ("zipf_s", "tenant_skew", "duration_mean", "day", "epoch",
+                         "warm_start_s", "unpack_bandwidth", "amplitude")
+        ]
+        for name, value in reals + [("cpu_shares", v) for v in self.cpu_shares]:
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("epoch", "day", "unpack_bandwidth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not sum(self.cpu_shares) > 0:
+            raise ValueError("cpu_shares must not all be zero")
+        self.profile()  # DiurnalProfile rejects an amplitude outside [0, 1)
 
     # -- serialization (cells carry the config as a JSON string) ------------
     def to_json(self) -> str:

@@ -16,6 +16,9 @@ from repro.faults import (
 )
 from repro.sim import Environment
 
+#: marks a plan field the test leaves out of the entry
+MISSING = object()
+
 
 # -- plans --------------------------------------------------------------------------
 
@@ -82,13 +85,22 @@ def test_plan_json_roundtrip(tmp_path):
     ("factor", 0.0),
     ("factor", -2.0),
     ("factor", float("nan")),
+    ("factor", float("inf")),
+    ("kind", "node_crashh"),
+    ("at", None),
+    ("at", "soon"),
+    pytest.param("at", MISSING, id="at-missing"),
+    pytest.param("kind", MISSING, id="kind-missing"),
 ])
 def test_plan_rejects_bad_event_numbers_where_it_enters(field, value):
     """A NaN crash time used to surface as an int conversion deep in the
     fleet pump, and a negative duration as a node still down (and its
-    cores leaked) after the drain; both now fail at parse time."""
+    cores leaked) after the drain; both now fail at parse time, as do an
+    infinite slow-blob factor, an unknown kind and a missing time."""
     entry = {"kind": "node_crash", "at": 5.0, "duration": 10.0,
              "target": "fleet-node-00000", field: value}
+    if value is MISSING:
+        del entry[field]
     with pytest.raises(ValueError, match=f"'{field}'"):
         FaultPlan.from_json(json.dumps({"events": [entry]}))
 
@@ -104,10 +116,17 @@ def test_cli_reports_bad_fault_plan(verb, tmp_path, capsys):
     """Every verb that reads ``--faults`` exits 2 with the field named,
     instead of a traceback."""
     plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps([{"kind": "node_crash", "at": -1.0}]))
-    assert main([*verb, "--faults", str(plan_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bad fault plan:") and "'at'" in err
+    for entry, field in [
+        ({"kind": "node_crash", "at": -1.0}, "at"),
+        ({"kind": "node_crash"}, "at"),
+        ({"kind": "node_crashh", "at": 1.0}, "kind"),
+        ({"kind": "registry_slow_blob", "at": 1.0, "duration": 5.0,
+          "factor": float("inf")}, "factor"),
+    ]:
+        plan_path.write_text(json.dumps([entry]))
+        assert main([*verb, "--faults", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad fault plan:") and f"'{field}'" in err
 
 
 def test_plan_from_bare_event_list():

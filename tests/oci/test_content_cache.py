@@ -1,9 +1,24 @@
 """Content-addressed flatten / convert caches (repro.oci.squash)."""
 
+import dataclasses
+
+import pytest
+
 from repro.fs import FileTree
 from repro.oci import ImageConfig, Layer, OCIImage
-from repro.oci.squash import clear_caches, flatten_image, oci_to_squash
+from repro.oci.squash import flatten_image, oci_to_squash
 from repro.sim import profile
+from repro.world import WorldState
+
+
+@pytest.fixture
+def _empty_caches():
+    """Run with every world cache empty, then put the caches back (the
+    counters keep the draws the test made)."""
+    saved = WorldState.capture()
+    dataclasses.replace(saved, caches=WorldState.pristine().caches).install()
+    yield
+    dataclasses.replace(saved, counters=WorldState.capture().counters).install()
 
 
 def make_image(files: dict[str, bytes]) -> OCIImage:
@@ -27,8 +42,7 @@ def test_flatten_memo_returns_isolated_clones():
     assert image.flatten().get("/etc/conf").data == b"v1"
 
 
-def test_flatten_image_is_content_addressed():
-    clear_caches()
+def test_flatten_image_is_content_addressed(_empty_caches):
     image = make_image({"/etc/conf": b"v1"})
     prof = profile.enable()
     try:
@@ -39,11 +53,9 @@ def test_flatten_image_is_content_addressed():
         assert [p for p, _ in first.walk()] == [p for p, _ in again.walk()]
     finally:
         profile.disable()
-        clear_caches()
 
 
-def test_convert_cache_reuses_image_and_cost():
-    clear_caches()
+def test_convert_cache_reuses_image_and_cost(_empty_caches):
     image = make_image({"/etc/conf": b"v1"})
     squash1, cost1 = oci_to_squash(image, built_by_uid=0)
     squash2, cost2 = oci_to_squash(image, built_by_uid=0)
@@ -54,4 +66,3 @@ def test_convert_cache_reuses_image_and_cost():
     assert user_squash is not squash1
     assert user_squash.built_by_uid == 1000
     assert user_cost == cost1  # same deterministic work, different provenance
-    clear_caches()

@@ -115,7 +115,7 @@ def test_chaos_sweep_serial_vs_sharded_identical(snapshot, _obs_clean):
 
 
 def test_runner_restores_parent_state(snapshot, _obs_clean):
-    from repro.shard.state import WorldState
+    from repro.world import WorldState
 
     before = WorldState.capture()
     prof_before = sim_profile.counters.snapshot()
@@ -128,7 +128,9 @@ def test_runner_restores_parent_state(snapshot, _obs_clean):
     # The parent world (counters + caches) is untouched; only the merged
     # profile counters landed on top of the saved values.
     assert after.counters == before.counters
-    assert set(after.flatten_cache) == set(before.flatten_cache)
+    assert {n: set(c) for n, c in after.caches.items()} == {
+        n: set(c) for n, c in before.caches.items()
+    }
     delta = sim_profile.counters.snapshot_delta(prof_before)
     assert delta["shard_cells_run"] == 1
     sim_profile.counters.reset()

@@ -4,13 +4,18 @@ import dataclasses
 
 import pytest
 
-from repro.shard.state import (
-    COUNTER_SITES,
-    WarmSnapshot,
-    WorldState,
-    _counter_positions,
-    replay_prefix,
-)
+from repro.shard.state import WarmSnapshot
+from repro.world import CACHES, COUNTERS, WorldState, replay_prefix, world
+
+
+def _positions() -> dict[str, int]:
+    return dict(zip(COUNTERS, world.positions()))
+
+
+def _rewound(checkpoint: WorldState) -> WorldState:
+    """The live world with only its counters put back to ``checkpoint``
+    (the caches, replay entries included, stay as they are now)."""
+    return dataclasses.replace(WorldState.capture(), counters=dict(checkpoint.counters))
 
 
 @pytest.fixture
@@ -22,9 +27,13 @@ def _world_guard():
 
 
 def test_capture_is_non_destructive():
-    before = _counter_positions()
-    WorldState.capture()
-    assert _counter_positions() == before
+    before = _positions()
+    state = WorldState.capture()
+    assert _positions() == before == state.counters
+    # the caches are copies: the live world never hands out its dicts
+    for name in CACHES:
+        assert state.caches[name] == getattr(world, name)
+        assert state.caches[name] is not getattr(world, name)
 
 
 def test_capture_install_roundtrip(_world_guard):
@@ -33,16 +42,23 @@ def test_capture_install_roundtrip(_world_guard):
     checkpoint = WorldState.capture()
     tree = FileTree()
     tree.create_file("/advance/counters", size=10)
-    advanced = _counter_positions()
-    assert advanced != checkpoint.counters
+    world.flatten["roundtrip-probe"] = tree
+    assert _positions() != checkpoint.counters
     checkpoint.install()
-    assert _counter_positions() == checkpoint.counters
+    assert _positions() == checkpoint.counters
+    assert "roundtrip-probe" not in world.flatten
+    # installing hands the world its own copies: a later draw into the
+    # live caches cannot reach back into the checkpoint
+    world.flatten["after-install"] = tree
+    assert "after-install" not in checkpoint.caches["flatten"]
 
 
 def test_pristine_counters_all_one():
     pristine = WorldState.pristine()
     assert set(pristine.counters.values()) == {1}
-    assert len(pristine.counters) == len(COUNTER_SITES)
+    assert len(pristine.counters) == len(COUNTERS)
+    assert set(pristine.caches) == set(CACHES)
+    assert not any(pristine.caches.values())
 
 
 def test_replay_prefix_returns_value_and_advances_counters(_world_guard):
@@ -52,32 +68,35 @@ def test_replay_prefix_returns_value_and_advances_counters(_world_guard):
     dockerfile = "FROM alpine:3.18\nRUN write /x 1000\nENTRYPOINT /x"
     checkpoint = WorldState.capture()
     image_cold = Builder(BaseImageCatalog()).build_dockerfile(dockerfile)
-    after_cold = _counter_positions()
+    after_cold = _positions()
 
     # Rewind the counters only — the replay cache keeps the cold entry.
-    rewound = dataclasses.replace(
-        WorldState.capture(), counters=dict(checkpoint.counters)
-    )
-    rewound.install()
+    _rewound(checkpoint).install()
     image_warm = Builder(BaseImageCatalog()).build_dockerfile(dockerfile)
     # Identical value, and the counters jumped to the cold run's positions
     # — the world cannot tell a replay from a re-run.
     assert image_warm is image_cold
-    assert _counter_positions() == after_cold
+    assert _positions() == after_cold
 
 
 def test_replay_prefix_counts_warm_replays(_world_guard):
+    from repro.oci import Builder
+    from repro.oci.catalog import BaseImageCatalog
     from repro.sim import profile
 
+    value = object()
     checkpoint = WorldState.capture()
-    replay_prefix("test", "k", lambda: object())
-    rewound = dataclasses.replace(
-        WorldState.capture(), counters=dict(checkpoint.counters)
-    )
-    rewound.install()
+    assert replay_prefix("test", "k", lambda: value) == (value, False)
+    _rewound(checkpoint).install()
+    assert replay_prefix("test", "k", object) == (value, True)
+
+    dockerfile = "FROM alpine:3.18\nRUN write /counted 10\nENTRYPOINT /counted"
+    checkpoint = WorldState.capture()
+    Builder(BaseImageCatalog()).build_dockerfile(dockerfile)
+    _rewound(checkpoint).install()
     profile.enable()
     try:
-        replay_prefix("test", "k", lambda: object())
+        Builder(BaseImageCatalog()).build_dockerfile(dockerfile)
         assert profile.counters.warm_replays == 1
     finally:
         profile.disable()
@@ -91,8 +110,9 @@ def test_replay_prefix_is_inert_when_counters_differ(_world_guard):
     from repro.fs.tree import FileTree
 
     FileTree().create_file("/advance", size=1)
-    replay_prefix("test", "k2", lambda: calls.append(1))
+    _, replayed = replay_prefix("test", "k2", lambda: calls.append(1))
     assert len(calls) == 2
+    assert not replayed
 
 
 def test_warm_snapshot_build_is_invisible():
@@ -100,16 +120,20 @@ def test_warm_snapshot_build_is_invisible():
     snapshot = WarmSnapshot.for_scenario_prefix(n_nodes=2)
     after = WorldState.capture()
     assert after.counters == before.counters
-    assert snapshot.warm
+    assert {n: set(c) for n, c in after.caches.items()} == {
+        n: set(c) for n, c in before.caches.items()
+    }
+    assert any(snapshot.world.caches.values())
 
 
 def test_warm_snapshot_pickle_roundtrip():
     snapshot = WarmSnapshot.for_scenario_prefix(n_nodes=2)
     clone = WarmSnapshot.from_bytes(snapshot.to_bytes())
     assert clone.base_counters == snapshot.base_counters
-    assert set(clone.flatten_cache) == set(snapshot.flatten_cache)
-    assert set(clone.replay_cache) == set(snapshot.replay_cache)
-    assert clone.warm
+    assert clone.world.counters == snapshot.world.counters
+    for name in CACHES:
+        assert set(clone.world.caches[name]) == set(snapshot.world.caches[name])
+    assert any(clone.world.caches.values())
 
 
 def test_warm_snapshot_fork_replays_prefix(_world_guard):
@@ -121,6 +145,7 @@ def test_warm_snapshot_fork_replays_prefix(_world_guard):
     profile.enable()
     try:
         snapshot.fork()
+        assert _positions() == snapshot.base_counters
         IntegrationScenario(Environment(), n_nodes=2)
         assert profile.counters.snapshot_forks == 1
         assert profile.counters.warm_replays >= 1

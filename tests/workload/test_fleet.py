@@ -67,6 +67,30 @@ def test_config_validation(bad):
         dataclasses.replace(SMALL, **bad)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("unpack_bandwidth", 0.0),
+    ("unpack_bandwidth", INF),
+    ("duration_mean", -5.0),
+    ("epoch", NAN),
+    ("day", INF),
+    ("amplitude", 1.5),
+    ("amplitude", -0.1),
+    ("warm_start_s", -1.0),
+    ("cpu_shares", (0.5, -0.3, 0.2)),
+    ("cpu_shares", (0.0, 0.0, 0.0)),
+    ("zipf_s", NAN),
+    ("zipf_s", -1.0),
+    ("tenant_skew", NAN),
+    ("tenant_skew", -0.5),
+])
+def test_config_rejects_out_of_range_reals_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(SMALL, **{field: value})
+
+
 def test_shard_partition_is_exact():
     config = dataclasses.replace(SMALL, tenants=11, nodes=29, starts=997, shards=4)
     shards = config.effective_shards
@@ -217,3 +241,5 @@ def test_cli_fleet_jobs_output_identical(capsys, tmp_path):
 def test_cli_fleet_rejects_bad_config(capsys):
     assert main(["fleet", "--tenants", "0"]) == 2
     assert "bad fleet config" in capsys.readouterr().err
+    assert main(["fleet", "--zipf", "nan"]) == 2
+    assert "bad fleet config: zipf_s" in capsys.readouterr().err
