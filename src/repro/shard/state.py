@@ -53,14 +53,12 @@ def warm_scenario_prefix(n_nodes: int = 4) -> None:
 class WarmSnapshot:
     """A checkpoint of a warmed-up simulation prefix.
 
-    ``base_counters`` is the counter state the warmup started from
-    (cells rewind to it so their draws replay the warmup's); ``world``
-    is the state the warmup left behind, whose caches hold what it
-    materialized.  The whole object is a plain pickle — workers receive
-    it as bytes through the pool initializer.
+    ``world`` pairs the counter state the warmup *started* from (cells
+    rewind to it so their draws replay the warmup's) with the caches the
+    warmup left behind.  The whole object is a plain pickle — workers
+    receive it as bytes through the pool initializer.
     """
 
-    base_counters: dict[str, int]
     world: WorldState
 
     @classmethod
@@ -75,7 +73,7 @@ class WarmSnapshot:
         try:
             base.install()
             warmup()
-            return cls(base_counters=base.counters, world=WorldState.capture())
+            return cls(world=dataclasses.replace(WorldState.capture(), counters=base.counters))
         finally:
             saved.install()
 
@@ -92,7 +90,7 @@ class WarmSnapshot:
         image digests hit the warmed caches (each such hit counts as a
         ``warm_replays`` profile event).
         """
-        dataclasses.replace(self.world, counters=self.base_counters).install()
+        self.world.install()
         counters = _profile.counters
         if counters.enabled:
             counters.snapshot_forks += 1

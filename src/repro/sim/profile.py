@@ -144,11 +144,9 @@ class SimCounters:
     #: the shard runner's state-transfer name for :meth:`snapshot`
     capture_state = snapshot
 
-    def install_state(self, state: dict[str, int], merge: bool = False) -> None:
-        """Load a :meth:`snapshot` back: replace the values wholesale, or
-        with ``merge=True`` fold them in as :meth:`merge` does."""
-        if not merge:
-            self.reset()
+    def install_state(self, state: dict[str, int]) -> None:
+        """Load a :meth:`snapshot` back, replacing the values wholesale."""
+        self.reset()
         self.merge(state)
 
     def merge(self, snap: dict[str, int]) -> None:

@@ -176,7 +176,7 @@ class FleetConfig:
         reals = [
             (name, getattr(self, name))
             for name in ("zipf_s", "tenant_skew", "duration_mean", "day", "epoch",
-                         "warm_start_s", "unpack_bandwidth", "amplitude")
+                         "warm_start_s", "unpack_bandwidth")
         ]
         for name, value in reals + [("cpu_shares", v) for v in self.cpu_shares]:
             if not (math.isfinite(value) and value >= 0):

@@ -129,8 +129,9 @@ def test_warm_snapshot_build_is_invisible():
 def test_warm_snapshot_pickle_roundtrip():
     snapshot = WarmSnapshot.for_scenario_prefix(n_nodes=2)
     clone = WarmSnapshot.from_bytes(snapshot.to_bytes())
-    assert clone.base_counters == snapshot.base_counters
     assert clone.world.counters == snapshot.world.counters
+    # the snapshot holds the counters the warmup started from
+    assert clone.world.counters == WorldState.pristine().counters
     for name in CACHES:
         assert set(clone.world.caches[name]) == set(snapshot.world.caches[name])
     assert any(clone.world.caches.values())
@@ -145,7 +146,7 @@ def test_warm_snapshot_fork_replays_prefix(_world_guard):
     profile.enable()
     try:
         snapshot.fork()
-        assert _positions() == snapshot.base_counters
+        assert _positions() == snapshot.world.counters
         IntegrationScenario(Environment(), n_nodes=2)
         assert profile.counters.snapshot_forks == 1
         assert profile.counters.warm_replays >= 1
