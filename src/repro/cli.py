@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import typing as _t
 
@@ -64,83 +65,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from repro.core.tables import render_table
-    from repro.scenarios.evaluate import summary_rows
-    from repro.shard import ObsConfig, WarmSnapshot, run_cells, scenario_matrix
+# -- shared verb plumbing -----------------------------------------------------
 
-    if args.list:
-        return _print_scenario_list()
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.obs import metrics as obs_metrics
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
-    result = run_cells(
-        scenario_matrix(n_nodes=args.nodes, n_pods=args.pods),
-        jobs=args.jobs,
-        obs=ObsConfig(metrics=want_metrics),
-        snapshot=WarmSnapshot.for_scenario_prefix(args.nodes),
-    )
-    metrics = result.values()
-    print(render_table(summary_rows(metrics),
-                       f"§6.6 comparison ({args.pods} pods on {args.nodes} nodes)"))
-    for m in metrics:
-        for note in m.notes:
-            print(f"  [{m.scenario}] {note}")
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics: {args.metrics_out}")
-        obs_metrics.registry.reset()
-    return 0
+#: stdout line formats for written artifacts, filled with (label, path)
+_CHAOS_ROW = "  {:<17}{}"
+_FLEET_ROW = "  {:<12}{}"
 
 
-def _cmd_startup(args: argparse.Namespace) -> int:
-    from repro.cluster import HostNode
-    from repro.engines import ALL_ENGINES, DockerEngine, EnrootEngine
-    from repro.oci import Builder
-    from repro.oci.catalog import BaseImageCatalog
-    from repro.registry import OCIDistributionRegistry
-
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.obs import metrics as obs_metrics
-
-        obs_metrics.enable()
-    registry = OCIDistributionRegistry(name="cli")
-    image = Builder(BaseImageCatalog()).build_dockerfile(
-        "FROM ubuntu:22.04\nRUN write /opt/app 50000000\nENTRYPOINT /opt/app"
-    )
-    registry.push_image("cli/app", "v1", image)
-    print(f"{'engine':>15} {'cold':>9} {'warm':>9}  rootfs")
-    for engine_cls in ALL_ENGINES:
-        node = HostNode(name="cli-node")
-        engine = engine_cls(node)
-        if isinstance(engine, DockerEngine):
-            engine.start_daemon()
-        user = node.kernel.spawn(uid=1000)
-        pulled = engine.pull("cli/app", "v1", registry)
-        if isinstance(engine, EnrootEngine):
-            engine.import_image("cli/app:v1", pulled.image)
-        cold = engine.run(pulled, user)
-        warm = engine.run(engine.pull("cli/app", "v1", registry), user)
-        print(f"{engine.info.name:>15} {cold.startup_seconds:8.3f}s "
-              f"{warm.startup_seconds:8.3f}s  {cold.container.rootfs.driver.name}")
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
-        obs_metrics.disable()
-    return 0
+class _UsageError(Exception):
+    """Bad command-line input; :func:`main` prints it and exits 2."""
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,174 +93,224 @@ def _print_scenario_list() -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
-    from repro.scenarios.evaluate import run_scenario
-    import json as _json
-
+def _scenario(name: str | None) -> type:
+    if name is None:
+        raise _UsageError("a scenario name is required (or --list)")
     scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
+    if name not in scenarios:
         names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
-    obs_trace.enable(wall_clock=args.wall)
-    obs_metrics.enable()
+        raise _UsageError(f"unknown scenario {name!r}; one of: {names}")
+    return scenarios[name]
+
+
+def _fleet_config(args: argparse.Namespace):
+    from repro.workload.fleet import FleetConfig
+
     try:
-        metrics = run_scenario(scenario_cls, n_nodes=args.nodes, n_pods=args.pods)
-        doc = obs_trace.export_json(args.out, indent=2 if args.pretty else None)
-    finally:
-        obs_metrics.disable()
-        obs_trace.disable()
-    problems = validate_chrome_trace(_json.loads(doc))
-    tracer = obs_trace.tracer
-    cats = ", ".join(sorted(tracer.categories()))
-    print(f"{args.out}: {len(tracer)} span records across "
-          f"{len(tracer.categories())} subsystems ({cats})")
-    print(f"  scenario={metrics.scenario} pods={metrics.pods_completed}/"
-          f"{metrics.pods_submitted} provision={metrics.provision_time:.1f}s")
+        return FleetConfig(
+            tenants=args.tenants, nodes=args.nodes, starts=args.starts,
+            images=args.images, zipf_s=args.zipf, seed=args.seed,
+            shards=args.shards, day=args.day,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"bad {args.command} config: {exc}") from None
+
+
+def _fault_plan(args: argparse.Namespace, node_names=None, generate=None):
+    """The run's fault plan: ``--faults`` (its node-crash targets checked
+    against ``node_names`` unless that is None), else ``generate()``,
+    else None.  ``--save-plan`` writes whichever plan results."""
+    from repro.faults.plan import FaultPlan
+
+    if args.faults:
+        try:
+            plan = FaultPlan.from_file(args.faults)
+            if node_names is not None:
+                plan.check_node_targets(node_names)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"bad fault plan: {exc}") from None
+    else:
+        plan = generate() if generate is not None else None
+    if getattr(args, "save_plan", None):
+        if plan is None:
+            raise _UsageError("--save-plan needs --chaos or --faults")
+        _write(args.save_plan, plan.to_json(),
+               f"fault plan ({len(plan)} events) written to {args.save_plan}")
+    return plan
+
+
+def _scenario_plan(args: argparse.Namespace, generate: bool = True):
+    """``chaos``/``slo``: the plan over the scenario's ``nid0000…`` nodes,
+    generated from ``--seed`` when ``generate`` and no file is given."""
+    from repro.faults.plan import FaultPlan
+
+    node_names = [f"nid{i:04}" for i in range(args.nodes)]
+
+    def seeded():
+        return FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
+
+    return _fault_plan(args, node_names, seeded if generate else None)
+
+
+def _slo_rules(path: str | None):
+    from repro.obs.slo import SloRuleSet
+
+    try:
+        return SloRuleSet.from_file(path) if path else None
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"bad SLO rules: {exc}") from None
+
+
+def _sample_interval(args: argparse.Namespace, needed: bool = False):
+    """Effective sampling interval: ``--sample-interval``, else the
+    default when the run ``needed`` sampling or ``--timeseries`` asks for
+    an export, else None (off)."""
+    from repro.obs.timeseries import DEFAULT_INTERVAL
+
+    if args.sample_interval is not None:
+        if not args.sample_interval > 0:
+            raise _UsageError(f"--sample-interval must be positive, got {args.sample_interval}")
+        return args.sample_interval
+    return DEFAULT_INTERVAL if needed or args.timeseries else None
+
+
+def _write(path: str, text: str, line: str) -> None:
+    """Write one newline-terminated document and print its stdout line."""
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
+    print(line)
+
+
+def _write_obs(args: argparse.Namespace, row: str) -> None:
+    """The shared ``--timeseries`` / ``--metrics`` / ``--metrics-out``
+    tail; ``row`` formats each artifact's stdout line from (label, path)."""
+    from repro.obs.metrics import registry
+    from repro.obs.timeseries import recorder
+
+    if getattr(args, "timeseries", None):
+        _write(args.timeseries, recorder.to_json(), row.format("timeseries:", args.timeseries))
     if args.metrics:
         print()
-        print(obs_metrics.registry.render_table())
+        print(registry.render_table())
     if args.metrics_out:
-        _write_metrics_json(args.metrics_out)
-        print(f"  metrics written to {args.metrics_out}")
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
+        doc = {"schema": "repro-metrics/1", "series": registry.snapshot()}
+        _write(args.metrics_out, json.dumps(doc, indent=2, sort_keys=True),
+               row.format("metrics:", args.metrics_out))
+
+
+def _trace_ok(doc: str) -> bool:
+    """Validate an exported Perfetto trace, printing each problem."""
+    from repro.obs.export import validate_chrome_trace
+
+    problems = validate_chrome_trace(json.loads(doc))
+    for p in problems:
+        print(f"invalid trace: {p}", file=sys.stderr)
+    return not problems
+
+
+# -- simulation verbs ---------------------------------------------------------
+# each runs its simulation inside one observing() session
+
+def _cmd_scenarios(args: argparse.Namespace) -> int:
+    from repro.core.tables import render_table
+    from repro.scenarios.evaluate import summary_rows
+    from repro.shard import ObsConfig, WarmSnapshot, observing, run_cells, scenario_matrix
+
+    if args.list:
+        return _print_scenario_list()
+    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out))
+    snapshot = WarmSnapshot.for_scenario_prefix(args.nodes)
+    with observing(obs):
+        metrics = run_cells(
+            scenario_matrix(n_nodes=args.nodes, n_pods=args.pods),
+            jobs=args.jobs, obs=obs, snapshot=snapshot,
+        ).values()
+        print(render_table(summary_rows(metrics),
+                           f"§6.6 comparison ({args.pods} pods on {args.nodes} nodes)"))
+        for m in metrics:
+            for note in m.notes:
+                print(f"  [{m.scenario}] {note}")
+        _write_obs(args, "  {:<9}{}")
+    return 0
+
+
+def _cmd_startup(args: argparse.Namespace) -> int:
+    from repro.cluster import HostNode
+    from repro.engines import ALL_ENGINES, DockerEngine, EnrootEngine
+    from repro.oci import Builder
+    from repro.oci.catalog import BaseImageCatalog
+    from repro.registry import OCIDistributionRegistry
+    from repro.shard import ObsConfig, observing
+
+    with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out))):
+        registry = OCIDistributionRegistry(name="cli")
+        image = Builder(BaseImageCatalog()).build_dockerfile(
+            "FROM ubuntu:22.04\nRUN write /opt/app 50000000\nENTRYPOINT /opt/app"
+        )
+        registry.push_image("cli/app", "v1", image)
+        print(f"{'engine':>15} {'cold':>9} {'warm':>9}  rootfs")
+        for engine_cls in ALL_ENGINES:
+            node = HostNode(name="cli-node")
+            engine = engine_cls(node)
+            if isinstance(engine, DockerEngine):
+                engine.start_daemon()
+            user = node.kernel.spawn(uid=1000)
+            pulled = engine.pull("cli/app", "v1", registry)
+            if isinstance(engine, EnrootEngine):
+                engine.import_image("cli/app:v1", pulled.image)
+            cold = engine.run(pulled, user)
+            warm = engine.run(engine.pull("cli/app", "v1", registry), user)
+            print(f"{engine.info.name:>15} {cold.startup_seconds:8.3f}s "
+                  f"{warm.startup_seconds:8.3f}s  {cold.container.rootfs.driver.name}")
+        _write_obs(args, "metrics written to {1}")
+    return 0
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs.trace import export_json, tracer
+    from repro.scenarios.evaluate import run_scenario
+    from repro.shard import ObsConfig, observing
+
+    scenario_cls = _scenario(args.scenario)
+    with observing(ObsConfig(metrics=True, trace=True, trace_wall=args.wall)):
+        metrics = run_scenario(scenario_cls, n_nodes=args.nodes, n_pods=args.pods)
+        doc = export_json(args.out, indent=2 if args.pretty else None)
+        cats = ", ".join(sorted(tracer.categories()))
+        print(f"{args.out}: {len(tracer)} span records across "
+              f"{len(tracer.categories())} subsystems ({cats})")
+        print(f"  scenario={metrics.scenario} pods={metrics.pods_completed}/"
+              f"{metrics.pods_submitted} provision={metrics.provision_time:.1f}s")
+        _write_obs(args, "  metrics written to {1}")
+    if not _trace_ok(doc):
         return 1
     print("  open in https://ui.perfetto.dev (or chrome://tracing)")
     return 0
 
 
-def _write_chaos_report(reports: list, scenario: str, path: str) -> None:
-    import json as _json
-
-    from repro.faults.chaos import chaos_report_document
-
-    with open(path, "w") as fh:
-        fh.write(_json.dumps(chaos_report_document(reports, scenario), indent=2))
-        fh.write("\n")
-
-
-def _write_metrics_json(path: str) -> None:
-    """``--metrics-out``: the registry snapshot as a schema-tagged JSON doc."""
-    import json as _json
-
-    from repro.obs import metrics as obs_metrics
-
-    with open(path, "w") as fh:
-        fh.write(_json.dumps(
-            {"schema": "repro-metrics/1", "series": obs_metrics.registry.snapshot()},
-            indent=2, sort_keys=True))
-        fh.write("\n")
-
-
-def _write_timeseries_json(path: str) -> None:
-    """``--timeseries``: the sampled rings as a schema-tagged JSON doc."""
-    from repro.obs import timeseries as obs_timeseries
-
-    with open(path, "w") as fh:
-        fh.write(obs_timeseries.recorder.to_json())
-        fh.write("\n")
-
-
-def _sample_interval(args: argparse.Namespace):
-    """Effective sampling interval: ``--sample-interval``, or the default
-    when ``--timeseries PATH`` asks for an export without naming one."""
-    if args.sample_interval is not None:
-        return args.sample_interval
-    if getattr(args, "timeseries", None):
-        from repro.obs.timeseries import DEFAULT_INTERVAL
-
-        return DEFAULT_INTERVAL
-    return None
-
-
-def _load_fault_plan(path: str):
-    """Read a ``--faults`` file; a malformed plan is reported on stderr
-    and returns None, which the verbs turn into exit status 2."""
-    from repro.faults.plan import FaultPlan
-
-    try:
-        return FaultPlan.from_file(path)
-    except (KeyError, ValueError) as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
-        return None
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.plan import FaultPlan
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
-    import json as _json
+    from repro.faults.chaos import chaos_report_document, run_chaos
+    from repro.obs.trace import export_json
+    from repro.shard import ObsConfig, observing
 
     if args.list:
         return _print_scenario_list()
-    if args.scenario is None:
-        print("a scenario name is required (or --list)", file=sys.stderr)
-        return 2
-    scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
-        names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
-
+    scenario_cls = _scenario(args.scenario)
     if args.seeds is not None:
         return _chaos_sweep(args, scenario_cls)
-
-    from repro.faults.chaos import run_chaos
-
-    if args.faults:
-        plan = _load_fault_plan(args.faults)
-        if plan is None:
-            return 2
-    else:
-        node_names = [f"nid{i:04}" for i in range(args.nodes)]
-        plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
-    if args.save_plan:
-        plan.to_file(args.save_plan)
-        print(f"fault plan ({len(plan)} events) written to {args.save_plan}")
-    from repro.obs import timeseries as obs_timeseries
-
-    interval = _sample_interval(args)
-    obs_trace.enable()
-    obs_metrics.enable()
-    if interval is not None:
-        obs_timeseries.enable(interval=interval)
-    try:
+    plan = _scenario_plan(args)
+    with observing(ObsConfig(metrics=True, trace=True, timeseries=_sample_interval(args))):
         _metrics, report = run_chaos(
             scenario_cls, plan, n_nodes=args.nodes, n_pods=args.pods, seed=args.seed
         )
-        doc = obs_trace.export_json(args.trace, indent=2 if args.pretty else None)
-    finally:
-        obs_metrics.disable()
-        obs_trace.disable()
-        obs_timeseries.disable()
-    print(report.render())
-    print(f"  trace:           {args.trace}")
-    if args.out:
-        _write_chaos_report([report], scenario_cls.name, args.out)
-        print(f"  report:          {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries:      {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if args.metrics:
-        print()
-        print(obs_metrics.registry.render_table())
-    if args.metrics_out:
-        _write_metrics_json(args.metrics_out)
-        print(f"  metrics:         {args.metrics_out}")
-    problems = validate_chrome_trace(_json.loads(doc))
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
+        doc = export_json(args.trace, indent=2 if args.pretty else None)
+        print(report.render())
+        print(_CHAOS_ROW.format("trace:", args.trace))
+        if args.out:
+            _write(args.out, json.dumps(chaos_report_document([report], scenario_cls.name),
+                                        indent=2), _CHAOS_ROW.format("report:", args.out))
+        _write_obs(args, _CHAOS_ROW)
+    if not _trace_ok(doc):
         return 1
     return 0 if report.clean else 1
 
@@ -340,99 +323,59 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     byte-identical output, trace files and report JSON.
     """
     from repro.faults.chaos import chaos_report_document
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import trace as obs_trace
-    from repro.obs.export import validate_chrome_trace
+    from repro.obs.trace import export_json
     from repro.shard import (
         ObsConfig,
         WarmSnapshot,
         chaos_seed_sweep,
+        observing,
         parse_seed_range,
         run_cells,
     )
     import dataclasses as _dc
-    import json as _json
 
     try:
         seeds = parse_seed_range(args.seeds)
     except ValueError as exc:
-        print(f"bad --seeds: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad --seeds: {exc}") from None
     if args.save_plan:
-        print("--save-plan needs a single-seed run (drop --seeds)", file=sys.stderr)
-        return 2
-    cells = chaos_seed_sweep(
-        scenario_cls.name, seeds, n_nodes=args.nodes, n_pods=args.pods
-    )
-    if args.faults:
-        plan = _load_fault_plan(args.faults)
-        if plan is None:
-            return 2
+        raise _UsageError("--save-plan needs a single-seed run (drop --seeds)")
+    cells = chaos_seed_sweep(scenario_cls.name, seeds, n_nodes=args.nodes, n_pods=args.pods)
+    plan = _scenario_plan(args, generate=False)
+    if plan is not None:
         plan_json = plan.to_json()
         cells = [_dc.replace(cell, plan_json=plan_json) for cell in cells]
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
-    interval = _sample_interval(args)
-    if interval is not None:
-        from repro.obs import timeseries as obs_timeseries
-
-        obs_timeseries.reset()
-    obs_trace.tracer.reset()
-    result = run_cells(
-        cells,
-        jobs=args.jobs,
-        obs=ObsConfig(metrics=want_metrics, trace=True, timeseries=interval),
-        snapshot=WarmSnapshot.for_scenario_prefix(args.nodes),
-    )
-    reports = result.values()
-    doc_text = obs_trace.export_json(args.trace, indent=2 if args.pretty else None)
-    report_doc = chaos_report_document(reports, scenario_cls.name)
-
-    print(f"chaos sweep: {scenario_cls.name} "
-          f"seeds {seeds[0]}..{seeds[-1]} ({len(seeds)} run(s))")
-    for report in reports:
-        injected = sum(report.injected.values())
-        retries = sum(report.retries.values())
-        status = "clean" if report.clean else f"LEAKS={len(report.leaks)}"
-        print(f"  seed {report.seed:>4}: injected={injected} retries={retries} "
-              f"requeued={report.jobs_requeued} "
-              f"pods {report.pods_completed}/{report.pods_submitted} {status}")
-    agg = report_doc["aggregate"]
-    parts = ", ".join(f"{k}={v}" for k, v in agg["injected"].items()) or "none"
-    print(f"aggregate:         faults injected: {parts}")
-    print(f"  pods:            {agg['pods_completed']} completed, "
-          f"{agg['pods_failed']} failed, {agg['pods_submitted']} submitted")
-    if agg["leaks"]:
-        print(f"  LEAKS:           {agg['leaks']} across {agg['runs']} run(s)")
-    else:
-        print(f"  leaks:           none across {agg['runs']} run(s)")
-    print(f"  trace:           {args.trace}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(report_doc, indent=2))
-            fh.write("\n")
-        print(f"  report:          {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries:      {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:         {args.metrics_out}")
-        obs_metrics.registry.reset()
-    problems = validate_chrome_trace(_json.loads(doc_text))
-    if problems:
-        for p in problems:
-            print(f"invalid trace: {p}", file=sys.stderr)
+    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out), trace=True,
+                    timeseries=_sample_interval(args))
+    snapshot = WarmSnapshot.for_scenario_prefix(args.nodes)
+    with observing(obs):
+        reports = run_cells(cells, jobs=args.jobs, obs=obs, snapshot=snapshot).values()
+        doc = export_json(args.trace, indent=2 if args.pretty else None)
+        report_doc = chaos_report_document(reports, scenario_cls.name)
+        print(f"chaos sweep: {scenario_cls.name} "
+              f"seeds {seeds[0]}..{seeds[-1]} ({len(seeds)} run(s))")
+        for report in reports:
+            injected = sum(report.injected.values())
+            retries = sum(report.retries.values())
+            status = "clean" if report.clean else f"LEAKS={len(report.leaks)}"
+            print(f"  seed {report.seed:>4}: injected={injected} retries={retries} "
+                  f"requeued={report.jobs_requeued} "
+                  f"pods {report.pods_completed}/{report.pods_submitted} {status}")
+        agg = report_doc["aggregate"]
+        parts = ", ".join(f"{k}={v}" for k, v in agg["injected"].items()) or "none"
+        print(f"aggregate:         faults injected: {parts}")
+        print(f"  pods:            {agg['pods_completed']} completed, "
+              f"{agg['pods_failed']} failed, {agg['pods_submitted']} submitted")
+        if agg["leaks"]:
+            print(f"  LEAKS:           {agg['leaks']} across {agg['runs']} run(s)")
+        else:
+            print(f"  leaks:           none across {agg['runs']} run(s)")
+        print(_CHAOS_ROW.format("trace:", args.trace))
+        if args.out:
+            _write(args.out, json.dumps(report_doc, indent=2),
+                   _CHAOS_ROW.format("report:", args.out))
+        _write_obs(args, _CHAOS_ROW)
+    if not _trace_ok(doc):
         return 1
     return 0 if agg["clean"] else 1
 
@@ -446,101 +389,40 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     exactly that.  ``--chaos`` / ``--faults`` deliver a fault plan into
     every shard; ``--slo`` scores the sampled ``fleet.*`` series.
     """
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import timeseries as obs_timeseries
+    from repro.shard import ObsConfig, observing
     from repro.workload.fleet import (
-        FleetConfig,
+        fleet_node_names,
         fleet_report_document,
         generate_fleet_plan,
         render_fleet_summary,
         run_fleet,
         score_fleet_slo,
     )
-    import json as _json
 
-    try:
-        config = FleetConfig(
-            tenants=args.tenants,
-            nodes=args.nodes,
-            starts=args.starts,
-            images=args.images,
-            zipf_s=args.zipf,
-            seed=args.seed,
-            shards=args.shards,
-            day=args.day,
-        )
-    except ValueError as exc:
-        print(f"bad fleet config: {exc}", file=sys.stderr)
-        return 2
+    config = _fleet_config(args)
     if args.faults and args.chaos:
-        print("--faults and --chaos are mutually exclusive", file=sys.stderr)
-        return 2
-    plan = None
-    if args.faults:
-        plan = _load_fault_plan(args.faults)
-        if plan is None:
-            return 2
-    elif args.chaos:
-        plan = generate_fleet_plan(config, seed=args.seed)
-    if args.save_plan:
-        if plan is None:
-            print("--save-plan needs --chaos or --faults", file=sys.stderr)
-            return 2
-        plan.to_file(args.save_plan)
-        print(f"fault plan ({len(plan)} events) written to {args.save_plan}")
+        raise _UsageError("--faults and --chaos are mutually exclusive")
+    plan = _fault_plan(args, fleet_node_names(config), (
+        lambda: generate_fleet_plan(config, seed=args.seed)) if args.chaos else None)
     want_slo = args.slo or bool(args.slo_out)
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
-    interval = _sample_interval(args)
-    if want_slo and interval is None:
-        from repro.obs.timeseries import DEFAULT_INTERVAL
-
-        interval = DEFAULT_INTERVAL
-    if interval is not None:
-        obs_timeseries.reset()
-    result = run_fleet(
-        config, jobs=args.jobs, metrics=want_metrics, sample_interval=interval,
-        plan=plan,
-    )
-    print(render_fleet_summary(result))
-    if want_slo:
-        from repro.obs.slo import SloRuleSet
-
-        rules = SloRuleSet.from_file(args.rules) if args.rules else None
-        # the cell merge appends points but not the interval — pin it so
-        # the scorecard names the grid the cells actually sampled on
-        obs_timeseries.recorder.enable(interval=interval, reset=False)
-        scorecard = score_fleet_slo(result, rules=rules)
-        obs_timeseries.disable()
-        print()
-        print(scorecard.render())
-        if args.slo_out:
-            with open(args.slo_out, "w") as fh:
-                fh.write(scorecard.to_json())
-                fh.write("\n")
-            print(f"  scorecard:  {args.slo_out}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(fleet_report_document(result), indent=2))
-            fh.write("\n")
-        print(f"  report:     {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries: {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
+    rules = _slo_rules(args.rules) if want_slo else None
+    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out),
+                    timeseries=_sample_interval(args, needed=want_slo))
+    with observing(obs):
+        result = run_fleet(config, jobs=args.jobs, metrics=obs.metrics,
+                           sample_interval=obs.timeseries, plan=plan)
+        print(render_fleet_summary(result))
+        if want_slo:
+            scorecard = score_fleet_slo(result, rules=rules)
             print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
-        obs_metrics.registry.reset()
+            print(scorecard.render())
+            if args.slo_out:
+                _write(args.slo_out, scorecard.to_json(),
+                       _FLEET_ROW.format("scorecard:", args.slo_out))
+        if args.out:
+            _write(args.out, json.dumps(fleet_report_document(result), indent=2),
+                   _FLEET_ROW.format("report:", args.out))
+        _write_obs(args, _FLEET_ROW)
     return 0 if not result.leaks else 1
 
 
@@ -551,68 +433,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     depend only on the merged shard results, so ``--jobs 1`` and
     ``--jobs N`` produce identical output.
     """
-    from repro.obs import metrics as obs_metrics
     from repro.scenarios.fleet_replay import (
         render_replay_summary,
         replay_report_document,
         run_fleet_replay,
     )
-    from repro.workload.fleet import FleetConfig
-    import json as _json
+    from repro.shard import ObsConfig, observing
 
-    try:
-        config = FleetConfig(
-            tenants=args.tenants,
-            nodes=args.nodes,
-            starts=args.starts,
-            images=args.images,
-            zipf_s=args.zipf,
-            seed=args.seed,
-            shards=args.shards,
-            day=args.day,
-        )
-    except ValueError as exc:
-        print(f"bad replay config: {exc}", file=sys.stderr)
-        return 2
-    plan = None
-    if args.faults:
-        plan = _load_fault_plan(args.faults)
-        if plan is None:
-            return 2
-    want_metrics = args.metrics or bool(args.metrics_out)
-    if want_metrics:
-        from repro.sim import profile as sim_profile
-
-        sim_profile.counters.reset()
-        obs_metrics.registry.reset()
-    interval = _sample_interval(args)
-    if interval is not None:
-        from repro.obs import timeseries as obs_timeseries
-
-        obs_timeseries.reset()
-    result = run_fleet_replay(
-        config, jobs=args.jobs, metrics=want_metrics, sample_interval=interval,
-        plan=plan,
-    )
-    print(render_replay_summary(result))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_json.dumps(replay_report_document(result), indent=2))
-            fh.write("\n")
-        print(f"  report:     {args.out}")
-    if args.timeseries:
-        _write_timeseries_json(args.timeseries)
-        print(f"  timeseries: {args.timeseries}")
-    if interval is not None:
-        obs_timeseries.reset()
-    if want_metrics:
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
-        obs_metrics.registry.reset()
+    config = _fleet_config(args)
+    plan = _fault_plan(args)
+    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out),
+                    timeseries=_sample_interval(args))
+    with observing(obs):
+        result = run_fleet_replay(config, jobs=args.jobs, metrics=obs.metrics,
+                                  sample_interval=obs.timeseries, plan=plan)
+        print(render_replay_summary(result))
+        if args.out:
+            _write(args.out, json.dumps(replay_report_document(result), indent=2),
+                   _FLEET_ROW.format("report:", args.out))
+        _write_obs(args, _FLEET_ROW)
     return 0 if not result.leaks else 1
 
 
@@ -625,61 +464,23 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     slo-smoke step's ``cmp`` — agree byte for byte.
     """
     from repro.faults.chaos import run_slo
-    from repro.faults.plan import FaultPlan
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import timeseries as obs_timeseries
-    from repro.obs.slo import SloRuleSet
+    from repro.shard import ObsConfig, observing
 
     if args.list:
         return _print_scenario_list()
-    if args.scenario is None:
-        print("a scenario name is required (or --list)", file=sys.stderr)
-        return 2
-    scenarios = _scenario_classes()
-    scenario_cls = scenarios.get(args.scenario)
-    if scenario_cls is None:
-        names = ", ".join(sorted(c.name for c in set(scenarios.values())))
-        print(f"unknown scenario {args.scenario!r}; one of: {names}", file=sys.stderr)
-        return 2
-    if args.faults:
-        plan = _load_fault_plan(args.faults)
-        if plan is None:
-            return 2
-    else:
-        node_names = [f"nid{i:04}" for i in range(args.nodes)]
-        plan = FaultPlan.generate(seed=args.seed, horizon=600.0, node_names=node_names)
-    rules = SloRuleSet.from_file(args.rules) if args.rules else None
-    obs_metrics.enable()
-    try:
+    scenario_cls = _scenario(args.scenario)
+    plan = _scenario_plan(args)
+    rules = _slo_rules(args.rules)
+    interval = _sample_interval(args, needed=True)
+    with observing(ObsConfig(metrics=True, timeseries=interval)):
         _metrics, report, scorecard = run_slo(
-            scenario_cls,
-            plan,
-            rules=rules,
-            n_nodes=args.nodes,
-            n_pods=args.pods,
-            seed=args.seed,
-            sample_interval=args.sample_interval,
+            scenario_cls, plan, rules=rules, n_nodes=args.nodes, n_pods=args.pods,
+            seed=args.seed, sample_interval=interval,
         )
         print(scorecard.render())
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(scorecard.to_json())
-                fh.write("\n")
-            print(f"  scorecard:  {args.out}")
-        if args.timeseries:
-            _write_timeseries_json(args.timeseries)
-            print(f"  timeseries: {args.timeseries}")
-        if args.metrics:
-            print()
-            print(obs_metrics.registry.render_table())
-        if args.metrics_out:
-            _write_metrics_json(args.metrics_out)
-            print(f"  metrics:    {args.metrics_out}")
-    finally:
-        obs_metrics.disable()
-        obs_metrics.registry.reset()
-        obs_timeseries.disable()
-        obs_timeseries.reset()
+            _write(args.out, scorecard.to_json(), _FLEET_ROW.format("scorecard:", args.out))
+        _write_obs(args, _FLEET_ROW)
     return 0 if report.clean else 1
 
 
@@ -707,6 +508,44 @@ def build_parser() -> argparse.ArgumentParser:
     listing = argparse.ArgumentParser(add_help=False)
     listing.add_argument("--list", action="store_true",
                          help="list scenario names and exit")
+    chaos_run = argparse.ArgumentParser(add_help=False)
+    chaos_run.add_argument("--seed", type=int, default=0,
+                           help="seed for the workload and any generated fault plan")
+    chaos_run.add_argument("--faults", default=None, metavar="PLAN.json",
+                           help="load the fault plan from a JSON file instead of "
+                                "generating one")
+    save_plan = argparse.ArgumentParser(add_help=False)
+    save_plan.add_argument("--save-plan", default=None, metavar="PLAN.json",
+                           help="write the effective fault plan to a JSON file")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--sample-interval", type=float, default=None,
+                          metavar="SECONDS",
+                          help="sample time-series every SECONDS of virtual time")
+    sampling.add_argument("--timeseries", default=None, metavar="SERIES.json",
+                          help="write the sampled time-series as JSON (schema "
+                               "repro-timeseries/1; implies sampling at the "
+                               "default 5 s interval)")
+
+    def fleet_shape() -> argparse.ArgumentParser:
+        # a fresh parent per verb: argparse shares parent actions, so
+        # replay's set_defaults would otherwise move fleet's defaults too
+        fleet = argparse.ArgumentParser(add_help=False)
+        fleet.add_argument("--tenants", type=int, default=64)
+        fleet.add_argument("--nodes", type=int, default=128)
+        fleet.add_argument("--starts", type=int, default=5000,
+                           help="total container starts across the fleet")
+        fleet.add_argument("--images", type=int, default=24,
+                           help="catalog size tenants mirror and pull from")
+        fleet.add_argument("--zipf", type=float, default=1.2,
+                           help="image-popularity Zipf skew (the §4 knob)")
+        fleet.add_argument("--shards", type=int, default=8,
+                           help="shard partitions (fixed per config; NOT the "
+                                "worker count — see --jobs)")
+        fleet.add_argument("--day", type=float, default=1800.0,
+                           help="diurnal period in virtual seconds")
+        fleet.add_argument("--out", default=None, metavar="REPORT.json",
+                           help="also write the report document as JSON")
+        return fleet
 
     p_tables = sub.add_parser("tables", help="render paper tables from the implementation")
     p_tables.add_argument("number", nargs="?", type=int, choices=range(1, 6))
@@ -742,25 +581,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        parents=[shape, jobs, listing, metrics],
+        parents=[shape, jobs, listing, metrics, chaos_run, save_plan, sampling],
         help="run one scenario under a deterministic fault plan",
         description="Arm the fault injector with a seeded (or file-supplied) "
                     "plan, run the scenario, and report injections, retries, "
                     "requeues, pod outcomes, and the leak audit.  Same seed "
-                    "and plan produce a byte-identical trace.",
+                    "and plan produce a byte-identical trace.  Sampling adds "
+                    "SLO evaluation and detection latency to the report.",
     )
     p_chaos.add_argument("scenario", metavar="scenario", nargs="?",
                          help="scenario name (hyphens or underscores)")
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="seed for plan generation and the workload")
     p_chaos.add_argument("--seeds", default=None, metavar="A..B",
                          help="run a seed sweep over the inclusive range "
                               "(or a single seed) instead of one --seed run")
-    p_chaos.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="load the fault plan from a JSON file instead "
-                              "of generating one from the seed(s)")
-    p_chaos.add_argument("--save-plan", default=None, metavar="PLAN.json",
-                         help="write the effective fault plan to a JSON file")
     p_chaos.add_argument("--trace", default="chaos-trace.json",
                          help="output path for the Chrome trace JSON")
     p_chaos.add_argument("--out", default=None, metavar="REPORT.json",
@@ -768,23 +601,15 @@ def build_parser() -> argparse.ArgumentParser:
                               "(schema repro-chaos-report/2)")
     p_chaos.add_argument("--pretty", action="store_true",
                          help="indent the trace JSON output")
-    p_chaos.add_argument("--sample-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="sample time-series every SECONDS of virtual "
-                              "time (enables SLO evaluation and detection "
-                              "latency in the report)")
-    p_chaos.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                         help="write the sampled time-series as JSON (schema "
-                              "repro-timeseries/1; implies sampling at the "
-                              "default interval)")
     p_chaos.set_defaults(fn=_cmd_chaos)
 
     p_slo = sub.add_parser(
         "slo",
-        parents=[shape, listing, metrics],
+        parents=[shape, listing, metrics, chaos_run, sampling],
         help="score a chaos run against declarative SLO rules",
         description="Run one scenario under a deterministic fault plan with "
-                    "virtual-time time-series sampling on, evaluate "
+                    "virtual-time time-series sampling on (every 5 s unless "
+                    "--sample-interval says otherwise), evaluate "
                     "threshold / error-ratio / burn-rate SLO rules over the "
                     "sampled series, and print a scorecard with per-rule "
                     "breach time, per-entity health, and per-fault-kind "
@@ -792,58 +617,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_slo.add_argument("scenario", metavar="scenario", nargs="?",
                        help="scenario name (hyphens or underscores)")
-    p_slo.add_argument("--seed", type=int, default=0,
-                       help="seed for plan generation and the workload")
-    p_slo.add_argument("--faults", default=None, metavar="PLAN.json",
-                       help="load the fault plan from a JSON file instead of "
-                            "generating one from the seed")
     p_slo.add_argument("--rules", default=None, metavar="RULES.json",
                        help="load SLO rules from a JSON file (default: the "
                             "built-in chaos rule set)")
-    p_slo.add_argument("--sample-interval", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="virtual-time sampling interval (default 5.0)")
     p_slo.add_argument("--out", default=None, metavar="SCORECARD.json",
                        help="write the scorecard as JSON (schema "
                             "repro-slo-scorecard/1)")
-    p_slo.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                       help="write the sampled time-series as JSON (schema "
-                            "repro-timeseries/1)")
     p_slo.set_defaults(fn=_cmd_slo)
 
     p_fleet = sub.add_parser(
         "fleet",
-        parents=[jobs, metrics],
+        parents=[jobs, metrics, fleet_shape(), chaos_run, save_plan, sampling],
         help="run the trace-driven multi-tenant fleet workload",
         description="Simulate a fleet of tenants pulling Zipf-distributed "
                     "images through per-tenant registries onto a shared node "
                     "pool (diurnal Poisson arrivals, content-addressed node "
                     "caches).  The run is partitioned into deterministic "
-                    "shard cells; output is byte-identical for any --jobs.",
+                    "shard cells (tenant partitions); output is "
+                    "byte-identical for any --jobs.  --out writes schema "
+                    "repro-fleet-report/2.",
     )
-    p_fleet.add_argument("--tenants", type=int, default=64)
-    p_fleet.add_argument("--nodes", type=int, default=128)
-    p_fleet.add_argument("--starts", type=int, default=5000,
-                         help="total container starts across the fleet")
-    p_fleet.add_argument("--images", type=int, default=24,
-                         help="catalog size tenants mirror and pull from")
-    p_fleet.add_argument("--zipf", type=float, default=1.2,
-                         help="image-popularity Zipf skew (the §4 knob)")
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument("--shards", type=int, default=8,
-                         help="tenant partitions (fixed per config; NOT the "
-                              "worker count — see --jobs)")
-    p_fleet.add_argument("--day", type=float, default=1800.0,
-                         help="diurnal period in virtual seconds")
     p_fleet.add_argument("--chaos", action="store_true",
                          help="generate a fleet-sized fault plan from --seed "
                               "(node crashes + registry windows) and deliver "
                               "it into every shard")
-    p_fleet.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="load the fault plan from a JSON file instead "
-                              "of generating one with --chaos")
-    p_fleet.add_argument("--save-plan", default=None, metavar="PLAN.json",
-                         help="write the effective fault plan to a JSON file")
     p_fleet.add_argument("--slo", action="store_true",
                          help="sample fleet.* time-series and score them "
                               "against the fleet SLO rules (pending depth, "
@@ -854,67 +651,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--rules", default=None, metavar="RULES.json",
                          help="load SLO rules from a JSON file (default: the "
                               "built-in fleet rule set)")
-    p_fleet.add_argument("--out", default=None, metavar="REPORT.json",
-                         help="also write the fleet report document as JSON "
-                              "(schema repro-fleet-report/2)")
-    p_fleet.add_argument("--sample-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="sample per-shard/per-tenant time-series every "
-                              "SECONDS of virtual time")
-    p_fleet.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                         help="write the sampled time-series as JSON (schema "
-                              "repro-timeseries/1; implies sampling at the "
-                              "default interval)")
     p_fleet.set_defaults(fn=_cmd_fleet)
 
     p_replay = sub.add_parser(
         "replay",
-        parents=[jobs, metrics],
+        parents=[jobs, metrics, fleet_shape(), chaos_run, sampling],
         help="replay fleet traces through the real §6.5 control plane",
         description="Feed the fleet workload's arrival traces (diurnal "
                     "Poisson, Zipf tenants/images) through the real "
                     "apiserver → scheduler → kubelet → engine → registry "
                     "path: each shard is an independent §6.5 sub-cluster "
                     "(kubelets in a WLM allocation).  Output is "
-                    "byte-identical for any --jobs.",
+                    "byte-identical for any --jobs.  --faults delivers a "
+                    "plan's registry windows into the replay pull path; "
+                    "node crashes in the plan are ignored, since fleet node "
+                    "ids don't name replay sub-cluster nodes.  --out writes "
+                    "schema repro-fleet-replay-report/1.",
     )
-    p_replay.add_argument("--tenants", type=int, default=16)
-    p_replay.add_argument("--nodes", type=int, default=32)
-    p_replay.add_argument("--starts", type=int, default=400,
-                          help="total pod starts across the fleet")
-    p_replay.add_argument("--images", type=int, default=12,
-                          help="catalog size tenants mirror and pull from")
-    p_replay.add_argument("--zipf", type=float, default=1.2,
-                          help="image-popularity Zipf skew (the §4 knob)")
-    p_replay.add_argument("--seed", type=int, default=0)
-    p_replay.add_argument("--shards", type=int, default=4,
-                          help="sub-clusters (fixed per config; NOT the "
-                               "worker count — see --jobs)")
-    p_replay.add_argument("--day", type=float, default=1800.0,
-                          help="diurnal period in virtual seconds")
-    p_replay.add_argument("--faults", default=None, metavar="PLAN.json",
-                          help="deliver a fault plan's registry windows into "
-                               "the replay pull path (node crashes in the "
-                               "plan are ignored — fleet node ids don't name "
-                               "replay sub-cluster nodes)")
-    p_replay.add_argument("--out", default=None, metavar="REPORT.json",
-                          help="also write the replay report document as "
-                               "JSON (schema repro-fleet-replay-report/1)")
-    p_replay.add_argument("--sample-interval", type=float, default=None,
-                          metavar="SECONDS",
-                          help="sample per-shard replay time-series every "
-                               "SECONDS of virtual time")
-    p_replay.add_argument("--timeseries", default=None, metavar="SERIES.json",
-                          help="write the sampled time-series as JSON (schema "
-                               "repro-timeseries/1; implies sampling at the "
-                               "default interval)")
-    p_replay.set_defaults(fn=_cmd_replay)
+    p_replay.set_defaults(fn=_cmd_replay, tenants=16, nodes=32, starts=400,
+                          images=12, shards=4)
     return parser
 
 
 def main(argv: _t.Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

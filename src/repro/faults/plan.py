@@ -112,8 +112,9 @@ class FaultEvent:
     def from_dict(cls, data: dict[str, object]) -> "FaultEvent":
         """Parse one plan entry.  A missing or unknown ``kind``, a missing
         ``at``, a non-numeric ``at``/``duration``/``factor``, a NaN,
-        infinite or negative ``at`` or ``duration``, or a non-finite or
-        non-positive ``factor`` is a :class:`ValueError` naming the field."""
+        infinite or negative ``at`` or ``duration``, a non-finite or
+        non-positive ``factor``, or a non-string ``target`` is a
+        :class:`ValueError` naming the field."""
         try:
             kind = FaultKind(data.get("kind"))
         except ValueError:
@@ -132,13 +133,10 @@ class FaultEvent:
             )
         if not (math.isfinite(factor) and factor > 0.0):
             raise ValueError(f"fault event 'factor' must be finite and > 0, got {factor}")
-        return cls(
-            kind=kind,
-            at=at,
-            duration=duration,
-            target=_t.cast("str | None", data.get("target")),
-            factor=factor,
-        )
+        target = data.get("target")
+        if target is not None and not isinstance(target, str):
+            raise ValueError(f"fault event 'target' must be a string, got {target!r}")
+        return cls(kind=kind, at=at, duration=duration, target=target, factor=factor)
 
 
 def _number(data: dict[str, object], field: str, default: float | None = None) -> float:
@@ -168,6 +166,18 @@ class FaultPlan:
     def push_events(self) -> list[FaultEvent]:
         return [e for e in self.events if e.kind in PUSH_KINDS]
 
+    def check_node_targets(self, node_names: _t.Iterable[str]) -> None:
+        """Raise a :class:`ValueError` naming the first ``node_crash``
+        event (by index) whose ``target`` is not one of ``node_names``."""
+        names = set(node_names)
+        for index, event in enumerate(self.events):
+            if (event.kind is FaultKind.NODE_CRASH and event.target is not None
+                    and event.target not in names):
+                raise ValueError(
+                    f"fault event {index}: node_crash 'target' {event.target!r} "
+                    f"names no node of this run"
+                )
+
     def __len__(self) -> int:
         return len(self.events)
 
@@ -190,8 +200,13 @@ class FaultPlan:
         doc = json.loads(text)
         if isinstance(doc, list):  # bare event list is accepted too
             doc = {"events": doc}
-        events = [FaultEvent.from_dict(e) for e in doc.get("events", [])]
-        return cls(events, seed=doc.get("seed"))
+        entries = doc.get("events", []) if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError(
+                "a fault plan is a JSON list of event objects, or an object "
+                "whose 'events' is one"
+            )
+        return cls([FaultEvent.from_dict(e) for e in entries], seed=doc.get("seed"))
 
     def to_file(self, path: str) -> None:
         with open(path, "w") as fh:

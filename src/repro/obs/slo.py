@@ -211,8 +211,13 @@ class SloRuleSet:
         doc = json.loads(text)
         if isinstance(doc, list):  # bare rule list is accepted too
             doc = {"rules": doc}
-        rules = [SloRule.from_dict(r) for r in doc.get("rules", [])]
-        return cls(rules, name=doc.get("name"))
+        entries = doc.get("rules", []) if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(r, dict) for r in entries):
+            raise ValueError(
+                "SLO rules are a JSON list of rule objects, or an object "
+                "whose 'rules' is one"
+            )
+        return cls([SloRule.from_dict(r) for r in entries], name=doc.get("name"))
 
     def to_file(self, path: str) -> None:
         with open(path, "w") as fh:

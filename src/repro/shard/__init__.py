@@ -25,6 +25,7 @@ from repro.shard.runner import (
     ShardResult,
     default_start_method,
     merge_profiles,
+    observing,
     run_cells,
 )
 from repro.shard.state import WarmSnapshot, warm_scenario_prefix
@@ -40,6 +41,7 @@ __all__ = [
     "chaos_seed_sweep",
     "default_start_method",
     "merge_profiles",
+    "observing",
     "parse_seed_range",
     "resolve_scenario",
     "run_cells",

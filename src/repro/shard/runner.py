@@ -24,10 +24,13 @@ The parent's world (a :class:`~repro.world.WorldState` copy) and each
 observability sink (through its public ``capture_state``/``install_state``)
 are saved before the first cell and restored before merging, so calling
 the runner is invisible to surrounding code beyond the merged-in results.
+:func:`observing` wraps the same save/restore around any block, which is
+how CLI verbs arm the sinks for one run and leave them as they found them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing as _mp
 import typing as _t
@@ -41,10 +44,16 @@ from repro.sim import profile as _profile
 from repro.world import WorldState
 
 
+#: the process-wide observability sinks a run writes into; every reset,
+#: save and restore goes through this one list
+_SINKS = (_profile.counters, _registry, _tracer, _recorder)
+
+
 @dataclasses.dataclass(frozen=True)
 class ObsConfig:
-    """Which observability layers each cell records (and the merge
-    therefore reconstructs in the parent)."""
+    """Which observability layers a run records: each cell of a batch
+    (and the merge therefore reconstructs in the parent), or a whole
+    CLI verb through :func:`observing`."""
 
     metrics: bool = False
     trace: bool = False
@@ -53,6 +62,45 @@ class ObsConfig:
     #: cells enable the recorder at this interval, and the parent merges
     #: the sampled rings in cell-index order
     timeseries: float | None = None
+
+    def install(self) -> None:
+        """Reset all four sinks and arm the ones this config selects.
+
+        The profile counters always count; the registry, tracer and
+        recorder are armed by ``metrics``, ``trace`` and ``timeseries``.
+        """
+        for sink in _SINKS:
+            sink.reset()
+        _profile.counters.enabled = True
+        _registry.enabled = self.metrics
+        _tracer.enabled = self.trace
+        _tracer.wall_clock = self.trace_wall
+        if self.timeseries is None:
+            _recorder.enabled = False
+        else:
+            _recorder.enable(interval=self.timeseries, reset=False)
+
+
+def _save_sinks() -> list[tuple[_t.Any, object, bool]]:
+    return [(sink, sink.capture_state(), sink.enabled) for sink in _SINKS]
+
+
+def _restore_sinks(saved: list[tuple[_t.Any, object, bool]]) -> None:
+    for sink, state, enabled in saved:
+        sink.install_state(state)
+        sink.enabled = enabled
+
+
+@contextlib.contextmanager
+def observing(obs: ObsConfig) -> _t.Iterator[None]:
+    """Run the body with ``obs`` installed, then put every sink's
+    contents and on/off flag back as they were before."""
+    saved = _save_sinks()
+    obs.install()
+    try:
+        yield
+    finally:
+        _restore_sinks(saved)
 
 
 @dataclasses.dataclass
@@ -105,30 +153,18 @@ def _execute_cell(
     the same code path; it deliberately clobbers the process-wide state
     and leaves the sinks as the cell left them (the parent saves/restores
     around the whole batch, and the next cell resets them)."""
-    counters = _profile.counters
-    counters.reset()
-    counters.enabled = True
+    obs.install()
     if snapshot is not None:
         snapshot.fork()
     else:
         WorldState.pristine().install()
-    counters.shard_cells_run += 1
-    _registry.reset()
-    _registry.enabled = obs.metrics
-    _tracer.reset()
-    _tracer.enabled = obs.trace
-    _tracer.wall_clock = obs.trace_wall
-    _recorder.reset()
-    if obs.timeseries is not None:
-        _recorder.enable(interval=obs.timeseries, reset=False)
-    else:
-        _recorder.enabled = False
+    _profile.counters.shard_cells_run += 1
     value = cell.run()
     return CellResult(
         index=index,
         label=cell.label,
         value=value,
-        profile=counters.snapshot(),
+        profile=_profile.counters.snapshot(),
         metrics=_registry.capture_state() if obs.metrics else None,
         trace=_tracer.capture_state() if obs.trace else None,
         timeseries=_recorder.capture_state() if obs.timeseries is not None else None,
@@ -172,10 +208,7 @@ def run_cells(
     cells = list(cells)
     obs = obs or ObsConfig()
     saved_world = WorldState.capture()
-    saved = [
-        (sink, sink.capture_state(), sink.enabled)
-        for sink in (_profile.counters, _registry, _tracer, _recorder)
-    ]
+    saved = _save_sinks()
     try:
         if jobs <= 1 or len(cells) <= 1:
             results = [
@@ -193,9 +226,7 @@ def run_cells(
     finally:
         # Put the parent back exactly as it was before merging anything in.
         saved_world.install()
-        for sink, state, enabled in saved:
-            sink.install_state(state)
-            sink.enabled = enabled
+        _restore_sinks(saved)
 
     merged = merge_profiles(result.profile for result in results)
     _profile.counters.merge(merged)

@@ -160,8 +160,17 @@ class FleetConfig:
     _RETIRED_KEY: _t.ClassVar[str] = "naive"
 
     def __post_init__(self) -> None:
-        if self.tenants < 1 or self.nodes < 1 or self.images < 1:
-            raise ValueError("tenants, nodes and images must all be >= 1")
+        ints = [
+            (name, getattr(self, name))
+            for name in ("tenants", "nodes", "starts", "images", "seed", "node_cpus",
+                         "shards")
+        ]
+        for name, value in ints + [("cpu_choices", v) for v in self.cpu_choices]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tenants", "nodes", "images", "shards"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.starts < 0:
             raise ValueError(f"starts must be >= 0, got {self.starts}")
         if max(self.cpu_choices) > self.node_cpus:
@@ -171,8 +180,6 @@ class FleetConfig:
             )
         if len(self.cpu_choices) != len(self.cpu_shares):
             raise ValueError("cpu_choices and cpu_shares must align")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         reals = [
             (name, getattr(self, name))
             for name in ("zipf_s", "tenant_skew", "duration_mean", "day", "epoch",

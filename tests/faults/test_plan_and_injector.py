@@ -91,6 +91,7 @@ def test_plan_json_roundtrip(tmp_path):
     ("at", "soon"),
     pytest.param("at", MISSING, id="at-missing"),
     pytest.param("kind", MISSING, id="kind-missing"),
+    ("target", 7),
 ])
 def test_plan_rejects_bad_event_numbers_where_it_enters(field, value):
     """A NaN crash time used to surface as an int conversion deep in the
@@ -122,11 +123,46 @@ def test_cli_reports_bad_fault_plan(verb, tmp_path, capsys):
         ({"kind": "node_crashh", "at": 1.0}, "kind"),
         ({"kind": "registry_slow_blob", "at": 1.0, "duration": 5.0,
           "factor": float("inf")}, "factor"),
+        ("node_crash", "events"),
     ]:
         plan_path.write_text(json.dumps([entry]))
         assert main([*verb, "--faults", str(plan_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad fault plan:") and f"'{field}'" in err
+    assert main([*verb, "--faults", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad fault plan:") and "missing.json" in err
+
+
+def test_plan_checks_node_crash_targets_against_the_run():
+    plan = FaultPlan([
+        FaultEvent(kind=FaultKind.REGISTRY_429, at=1.0, duration=5.0),
+        FaultEvent(kind=FaultKind.NODE_CRASH, at=2.0, duration=5.0, target="nid0001"),
+        FaultEvent(kind=FaultKind.NODE_CRASH, at=3.0, target="fleet-node-09999"),
+    ])
+    plan.check_node_targets(["nid0001", "fleet-node-09999"])
+    with pytest.raises(ValueError, match="fault event 2: node_crash 'target' "
+                                         "'fleet-node-09999'"):
+        plan.check_node_targets(["nid0000", "nid0001"])
+
+
+@pytest.mark.parametrize("verb, good, bad", [
+    (["chaos", "kubelet_in_allocation"], "nid0001", "nid0004"),
+    (["chaos", "kubelet_in_allocation", "--seeds", "0..1"], "nid0001", "nid0004"),
+    (["slo", "kubelet_in_allocation"], "nid0001", "nid0004"),
+    (["fleet"], "fleet-node-00001", "fleet-node-00128"),
+])
+def test_cli_rejects_crash_targets_outside_the_run(verb, good, bad, tmp_path, capsys):
+    """A crash aimed at a node the run does not have used to be dropped
+    silently by ``fleet`` and counted as injected by ``chaos``."""
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps([
+        {"kind": "node_crash", "at": 5.0, "duration": 10.0, "target": good},
+        {"kind": "node_crash", "at": 9.0, "target": bad},
+    ]))
+    assert main([*verb, "--faults", str(plan_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad fault plan: fault event 1:") and repr(bad) in err
 
 
 def test_plan_from_bare_event_list():

@@ -15,6 +15,7 @@ from repro.shard import (
     WarmSnapshot,
     chaos_seed_sweep,
     merge_profiles,
+    observing,
     parse_seed_range,
     run_cells,
     scenario_matrix,
@@ -134,6 +135,28 @@ def test_runner_restores_parent_state(snapshot, _obs_clean):
     delta = sim_profile.counters.snapshot_delta(prof_before)
     assert delta["shard_cells_run"] == 1
     sim_profile.counters.reset()
+
+
+def test_observing_arms_the_selected_sinks_then_restores_all_four(_obs_clean):
+    from repro.obs import metrics, timeseries, trace
+
+    sinks = (sim_profile.counters, metrics.registry, trace.tracer, timeseries.recorder)
+    metrics.registry.enabled = True
+    metrics.inc("outer.calls")
+    sim_profile.counters.events_processed = 5
+    trace.tracer.instant("outer.mark")
+    before = [(sink.capture_state(), sink.enabled) for sink in sinks]
+    with observing(ObsConfig(metrics=True, trace=True, timeseries=7.0)):
+        assert [sink.enabled for sink in sinks] == [True] * 4
+        assert timeseries.recorder.interval == 7.0
+        assert metrics.registry.snapshot(include_sim=False) == {}
+        assert len(trace.tracer) == 0
+        assert sim_profile.counters.events_processed == 0
+        run_cells(scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1],
+                  obs=ObsConfig(metrics=True, trace=True, timeseries=7.0))
+        assert metrics.registry.snapshot(include_sim=False)
+    assert [(sink.capture_state(), sink.enabled) for sink in sinks] == before
+    timeseries.reset()
 
 
 # -- the partition-merge property --------------------------------------------

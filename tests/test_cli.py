@@ -95,15 +95,6 @@ def test_trace_subcommand_rejects_unknown_scenario(tmp_path, capsys, _obs_clean)
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_trace_leaves_obs_disabled(tmp_path, _obs_clean):
-    from repro.obs import metrics, trace
-
-    main(["trace", "kubelet_in_allocation", "--out", str(tmp_path / "t.json"),
-          "--nodes", "2", "--pods", "2"])
-    assert not trace.tracer.enabled
-    assert not metrics.registry.enabled
-
-
 def test_scenarios_metrics_flag(capsys, _obs_clean):
     assert main(["scenarios", "--nodes", "2", "--pods", "2", "--metrics"]) == 0
     out = capsys.readouterr().out
@@ -262,16 +253,6 @@ def test_slo_accepts_rules_file(tmp_path, capsys, _obs_clean):
     assert "retry-storm" not in out  # default rules were replaced
 
 
-def test_slo_leaves_obs_disabled(tmp_path, _obs_clean):
-    from repro.obs import metrics, timeseries
-
-    main(["slo", "kubelet-in-allocation", "--seed", "3",
-          "--nodes", "2", "--pods", "2"])
-    assert not metrics.registry.enabled
-    assert not timeseries.recorder.enabled
-    assert timeseries.recorder.snapshot() == {}
-
-
 def test_chaos_sample_interval_reports_detection(tmp_path, capsys, _obs_clean):
     assert main(["chaos", "kubelet-in-allocation", "--seed", "42",
                  "--sample-interval", "5",
@@ -340,3 +321,91 @@ def test_replay_timeseries_out(tmp_path, capsys, _obs_clean):
     capsys.readouterr()
     doc = json.loads(path.read_text())
     assert any(n.startswith("replay.inflight{shard=") for n in doc["series"])
+
+
+# -- one observation session per verb -----------------------------------------
+
+SMALL_SCENARIO = ["kubelet_in_allocation", "--nodes", "2", "--pods", "2"]
+SMALL_FLEET = ["--tenants", "4", "--nodes", "8", "--starts", "60", "--shards", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", *SMALL_SCENARIO, "--out", "{tmp}/t.json"],
+    ["chaos", *SMALL_SCENARIO, "--seed", "3", "--trace", "{tmp}/t.json"],
+    ["chaos", *SMALL_SCENARIO, "--seeds", "0..1", "--trace", "{tmp}/t.json",
+     "--metrics-out", "{tmp}/m.json", "--timeseries", "{tmp}/ts.json"],
+    ["slo", *SMALL_SCENARIO, "--seed", "3"],
+    ["scenarios", "--nodes", "2", "--pods", "2", "--metrics-out", "{tmp}/m.json"],
+    ["startup", "--metrics-out", "{tmp}/m.json"],
+    ["fleet", *SMALL_FLEET, "--slo"],
+    ["replay", *SMALL_FLEET, "--timeseries", "{tmp}/ts.json"],
+], ids=["trace", "chaos", "chaos-seeds", "slo", "scenarios", "startup",
+        "fleet-slo", "replay"])
+def test_verbs_leave_every_sink_disabled_and_empty(argv, tmp_path, capsys):
+    """Each verb arms the profile counters, metrics registry, tracer and
+    recorder for its own run only: afterwards all four are back off and
+    empty, as the verb found them."""
+    from repro.obs import metrics, timeseries, trace
+    from repro.sim import profile
+
+    sinks = (profile.counters, metrics.registry, trace.tracer, timeseries.recorder)
+    for sink in sinks:
+        sink.reset()
+        sink.enabled = False
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 0
+    capsys.readouterr()
+    assert [sink.enabled for sink in sinks] == [False] * 4
+    assert not any(profile.counters.snapshot().values())
+    assert metrics.registry.snapshot(include_sim=False) == {}
+    assert len(trace.tracer) == 0
+    assert timeseries.recorder.snapshot() == {}
+
+
+@pytest.mark.parametrize("argv, interval", [
+    (["fleet", "--tenants", "4", "--nodes", "8", "--starts", "200", "--shards", "2",
+      "--sample-interval", "30"], 30.0),
+    (["replay", *SMALL_FLEET, "--sample-interval", "20"], 20.0),
+    # the sweep samples registry series, so it needs the registry armed
+    (["chaos", *SMALL_SCENARIO, "--seeds", "0..1", "--sample-interval", "20",
+      "--metrics"], 20.0),
+], ids=["fleet", "replay", "chaos-seeds"])
+def test_sharded_timeseries_document_names_its_interval(argv, interval, tmp_path,
+                                                        capsys, _obs_clean):
+    """Merged shard samples used to be exported under the default 5 s
+    interval whatever grid the cells sampled on."""
+    path = tmp_path / "series.json"
+    assert main([*argv, "--timeseries", str(path),
+                 *(["--trace", str(tmp_path / "t.json")] if argv[0] == "chaos" else [])]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    assert doc["interval"] == interval
+    # merged cells append their rings one after another, so time resets
+    # between cells; within a cell points sit one interval apart
+    gaps = {b[0] - a[0] for points in doc["series"].values()
+            for a, b in zip(points, points[1:])}
+    assert min(gap for gap in gaps if gap > 0) == interval
+
+
+@pytest.mark.parametrize("verb", [
+    ["slo", *SMALL_SCENARIO],
+    ["fleet", *SMALL_FLEET, "--slo"],
+], ids=["slo", "fleet-slo"])
+@pytest.mark.parametrize("rules, needle", [
+    (None, "No such file"),
+    ({"rules": [{"name": "x"}]}, "threshold rules need a series"),
+    ({"rules": [{"series": "fleet.pending"}]}, "'name'"),
+    ({"rules": "fleet.pending > 0"}, "'rules'"),
+], ids=["missing", "no-series", "no-name", "not-a-list"])
+def test_cli_reports_bad_slo_rules(verb, rules, needle, tmp_path, capsys):
+    path = tmp_path / "rules.json"
+    if rules is not None:
+        path.write_text(json.dumps(rules))
+    assert main([*verb, "--rules", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad SLO rules:") and needle in captured.err
+    assert captured.out == ""
+
+
+def test_cli_rejects_non_positive_sample_interval(capsys):
+    assert main(["chaos", *SMALL_SCENARIO, "--sample-interval", "0"]) == 2
+    assert "--sample-interval must be positive" in capsys.readouterr().err

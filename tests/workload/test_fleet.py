@@ -91,6 +91,28 @@ def test_config_rejects_out_of_range_reals_naming_the_field(field, value):
         dataclasses.replace(SMALL, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tenants", 4.0),
+    ("nodes", 8.5),
+    ("starts", True),
+    ("shards", "2"),
+    ("seed", 1.5),
+    ("images", None),
+    ("node_cpus", 8.0),
+    ("cpu_choices", [1, 2.0, 4]),
+    ("tenants", 0),
+    ("nodes", 0),
+    ("images", 0),
+])
+def test_config_rejects_non_integer_or_zero_counts_naming_the_field(field, value):
+    """Through ``from_json`` a float count used to crash later inside
+    ``range()``, ``starts: true`` ran one start and ``seed: 1.5`` ran."""
+    data = json.loads(SMALL.to_json())
+    data[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        FleetConfig.from_json(json.dumps(data))
+
+
 def test_shard_partition_is_exact():
     config = dataclasses.replace(SMALL, tenants=11, nodes=29, starts=997, shards=4)
     shards = config.effective_shards

@@ -15,12 +15,18 @@ Two classes of documentation rot, both cheap to catch mechanically:
    suffixes (``.rate`` / ``.p50`` / ``.p99``) and the ``sim.*`` bridge
    prefix, as its base series.  This keeps the catalog honest when a
    series is renamed or removed.
+3. **Phantom CLI flags** — every ``python -m repro <verb> --flag …``
+   command in the docs (shell continuation lines joined) must name a
+   verb and flags that ``repro.cli.build_parser()`` accepts for that
+   verb.  CHANGES.md is skipped: it is a log of past versions, and some
+   of the flags it names have since been retired.
 
 Exit status: 0 clean, 1 with findings (one line each on stderr).
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 import sys
@@ -36,6 +42,9 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 METRIC_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+$")
 #: sampler-derived suffixes that never appear literally in src
 DERIVED_SUFFIXES = (".rate", ".p50", ".p99")
+#: a CLI command up to the end of its code span, pipe, redirect or comment
+CLI_RE = re.compile(r"python -m repro ([a-z][a-z-]*)([^`|;&>#\n]*)")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def iter_links(text: str):
@@ -100,14 +109,43 @@ def check_metrics() -> list[str]:
     return problems
 
 
+def cli_flags() -> dict[str, set[str]]:
+    """Verb -> every option string the CLI parser accepts for it."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {verb: set(sub._option_string_actions) for verb, sub in verbs.choices.items()}
+
+
+def check_cli_flags() -> list[str]:
+    flags = cli_flags()
+    problems = []
+    for doc in DOCS:
+        if doc.name == "CHANGES.md":
+            continue
+        text = doc.read_text().replace("\\\n", " ")
+        for verb, rest in CLI_RE.findall(text):
+            if verb not in flags:
+                problems.append(f"{doc.name}: `python -m repro {verb}` names no CLI verb")
+                continue
+            for flag in FLAG_RE.findall(rest):
+                if flag not in flags[verb]:
+                    problems.append(
+                        f"{doc.name}: `python -m repro {verb}` has no {flag} flag"
+                    )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics()
+    problems = check_links() + check_metrics() + check_cli_flags()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
-    print(f"docs OK: {len(DOCS)} files, links + metric catalog verified")
+    print(f"docs OK: {len(DOCS)} files, links + metric catalog + CLI flags verified")
     return 0
 
 
