@@ -10,7 +10,11 @@ from repro.core.tables import render_table
 from repro.scenarios import evaluate_all
 from repro.scenarios.evaluate import summary_rows
 
-from conftest import once, write_artifact
+from conftest import once_counted, write_artifact
+
+#: simulator events the matrix may process: the 17,492 it took when the
+#: ceiling was set, plus 25%
+EVENT_CEILING = 21_865
 
 
 def run_matrix():
@@ -18,7 +22,7 @@ def run_matrix():
 
 
 def test_section66_comparison(benchmark, out_dir):
-    metrics = once(benchmark, run_matrix)
+    metrics, events = once_counted(benchmark, run_matrix)
     rows = summary_rows(metrics)
     text = render_table(rows, "§6.6 scenario comparison (8 pods on 4 nodes)")
     notes = [f"\n{m.scenario}:" + "".join(f"\n  - {n}" for n in m.notes) for m in metrics if m.notes]
@@ -53,3 +57,6 @@ def test_section66_comparison(benchmark, out_dir):
     # the bridge requires workflow changes; §6.3 requires cluster bootstrap
     assert not by_name["bridge-operator"].workflow_transparency
     assert not by_name["kubernetes-in-wlm"].workflow_transparency
+
+    # the matrix is a bounded amount of simulator bookkeeping
+    assert events <= EVENT_CEILING, f"{events} events > ceiling {EVENT_CEILING}"

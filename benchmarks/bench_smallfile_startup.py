@@ -18,10 +18,14 @@ from repro.fs.drivers import mount_squash
 from repro.fs.perf import PROFILES
 from repro.sim import Environment
 
-from conftest import once, write_artifact
+from conftest import once_counted, write_artifact
 
 N_FILES = 1500
 FILE_SIZE = 3_000
+
+#: simulator events the sweep may process: the 8,075 it took when the
+#: ceiling was set, plus 25% (the pre-batching core took over 1M)
+EVENT_CEILING = 10_093
 
 
 def _populate(tree, prefix="/app"):
@@ -116,7 +120,7 @@ def sweep():
 
 
 def test_smallfile_startup_sweep(benchmark, out_dir):
-    rows = once(benchmark, sweep)
+    rows, events = once_counted(benchmark, sweep)
     lines = [
         "Startup of a many-small-file app (1500 files) across node counts",
         f"{'nodes':>6} | {'shared-FS files':>16} | {'squash on shared':>17} | {'node-local dir':>15}",
@@ -143,3 +147,5 @@ def test_smallfile_startup_sweep(benchmark, out_dir):
     # latency, is what kills the many-small-file strategy at scale
     speedup_1 = r1["sharedfs_files_s"] / r1["squash_sharedfs_s"]
     assert speedup > 5 * speedup_1
+    # the sweep is a bounded amount of simulator bookkeeping
+    assert events <= EVENT_CEILING, f"{events} events > ceiling {EVENT_CEILING}"

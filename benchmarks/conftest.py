@@ -12,6 +12,8 @@ import pathlib
 
 import pytest
 
+from repro.sim import profile
+
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
@@ -28,3 +30,19 @@ def write_artifact(out_dir: pathlib.Path, name: str, text: str) -> None:
 def once(benchmark, fn, *args, **kwargs):
     """Run a heavy simulation exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def once_counted(benchmark, fn, *args, **kwargs):
+    """:func:`once` with the sim-core profile counters on.
+
+    Returns ``(result, events)``, where ``events`` is the number of
+    simulator events the run processed: a machine-independent cost the
+    benches hold under a ceiling."""
+    counters = profile.enable()
+    try:
+        result = once(benchmark, fn, *args, **kwargs)
+    finally:
+        profile.disable()
+    events = counters.events_processed
+    counters.reset()
+    return result, events

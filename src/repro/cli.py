@@ -340,6 +340,9 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
         raise _UsageError(f"bad --seeds: {exc}") from None
     if args.save_plan:
         raise _UsageError("--save-plan needs a single-seed run (drop --seeds)")
+    if args.timeseries and not (args.metrics or args.metrics_out):
+        # the sweep's sampled series are read off the metrics registry
+        raise _UsageError("--timeseries with --seeds needs --metrics or --metrics-out")
     cells = chaos_seed_sweep(scenario_cls.name, seeds, n_nodes=args.nodes, n_pods=args.pods)
     plan = _scenario_plan(args, generate=False)
     if plan is not None:

@@ -113,8 +113,9 @@ class FaultEvent:
         """Parse one plan entry.  A missing or unknown ``kind``, a missing
         ``at``, a non-numeric ``at``/``duration``/``factor``, a NaN,
         infinite or negative ``at`` or ``duration``, a non-finite or
-        non-positive ``factor``, or a non-string ``target`` is a
-        :class:`ValueError` naming the field."""
+        non-positive ``factor``, a non-string ``target``, or a
+        ``node_crash`` with no ``target`` is a :class:`ValueError` naming
+        the field."""
         try:
             kind = FaultKind(data.get("kind"))
         except ValueError:
@@ -136,6 +137,8 @@ class FaultEvent:
         target = data.get("target")
         if target is not None and not isinstance(target, str):
             raise ValueError(f"fault event 'target' must be a string, got {target!r}")
+        if kind is FaultKind.NODE_CRASH and target is None:
+            raise ValueError("fault event 'target' is missing: a node_crash needs a node")
         return cls(kind=kind, at=at, duration=duration, target=target, factor=factor)
 
 

@@ -156,17 +156,30 @@ class SloRule:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SloRule":
+        """Parse one rule entry.  A numeric field that is not a number is
+        a :class:`ValueError` naming the field and the rule."""
+        name = str(data["name"])
+
+        def number(field: str, default: float) -> float:
+            value = data.get(field, default)
+            try:
+                return float(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"rule {name!r}: '{field}' must be a number, got {value!r}"
+                ) from None
+
         return cls(
-            name=str(data["name"]),
+            name=name,
             kind=str(data.get("kind", "threshold")),
             series=str(data.get("series", "")),
             op=str(data.get("op", ">")),
-            value=float(data.get("value", 0.0)),  # type: ignore[arg-type]
-            for_s=float(data.get("for_s", 0.0)),  # type: ignore[arg-type]
+            value=number("value", 0.0),
+            for_s=number("for_s", 0.0),
             numerator=str(data.get("numerator", "")),
             denominator=str(data.get("denominator", "")),
-            window_s=float(data.get("window_s", 300.0)),  # type: ignore[arg-type]
-            objective=float(data.get("objective", 0.99)),  # type: ignore[arg-type]
+            window_s=number("window_s", 300.0),
+            objective=number("objective", 0.99),
         )
 
 

@@ -2,10 +2,10 @@
 
 The discrete-event core increments a handful of plain-integer counters as
 it schedules and processes events.  They cost a few attribute increments
-per event — cheap enough to stay always-on — and give benchmarks and the
-perf harness (``benchmarks/bench_simcore_wallclock.py``) a stable way to
-report *how much* simulator bookkeeping a sweep performed, independent of
-wall-clock noise:
+per event — cheap enough to stay always-on — and give the paper benches'
+event ceilings, the tier-1 tests and perfbench's ``sim.events`` a stable
+way to report *how much* simulator bookkeeping a sweep performed,
+independent of wall-clock noise:
 
 - ``events_scheduled`` / ``events_processed``: total queue traffic;
 - ``heap_pushes`` / ``heap_pops``: events that paid ``heapq`` cost (true

@@ -92,12 +92,16 @@ def test_plan_json_roundtrip(tmp_path):
     pytest.param("at", MISSING, id="at-missing"),
     pytest.param("kind", MISSING, id="kind-missing"),
     ("target", 7),
+    ("target", None),
+    pytest.param("target", MISSING, id="target-missing"),
 ])
 def test_plan_rejects_bad_event_numbers_where_it_enters(field, value):
     """A NaN crash time used to surface as an int conversion deep in the
     fleet pump, and a negative duration as a node still down (and its
     cores leaked) after the drain; both now fail at parse time, as do an
-    infinite slow-blob factor, an unknown kind and a missing time."""
+    infinite slow-blob factor, an unknown kind, a missing time and a
+    node crash that names no node (it used to be accepted and kill
+    nothing)."""
     entry = {"kind": "node_crash", "at": 5.0, "duration": 10.0,
              "target": "fleet-node-00000", field: value}
     if value is MISSING:

@@ -87,6 +87,25 @@ def test_matrix_profile_shows_shard_counters(snapshot, _obs_clean):
     assert profile["warm_replays"] == n_cells  # one replayed build per cell
 
 
+#: simulator events the full §6.6 matrix plus a 16-seed chaos sweep may
+#: process: the 84,658 it took when the ceiling was set, plus 25%
+MATRIX_CHAOS_EVENT_CEILING = 105_822
+
+
+def test_matrix_and_chaos_sweep_counters_are_placement_invariant(_obs_clean):
+    """The full-size shard workload: its merged counters are the same
+    serial and pooled, every cell forks the warm snapshot and replays its
+    prefix, and the whole batch stays under an event ceiling."""
+    cells = scenario_matrix() + chaos_seed_sweep("kubelet-in-allocation", range(16))
+    snapshot = WarmSnapshot.for_scenario_prefix()
+    serial = run_cells(cells, jobs=1, snapshot=snapshot).profile
+    pooled = run_cells(cells, jobs=2, snapshot=snapshot).profile
+    assert pooled == serial
+    assert serial["shard_cells_run"] == serial["snapshot_forks"] == len(cells)
+    assert serial["warm_replays"] >= len(cells)
+    assert serial["events_processed"] <= MATRIX_CHAOS_EVENT_CEILING
+
+
 def _sweep_artifacts(jobs, seeds, snapshot):
     from repro.faults.chaos import chaos_report_document
     from repro.obs import trace as obs_trace

@@ -270,14 +270,16 @@ def test_chaos_sweep_timeseries_jobs_identical(tmp_path, capsys, _obs_clean):
         assert main([
             "chaos", "kubelet-in-allocation", "--seeds", "0..2",
             "--nodes", "2", "--pods", "2", "--jobs", str(jobs),
-            "--sample-interval", "10",
+            "--sample-interval", "10", "--metrics",
             "--trace", str(tmp_path / f"t{jobs}.json"),
             "--timeseries", str(series),
         ]) == 0
         capsys.readouterr()
         return series.read_bytes()
 
-    assert run(1) == run(2)
+    serial = run(1)
+    assert json.loads(serial)["series"]
+    assert run(2) == serial
 
 
 def test_metrics_out_roundtrip(tmp_path, _obs_clean):
@@ -395,7 +397,14 @@ def test_sharded_timeseries_document_names_its_interval(argv, interval, tmp_path
     ({"rules": [{"name": "x"}]}, "threshold rules need a series"),
     ({"rules": [{"series": "fleet.pending"}]}, "'name'"),
     ({"rules": "fleet.pending > 0"}, "'rules'"),
-], ids=["missing", "no-series", "no-name", "not-a-list"])
+    ({"rules": [{"name": "x", "series": "s", "value": "abc"}]}, "rule 'x': 'value'"),
+    ({"rules": [{"name": "x", "series": "s", "for_s": None}]}, "rule 'x': 'for_s'"),
+    ({"rules": [{"name": "x", "kind": "error_ratio", "numerator": "n",
+                 "denominator": "d", "window_s": "5m"}]}, "rule 'x': 'window_s'"),
+    ({"rules": [{"name": "x", "kind": "burn_rate", "numerator": "n",
+                 "denominator": "d", "objective": [0.9]}]}, "rule 'x': 'objective'"),
+], ids=["missing", "no-series", "no-name", "not-a-list", "bad-value", "bad-for_s",
+        "bad-window_s", "bad-objective"])
 def test_cli_reports_bad_slo_rules(verb, rules, needle, tmp_path, capsys):
     path = tmp_path / "rules.json"
     if rules is not None:
@@ -404,6 +413,18 @@ def test_cli_reports_bad_slo_rules(verb, rules, needle, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("bad SLO rules:") and needle in captured.err
     assert captured.out == ""
+
+
+def test_chaos_sweep_timeseries_needs_the_metrics_registry(tmp_path, capsys):
+    """The sweep's sampled series come off the metrics registry, so
+    ``--timeseries`` without ``--metrics``/``--metrics-out`` used to write
+    a document with no series; it now exits 2 naming both flags."""
+    path = tmp_path / "series.json"
+    assert main(["chaos", *SMALL_SCENARIO, "--seeds", "0..1",
+                 "--timeseries", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "--metrics" in captured.err and "--metrics-out" in captured.err
+    assert captured.out == "" and not path.exists()
 
 
 def test_cli_rejects_non_positive_sample_interval(capsys):

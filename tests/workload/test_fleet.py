@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.faults import find_leaks
-from repro.shard import FleetCell, run_cells
+from repro.shard import FleetCell, ObsConfig, run_cells
 from repro.sim import Environment
 from repro.sim import profile
 from repro.workload.fleet import (
@@ -16,6 +16,7 @@ from repro.workload.fleet import (
     FleetShardEngine,
     fleet_cells,
     fleet_report_document,
+    generate_fleet_plan,
     merge_shard_results,
     render_fleet_summary,
     run_fleet,
@@ -140,11 +141,21 @@ def test_naive_mode_matches_optimized_engine(monkeypatch):
     assert [fleet_report_document(run_fleet(c)) for c in (SMALL, CONTENDED)] == fast
 
 
-def test_parallel_jobs_byte_identical():
-    serial = run_fleet(SMALL, jobs=1)
-    pooled = run_fleet(SMALL, jobs=2)
+def _run_counted(config, jobs=1, plan=None, timeseries=None):
+    """Run a fleet through the shard runner: (merged result, merged
+    profile counters)."""
+    shard = run_cells(fleet_cells(config, plan=plan), jobs=jobs,
+                      obs=ObsConfig(timeseries=timeseries))
+    return merge_shard_results(shard.values(), config), shard.profile
+
+
+def test_parallel_jobs_byte_identical(_profile_clean):
+    serial, serial_counters = _run_counted(SMALL)
+    pooled, pooled_counters = _run_counted(SMALL, jobs=2)
     assert fleet_report_document(serial) == fleet_report_document(pooled)
     assert render_fleet_summary(serial) == render_fleet_summary(pooled)
+    # the merged profile counters are placement-invariant too
+    assert pooled_counters == serial_counters
 
 
 def test_fleet_completes_everything_without_leaks():
@@ -157,6 +168,62 @@ def test_fleet_completes_everything_without_leaks():
     assert result.registry_pushes == SMALL.tenants * SMALL.images
     assert result.blob_uploads_skipped > 0
     assert result.stored_bytes <= result.quota_used
+
+
+# -- machine-independent cost and cache economics ---------------------------
+
+@pytest.mark.parametrize("config, chaos_seed, ceiling", [
+    # one shard: every placement faces the whole 10k-node pool
+    pytest.param(FleetConfig(tenants=64, nodes=10_000, starts=100_000, shards=1),
+                 None, 2_426, id="one-shard-10k-nodes"),
+    pytest.param(FleetConfig(tenants=256, nodes=2_000, starts=100_000, shards=8),
+                 None, 17_396, id="eight-shards"),
+    pytest.param(FleetConfig(tenants=64, nodes=1_000, starts=100_000, shards=4),
+                 3, 12_697, id="chaos-seed-3"),
+])
+def test_epoch_batching_bounds_simulator_events(config, chaos_seed, ceiling,
+                                                _profile_clean):
+    """100k starts cost a bounded number of simulator events, one per
+    non-empty epoch rather than one per arrival and completion.  Each
+    ceiling is the count when it was set (1,941 / 13,917 / 10,158) plus
+    25%; the 1M-start flagship runs the same engine at 27,131 events."""
+    plan = None if chaos_seed is None else generate_fleet_plan(config, seed=chaos_seed)
+    result, counters = _run_counted(config, plan=plan)
+    assert result.leaks == []
+    assert counters["event_queue_peak"] > 0 and counters["live_objects_peak"] > 0
+    assert counters["events_processed"] <= ceiling
+    if plan is not None:
+        assert result.crashes > 0 and result.requeues > 0
+
+
+def test_sampling_leaves_report_and_counters_unchanged(_profile_clean):
+    """Time-series sampling rides the epoch loop: it records points but
+    changes neither the report nor the merged counters, serial or pooled."""
+    from repro.obs.timeseries import recorder
+
+    plain, plain_counters = _run_counted(SMALL)
+    series = []
+    for jobs in (1, 2):
+        recorder.reset()
+        sampled, counters = _run_counted(SMALL, jobs=jobs, timeseries=5.0)
+        assert fleet_report_document(sampled) == fleet_report_document(plain)
+        assert counters == plain_counters
+        assert recorder.samples > 0
+        series.append(recorder.snapshot())
+    recorder.reset()
+    assert series[0] and series[1] == series[0]
+
+
+def test_warm_rate_rises_and_pulled_bytes_fall_with_zipf_skew(_profile_clean):
+    """§4 cache economics: the more skewed image popularity is, the
+    hotter the node caches and the fewer bytes the registry serves."""
+    config = FleetConfig(tenants=16, nodes=64, starts=5000, shards=2)
+    results = [_run_counted(dataclasses.replace(config, zipf_s=s))[0]
+               for s in (0.6, 1.1, 1.6)]
+    warm = [r.warm_rate for r in results]
+    pulled = [r.pulled_bytes for r in results]
+    assert warm[0] < warm[1] < warm[2], warm
+    assert pulled[0] > pulled[1] > pulled[2], pulled
 
 
 # -- leak audit (repro.faults) ------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs consistency check: dead links and phantom metric names.
+"""Docs consistency check: dead links, phantom names, stale paths.
 
-Two classes of documentation rot, both cheap to catch mechanically:
+Four classes of documentation rot, all cheap to catch mechanically:
 
 1. **Dead relative links** — every ``[text](path)`` markdown link whose
    target is a relative path must point at a file or directory that
@@ -18,8 +18,14 @@ Two classes of documentation rot, both cheap to catch mechanically:
 3. **Phantom CLI flags** — every ``python -m repro <verb> --flag …``
    command in the docs (shell continuation lines joined) must name a
    verb and flags that ``repro.cli.build_parser()`` accepts for that
-   verb.  CHANGES.md is skipped: it is a log of past versions, and some
-   of the flags it names have since been retired.
+   verb.
+4. **Stale repo paths** — every backticked ``benchmarks/…``,
+   ``perfbench/…``, ``tools/…``, ``src/…``, ``tests/…`` or
+   ``examples/…`` path (in a code span or a fenced command) must exist.
+
+Checks 3 and 4 skip CHANGES.md, a log of past versions, and ISSUE.md,
+which describes a change in flight: both name flags and files that are
+retired by the time they are read.
 
 Exit status: 0 clean, 1 with findings (one line each on stderr).
 """
@@ -37,6 +43,9 @@ DOCS = sorted(REPO.glob("*.md"))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.S)
+#: docs that name retired flags and files on purpose (see checks 3 and 4)
+HISTORY = ("CHANGES.md", "ISSUE.md")
 #: backticked tokens that are metric series: dotted lowercase path, at
 #: least one dot, no spaces/parens/braces (label examples are skipped)
 METRIC_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+$")
@@ -45,6 +54,11 @@ DERIVED_SUFFIXES = (".rate", ".p50", ".p99")
 #: a CLI command up to the end of its code span, pipe, redirect or comment
 CLI_RE = re.compile(r"python -m repro ([a-z][a-z-]*)([^`|;&>#\n]*)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: a repo path inside a code span, up to the first character no path
+#: here uses (globs, ellipses and ``::test`` suffixes end it)
+PATH_RE = re.compile(
+    r"(?<![\w./-])(?:benchmarks|perfbench|tools|src|tests|examples)/[\w./-]*"
+)
 
 
 def iter_links(text: str):
@@ -123,7 +137,7 @@ def check_cli_flags() -> list[str]:
     flags = cli_flags()
     problems = []
     for doc in DOCS:
-        if doc.name == "CHANGES.md":
+        if doc.name in HISTORY:
             continue
         text = doc.read_text().replace("\\\n", " ")
         for verb, rest in CLI_RE.findall(text):
@@ -138,14 +152,28 @@ def check_cli_flags() -> list[str]:
     return problems
 
 
+def check_paths() -> list[str]:
+    problems = []
+    for doc in DOCS:
+        if doc.name in HISTORY:
+            continue
+        text = doc.read_text()
+        spans = FENCE_RE.findall(text) + CODE_SPAN_RE.findall(FENCE_RE.sub("", text))
+        paths = {path for span in spans for path in PATH_RE.findall(span)}
+        problems += [f"{doc.name}: `{path}` does not exist"
+                     for path in sorted(paths) if not (REPO / path).exists()]
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics() + check_cli_flags()
+    problems = check_links() + check_metrics() + check_cli_flags() + check_paths()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
-    print(f"docs OK: {len(DOCS)} files, links + metric catalog + CLI flags verified")
+    print(f"docs OK: {len(DOCS)} files, links + metric catalog + CLI flags + "
+          "repo paths verified")
     return 0
 
 
