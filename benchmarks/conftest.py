@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from repro.sim import profile
+from repro.run import ObsConfig, observing
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -33,16 +33,11 @@ def once(benchmark, fn, *args, **kwargs):
 
 
 def once_counted(benchmark, fn, *args, **kwargs):
-    """:func:`once` with the sim-core profile counters on.
+    """:func:`once` in an observation session of its own, which counts.
 
     Returns ``(result, events)``, where ``events`` is the number of
     simulator events the run processed: a machine-independent cost the
     benches hold under a ceiling."""
-    counters = profile.enable()
-    try:
+    with observing(ObsConfig()) as counted:
         result = once(benchmark, fn, *args, **kwargs)
-    finally:
-        profile.disable()
-    events = counters.events_processed
-    counters.reset()
-    return result, events
+        return result, counted.counters.events_processed

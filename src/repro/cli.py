@@ -184,17 +184,18 @@ def _write(path: str, text: str, line: str) -> None:
 
 def _write_obs(args: argparse.Namespace, row: str) -> None:
     """The shared ``--timeseries`` / ``--metrics`` / ``--metrics-out``
-    tail; ``row`` formats each artifact's stdout line from (label, path)."""
-    from repro.obs.metrics import registry
-    from repro.obs.timeseries import recorder
+    tail, read off the current run; ``row`` formats each artifact's
+    stdout line from (label, path)."""
+    from repro.run import run
 
     if getattr(args, "timeseries", None):
-        _write(args.timeseries, recorder.to_json(), row.format("timeseries:", args.timeseries))
+        _write(args.timeseries, run.recorder.to_json(),
+               row.format("timeseries:", args.timeseries))
     if args.metrics:
         print()
-        print(registry.render_table())
+        print(run.metrics.render_table())
     if args.metrics_out:
-        doc = {"schema": "repro-metrics/1", "series": registry.snapshot()}
+        doc = {"schema": "repro-metrics/1", "series": run.metrics.snapshot()}
         _write(args.metrics_out, json.dumps(doc, indent=2, sort_keys=True),
                row.format("metrics:", args.metrics_out))
 
@@ -210,21 +211,22 @@ def _trace_ok(doc: str) -> bool:
 
 
 # -- simulation verbs ---------------------------------------------------------
-# each runs its simulation inside one observing() session
+# each runs its simulation inside one observing() session, which states
+# the run's ObsConfig once: shard cells and fleet runs read it from there
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.core.tables import render_table
+    from repro.run import ObsConfig, observing
     from repro.scenarios.evaluate import summary_rows
-    from repro.shard import ObsConfig, WarmSnapshot, observing, run_cells, scenario_matrix
+    from repro.shard import WarmSnapshot, run_cells, scenario_matrix
 
     if args.list:
         return _print_scenario_list()
-    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out))
     snapshot = WarmSnapshot.for_scenario_prefix(args.nodes)
-    with observing(obs):
+    with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out))):
         metrics = run_cells(
             scenario_matrix(n_nodes=args.nodes, n_pods=args.pods),
-            jobs=args.jobs, obs=obs, snapshot=snapshot,
+            jobs=args.jobs, snapshot=snapshot,
         ).values()
         print(render_table(summary_rows(metrics),
                            f"§6.6 comparison ({args.pods} pods on {args.nodes} nodes)"))
@@ -241,7 +243,7 @@ def _cmd_startup(args: argparse.Namespace) -> int:
     from repro.oci import Builder
     from repro.oci.catalog import BaseImageCatalog
     from repro.registry import OCIDistributionRegistry
-    from repro.shard import ObsConfig, observing
+    from repro.run import ObsConfig, observing
 
     with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out))):
         registry = OCIDistributionRegistry(name="cli")
@@ -268,17 +270,17 @@ def _cmd_startup(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.trace import export_json, tracer
+    from repro.obs.trace import export_json
+    from repro.run import ObsConfig, observing
     from repro.scenarios.evaluate import run_scenario
-    from repro.shard import ObsConfig, observing
 
     scenario_cls = _scenario(args.scenario)
-    with observing(ObsConfig(metrics=True, trace=True, trace_wall=args.wall)):
+    with observing(ObsConfig(metrics=True, trace=True, trace_wall=args.wall)) as run:
         metrics = run_scenario(scenario_cls, n_nodes=args.nodes, n_pods=args.pods)
         doc = export_json(args.out, indent=2 if args.pretty else None)
-        cats = ", ".join(sorted(tracer.categories()))
-        print(f"{args.out}: {len(tracer)} span records across "
-              f"{len(tracer.categories())} subsystems ({cats})")
+        categories = run.tracer.categories()
+        print(f"{args.out}: {len(run.tracer)} span records across "
+              f"{len(categories)} subsystems ({', '.join(sorted(categories))})")
         print(f"  scenario={metrics.scenario} pods={metrics.pods_completed}/"
               f"{metrics.pods_submitted} provision={metrics.provision_time:.1f}s")
         _write_obs(args, "  metrics written to {1}")
@@ -291,7 +293,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import chaos_report_document, run_chaos
     from repro.obs.trace import export_json
-    from repro.shard import ObsConfig, observing
+    from repro.run import ObsConfig, observing
 
     if args.list:
         return _print_scenario_list()
@@ -324,14 +326,8 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     """
     from repro.faults.chaos import chaos_report_document
     from repro.obs.trace import export_json
-    from repro.shard import (
-        ObsConfig,
-        WarmSnapshot,
-        chaos_seed_sweep,
-        observing,
-        parse_seed_range,
-        run_cells,
-    )
+    from repro.run import ObsConfig, observing
+    from repro.shard import WarmSnapshot, chaos_seed_sweep, parse_seed_range, run_cells
     import dataclasses as _dc
 
     try:
@@ -348,11 +344,10 @@ def _chaos_sweep(args: argparse.Namespace, scenario_cls: type) -> int:
     if plan is not None:
         plan_json = plan.to_json()
         cells = [_dc.replace(cell, plan_json=plan_json) for cell in cells]
-    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out), trace=True,
-                    timeseries=_sample_interval(args))
     snapshot = WarmSnapshot.for_scenario_prefix(args.nodes)
-    with observing(obs):
-        reports = run_cells(cells, jobs=args.jobs, obs=obs, snapshot=snapshot).values()
+    with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out), trace=True,
+                             timeseries=_sample_interval(args))):
+        reports = run_cells(cells, jobs=args.jobs, snapshot=snapshot).values()
         doc = export_json(args.trace, indent=2 if args.pretty else None)
         report_doc = chaos_report_document(reports, scenario_cls.name)
         print(f"chaos sweep: {scenario_cls.name} "
@@ -392,7 +387,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     exactly that.  ``--chaos`` / ``--faults`` deliver a fault plan into
     every shard; ``--slo`` scores the sampled ``fleet.*`` series.
     """
-    from repro.shard import ObsConfig, observing
+    from repro.run import ObsConfig, observing
     from repro.workload.fleet import (
         fleet_node_names,
         fleet_report_document,
@@ -409,11 +404,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         lambda: generate_fleet_plan(config, seed=args.seed)) if args.chaos else None)
     want_slo = args.slo or bool(args.slo_out)
     rules = _slo_rules(args.rules) if want_slo else None
-    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out),
-                    timeseries=_sample_interval(args, needed=want_slo))
-    with observing(obs):
-        result = run_fleet(config, jobs=args.jobs, metrics=obs.metrics,
-                           sample_interval=obs.timeseries, plan=plan)
+    with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out),
+                             timeseries=_sample_interval(args, needed=want_slo))):
+        result = run_fleet(config, jobs=args.jobs, plan=plan)
         print(render_fleet_summary(result))
         if want_slo:
             scorecard = score_fleet_slo(result, rules=rules)
@@ -441,15 +434,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         replay_report_document,
         run_fleet_replay,
     )
-    from repro.shard import ObsConfig, observing
+    from repro.run import ObsConfig, observing
 
     config = _fleet_config(args)
     plan = _fault_plan(args)
-    obs = ObsConfig(metrics=args.metrics or bool(args.metrics_out),
-                    timeseries=_sample_interval(args))
-    with observing(obs):
-        result = run_fleet_replay(config, jobs=args.jobs, metrics=obs.metrics,
-                                  sample_interval=obs.timeseries, plan=plan)
+    with observing(ObsConfig(metrics=args.metrics or bool(args.metrics_out),
+                             timeseries=_sample_interval(args))):
+        result = run_fleet_replay(config, jobs=args.jobs, plan=plan)
         print(render_replay_summary(result))
         if args.out:
             _write(args.out, json.dumps(replay_report_document(result), indent=2),
@@ -467,24 +458,37 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     slo-smoke step's ``cmp`` — agree byte for byte.
     """
     from repro.faults.chaos import run_slo
-    from repro.shard import ObsConfig, observing
+    from repro.run import ObsConfig, observing
 
     if args.list:
         return _print_scenario_list()
     scenario_cls = _scenario(args.scenario)
     plan = _scenario_plan(args)
     rules = _slo_rules(args.rules)
-    interval = _sample_interval(args, needed=True)
-    with observing(ObsConfig(metrics=True, timeseries=interval)):
+    with observing(ObsConfig(metrics=True, timeseries=_sample_interval(args, needed=True))):
         _metrics, report, scorecard = run_slo(
             scenario_cls, plan, rules=rules, n_nodes=args.nodes, n_pods=args.pods,
-            seed=args.seed, sample_interval=interval,
+            seed=args.seed,
         )
         print(scorecard.render())
         if args.out:
             _write(args.out, scorecard.to_json(), _FLEET_ROW.format("scorecard:", args.out))
         _write_obs(args, _FLEET_ROW)
     return 0 if report.clean else 1
+
+
+def _int_at_least(low: int) -> _t.Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= low``; argparse names the
+    flag in the error and exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" wording
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,12 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the metrics registry snapshot as JSON "
                               "(schema repro-metrics/1)")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1,
+    jobs.add_argument("--jobs", type=_int_at_least(1), default=1,
                       help="worker processes (output is byte-identical to "
                            "--jobs 1)")
     shape = argparse.ArgumentParser(add_help=False)
-    shape.add_argument("--nodes", type=int, default=4)
-    shape.add_argument("--pods", type=int, default=8)
+    shape.add_argument("--nodes", type=_int_at_least(1), default=4)
+    shape.add_argument("--pods", type=_int_at_least(0), default=8)
     listing = argparse.ArgumentParser(add_help=False)
     listing.add_argument("--list", action="store_true",
                          help="list scenario names and exit")

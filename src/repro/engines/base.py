@@ -7,11 +7,8 @@ import dataclasses
 import typing as _t
 
 from repro.cluster.node import HostNode
-from repro.faults.injector import injector as _faults
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.fs.drivers import MountedView
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.kernel.process import SimProcess
 from repro.oci.bundle import Bundle, NamespaceRequest, RuntimeSpec
 from repro.oci.hooks import HookRegistry
@@ -20,6 +17,7 @@ from repro.oci.layer import Layer
 from repro.oci.runtime import Container, CrunRuntime, OCIRuntime, RuncRuntime
 from repro.oci.sif import SIFImage
 from repro.registry.distribution import OCIDistributionRegistry
+from repro.run import run
 
 
 class EngineError(RuntimeError):
@@ -200,17 +198,17 @@ class ContainerEngine:
             _start, end, result = inflight
             remaining = end - now
             self.stats["coalesced_pulls"] += 1
-            if _trace.tracer.enabled:
-                _trace.complete(
+            if run.tracer.enabled:
+                run.tracer.complete(
                     "engine.pull",
                     remaining,
                     engine=self.info.name,
                     ref=f"{repository}:{tag}",
                     coalesced=True,
                 )
-            if _metrics.registry.enabled:
-                _metrics.inc("engine.pulls_coalesced", engine=self.info.name)
-                _metrics.observe(
+            if run.metrics.enabled:
+                run.metrics.inc("engine.pulls_coalesced", engine=self.info.name)
+                run.metrics.observe(
                     "engine.pull_seconds", remaining, engine=self.info.name
                 )
             return dataclasses.replace(result, pull_cost=remaining)
@@ -236,13 +234,13 @@ class ContainerEngine:
                     raise RetryExhausted("registry", attempts, cost, exc) from exc
                 delay = policy.delay(attempts - 1)
                 cost += delay
-                _faults.note_retry("registry")
-                if _metrics.registry.enabled:
-                    _metrics.inc(
+                run.faults.note_retry("registry")
+                if run.metrics.enabled:
+                    run.metrics.inc(
                         "retry.attempts", subsystem="registry", engine=self.info.name
                     )
-                if _trace.tracer.enabled:
-                    _trace.tracer.instant(
+                if run.tracer.enabled:
+                    run.tracer.instant(
                         "engine.pull_retry",
                         engine=self.info.name,
                         attempt=attempts,
@@ -250,13 +248,13 @@ class ContainerEngine:
                     )
         for layer in image.layers:
             self.layer_cache[layer.digest] = layer
-        if _trace.tracer.enabled:
-            _trace.complete(
+        if run.tracer.enabled:
+            run.tracer.complete(
                 "engine.pull", cost, engine=self.info.name, ref=f"{repository}:{tag}"
             )
-        if _metrics.registry.enabled:
-            _metrics.inc("engine.pulls", engine=self.info.name)
-            _metrics.observe("engine.pull_seconds", cost, engine=self.info.name)
+        if run.metrics.enabled:
+            run.metrics.inc("engine.pulls", engine=self.info.name)
+            run.metrics.observe("engine.pull_seconds", cost, engine=self.info.name)
         pulled = PulledImage(
             source_ref=f"{repository}:{tag}", image=image, pull_cost=cost
         )
@@ -277,8 +275,8 @@ class ContainerEngine:
         if owner_uid != user_uid and not self.capabilities.native_sharing and owner_uid != 0:
             return None
         self.stats["cache_hits"] += 1
-        if _metrics.registry.enabled:
-            _metrics.inc("engine.cache_hits", engine=self.info.name)
+        if run.metrics.enabled:
+            run.metrics.inc("engine.cache_hits", engine=self.info.name)
         return converted
 
     def _cache_store(self, digest: str, converted: object, owner_uid: int) -> None:
@@ -298,8 +296,8 @@ class ContainerEngine:
         """Create and start a container (the engine's ``run`` verb)."""
         if not isinstance(pulled, PulledImage):
             pulled = PulledImage(source_ref="local", image=pulled)
-        tracer = _trace.tracer
-        if not tracer.enabled and not _metrics.registry.enabled:
+        tracer = run.tracer
+        if not tracer.enabled and not run.metrics.enabled:
             return self._run(pulled, user, command, devices, extra_hooks, cgroup_path)
         with tracer.span("engine.run", engine=self.info.name, ref=pulled.source_ref):
             start = tracer.now()
@@ -316,13 +314,13 @@ class ContainerEngine:
                             f"engine.phase.{phase}", at, cost, engine=self.info.name
                         )
                         at += cost
-        if _metrics.registry.enabled:
-            _metrics.inc("engine.runs", engine=self.info.name)
-            _metrics.observe(
+        if run.metrics.enabled:
+            run.metrics.inc("engine.runs", engine=self.info.name)
+            run.metrics.observe(
                 "engine.startup_seconds", result.startup_seconds, engine=self.info.name
             )
             for phase, cost in result.timings.items():
-                _metrics.inc(
+                run.metrics.inc(
                     "engine.phase_seconds", cost, engine=self.info.name, phase=phase
                 )
         return result
@@ -392,8 +390,8 @@ class ContainerEngine:
             # start; the record is dropped regardless
             self.runtime.containers.pop(container.id, None)
             container.state = ContainerState.DELETED
-        if _metrics.registry.enabled:
-            _metrics.inc("engine.aborted_containers", engine=self.info.name)
+        if run.metrics.enabled:
+            run.metrics.inc("engine.aborted_containers", engine=self.info.name)
 
     def abort_all(self) -> int:
         """Force-stop every non-terminal container (node-crash cleanup).

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.kernel.process import SimProcess
 from repro.kernel.syscalls import Kernel
-from repro.obs import metrics as _metrics
+from repro.run import run
 
 
 class DockerDaemon:
@@ -37,15 +37,15 @@ class DockerDaemon:
         if self.proc is None:
             # dockerd must be root: it manages storage drivers and netns.
             self.proc = self.kernel.spawn(parent=self.kernel.init, argv=("dockerd",))
-            if _metrics.registry.enabled:
+            if run.metrics.enabled:
                 # §3.2's jitter claim, made checkable: a per-machine root
                 # daemon consumes a nonzero core fraction at steady state.
-                _metrics.set_gauge(
+                run.metrics.set_gauge(
                     "monitor.background_cpu_fraction",
                     self.background_cpu_fraction,
                     monitor="dockerd",
                 )
-                _metrics.set_gauge(
+                run.metrics.set_gauge(
                     "monitor.resident_memory_bytes",
                     self.resident_memory,
                     monitor="dockerd",
@@ -76,13 +76,13 @@ class ConmonMonitor:
         self.kernel = kernel
         self.proc = kernel.spawn(parent=user, argv=("conmon",))
         assert self.proc.creds.uid == user.creds.uid
-        if _metrics.registry.enabled:
-            _metrics.set_gauge(
+        if run.metrics.enabled:
+            run.metrics.set_gauge(
                 "monitor.background_cpu_fraction",
                 self.background_cpu_fraction,
                 monitor="conmon",
             )
-            _metrics.set_gauge(
+            run.metrics.set_gauge(
                 "monitor.resident_memory_bytes",
                 self.resident_memory,
                 monitor="conmon",

@@ -5,8 +5,8 @@ HPC container stacks must behave when things go wrong — registries
 throttle, shared filesystems degrade, nodes die, FUSE daemons vanish,
 hooks fail.  This package makes those failure scenarios first-class and
 *deterministic*: a seeded :class:`FaultPlan` schedules faults in virtual
-time, the process-wide :data:`injector` delivers them at named injection
-points wired through ``repro.registry``, ``repro.fs``, ``repro.engines``,
+time, the current run's :class:`FaultInjector` (``repro.run.run.faults``)
+delivers them at named injection points wired through ``repro.registry``, ``repro.fs``, ``repro.engines``,
 ``repro.wlm``, and ``repro.k8s``, and explicit recovery policies
 (:class:`RetryPolicy` backoff, Slurm requeue, kubelet failure
 propagation, engine cleanup guarantees) absorb them.  Same seed, same
@@ -16,7 +16,7 @@ See ``ARCHITECTURE.md`` for the layer map and ``EXPERIMENTS.md`` ("Failure
 semantics") for the per-fault recovery contracts and repro commands.
 """
 
-from repro.faults.injector import FaultInjector, injector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import KIND_POINTS, FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
 
@@ -53,7 +53,6 @@ __all__ = [
     "RetryPolicy",
     "container_leaks",
     "find_leaks",
-    "injector",
     "kubelet_leaks",
     "mount_leaks",
     "run_chaos",

@@ -1,7 +1,7 @@
 """Chaos runs: one scenario executed under a fault plan.
 
 :func:`run_chaos` is the library entry point behind
-``python -m repro chaos``: it arms the process-wide injector with a
+``python -m repro chaos``: it arms the current run's injector with a
 plan, provisions and drives a §6 scenario exactly like
 :func:`repro.scenarios.evaluate.run_scenario`, then disarms and reports
 what the faults did — injections by kind, retries, job requeues, pod
@@ -14,12 +14,10 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.faults.injector import injector
 from repro.faults.leaks import find_leaks
 from repro.faults.plan import FaultPlan
-from repro.obs import metrics as _metrics
 from repro.obs import timeseries as _timeseries
-from repro.obs import trace as _trace
+from repro.run import run
 from repro.scenarios.base import WORKFLOW_IMAGE, IntegrationScenario, ScenarioMetrics
 from repro.sim import Environment
 from repro.workload.generators import PodBatchGenerator
@@ -189,21 +187,22 @@ def run_chaos(
     """Provision, submit the standard pod batch, run to the horizon —
     all under ``plan`` — then audit and report.
 
-    The injector is armed for the whole scenario lifetime (faults may
-    hit provisioning too) and always disarmed on the way out, even if
-    the scenario run raises.
+    The current run's injector is armed for the whole scenario lifetime
+    (faults may hit provisioning too) and always disarmed on the way
+    out, even if the scenario run raises.
 
-    When the :mod:`repro.obs.timeseries` recorder is enabled, a sampler
+    When the current run's recorder is enabled (an
+    ``observing(ObsConfig(timeseries=...))`` session), a sampler
     process ticks through the run, the ``slo`` rules (default:
     :func:`~repro.obs.slo.default_chaos_rules`) are evaluated over the
     sampled series, alert fire/resolve instants land in the trace, and
     the report gains per-fault-kind detection latency.
     """
     env = Environment()
-    injector.arm(plan, env)
-    rec = _timeseries.recorder
+    run.faults.arm(plan, env)
+    rec = run.recorder
     if rec.enabled:
-        _timeseries.install_sampler(env, _metrics.registry)
+        _timeseries.install_sampler(env, run.metrics)
     try:
         scenario = scenario_cls(env, n_nodes=n_nodes, seed=seed)
         ready = scenario.provision()
@@ -223,8 +222,8 @@ def run_chaos(
             scenario=scenario.name,
             seed=seed,
             n_events=len(plan),
-            injected=dict(injector.injected_counts),
-            retries=dict(injector.retry_counts),
+            injected=dict(run.faults.injected_counts),
+            retries=dict(run.faults.retry_counts),
             jobs_requeued=_count_requeues(scenario),
             pods_submitted=metrics.pods_submitted,
             pods_completed=metrics.pods_completed,
@@ -235,12 +234,12 @@ def run_chaos(
         if rec.enabled:
             from repro.obs import slo as _slo
 
-            rec.sample_due(env.now, _metrics.registry)
+            rec.sample_due(env.now, run.metrics)
             rules = slo if slo is not None else _slo.default_chaos_rules()
             evaluation = _slo.evaluate(rules, rec, env.now)
-            if _trace.tracer.enabled:
+            if run.tracer.enabled:
                 for alert in evaluation.alerts:
-                    _trace.tracer.instant_at(
+                    run.tracer.instant_at(
                         "slo.alert",
                         alert.at,
                         rule=alert.rule,
@@ -249,12 +248,12 @@ def run_chaos(
                     )
             report.alerts_fired = evaluation.fires
             report.detection = _slo.detection_latencies(
-                dict(injector.injected_at), evaluation
+                dict(run.faults.injected_at), evaluation
             )
             report.evaluation = evaluation
         return metrics, report
     finally:
-        injector.disarm()
+        run.faults.disarm()
 
 
 def run_slo(
@@ -265,22 +264,25 @@ def run_slo(
     n_pods: int = 8,
     seed: int = 0,
     horizon: float = 4000.0,
-    sample_interval: float = 5.0,
 ) -> tuple[ScenarioMetrics, ChaosReport, object]:
     """A chaos run scored against SLO rules: the ``python -m repro slo``
     entry point.
 
-    Enables the time-series recorder at ``sample_interval`` (resetting
-    it), runs :func:`run_chaos` under ``rules`` (default:
-    :func:`~repro.obs.slo.default_chaos_rules`), and builds the
+    Runs :func:`run_chaos` under ``rules`` (default:
+    :func:`~repro.obs.slo.default_chaos_rules`) and builds the
     :class:`~repro.obs.slo.ScorecardReport` from the evaluation.  The
-    recorder is left enabled so callers can export the sampled series;
-    they own disabling it.
+    caller's session samples the run: call it inside
+    ``observing(ObsConfig(timeseries=interval))``, whose recorder keeps
+    the sampled series for export.
     """
     from repro.obs import slo as _slo
 
+    if not run.recorder.enabled:
+        raise ValueError(
+            "run_slo needs time-series sampling: call it inside "
+            "observing(ObsConfig(timeseries=...))"
+        )
     ruleset = rules if rules is not None else _slo.default_chaos_rules()
-    _timeseries.recorder.enable(interval=sample_interval)
     metrics, report = run_chaos(
         scenario_cls,
         plan,
@@ -291,13 +293,13 @@ def run_slo(
         slo=ruleset,
     )
     evaluation = report.evaluation
-    assert evaluation is not None  # recorder was enabled, so run_chaos evaluated
+    assert evaluation is not None  # the recorder is on, so run_chaos evaluated
     scorecard = _slo.ScorecardReport.build(
         scenario=report.scenario,
         ruleset=ruleset,
         evaluation=evaluation,
-        rec=_timeseries.recorder,
-        registry=_metrics.registry,
+        rec=run.recorder,
+        registry=run.metrics,
         seed=seed,
         detection=report.detection,
     )

@@ -1,4 +1,4 @@
-"""The process-wide fault injector.
+"""The fault injector.
 
 Subsystems ask the injector — at *named injection points* — whether a
 fault is active right now; the armed :class:`~repro.faults.plan.FaultPlan`
@@ -20,14 +20,16 @@ answers purely as a function of virtual time.  Two delivery styles:
     walks the plan and invokes handlers at each event's begin
     (``"crash"``) and end (``"restore"``) edges.
 
-Like :mod:`repro.obs`, the injector is **off by default and one
-predicate check cheap when disabled**: every call site guards with
-``if injector.enabled:`` before touching anything else, so a normal
-(non-chaos) run pays a single attribute load per potential injection.
+Each run owns one injector (``repro.run.run.faults``).  Like
+:mod:`repro.obs`, it is **off by default and one predicate check cheap
+when disabled**: every call site guards with ``if run.faults.enabled:``
+before touching anything else, so a normal (non-chaos) run pays a single
+attribute load per potential injection.
 
-Every injection emits ``faults.injected{kind=...}`` on the metrics
-registry and a ``fault.injected`` trace instant (when those layers are
-enabled), plus an always-on private count used by chaos reports.
+Every injection emits ``faults.injected{kind=...}`` on its run's metrics
+registry and a ``fault.injected`` trace instant on its run's tracer
+(when those layers are enabled), plus an always-on private count used by
+chaos reports.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import typing as _t
 
 from repro.faults.plan import PUSH_KINDS as _PUSH_KINDS
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.trace import Tracer
     from repro.sim.environment import Environment
 
 #: handler(event, phase) with phase in {"crash", "restore"}
@@ -47,9 +49,14 @@ PushHandler = _t.Callable[[FaultEvent, str], None]
 
 
 class FaultInjector:
-    """Holds the armed plan and serves injection-point queries."""
+    """Holds the armed plan and serves injection-point queries.
 
-    def __init__(self) -> None:
+    ``metrics`` and ``tracer`` are the run's own parts, which every
+    injection marks."""
+
+    def __init__(self, metrics: "MetricsRegistry", tracer: "Tracer") -> None:
+        self._metrics = metrics
+        self._tracer = tracer
         self.enabled = False
         self._plan: FaultPlan | None = None
         self._env: "Environment | None" = None
@@ -164,8 +171,8 @@ class FaultInjector:
                 return
             if phase == "crash":
                 self._record(event, env.now)
-            elif _trace.tracer.enabled:
-                _trace.tracer.instant(
+            elif self._tracer.enabled:
+                self._tracer.instant(
                     "fault.cleared", kind=event.kind.value, target=event.target
                 )
             for handler in list(self._handlers.get(event.point, ())):
@@ -179,16 +186,12 @@ class FaultInjector:
             if at is None:
                 at = self._env.now if self._env is not None else event.at
             self.injected_at[kind] = at
-        if _metrics.registry.enabled:
-            _metrics.inc("faults.injected", kind=kind)
-        if _trace.tracer.enabled:
-            _trace.tracer.instant("fault.injected", kind=kind, target=event.target)
+        if self._metrics.enabled:
+            self._metrics.inc("faults.injected", kind=kind)
+        if self._tracer.enabled:
+            self._tracer.instant("fault.injected", kind=kind, target=event.target)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "armed" if self.enabled else "off"
         n = len(self._plan) if self._plan is not None else 0
         return f"<FaultInjector {state} events={n}>"
-
-
-#: The process-wide injector every injection point consults.
-injector = FaultInjector()

@@ -19,10 +19,8 @@ import typing as _t
 from repro.fs.inode import DirNode, FileNode
 from repro.fs.perf import IOCostModel, PROFILES
 from repro.fs.tree import FileTree, FsError
-from repro.faults.injector import injector as _faults
 from repro.faults.plan import FaultKind as _FaultKind
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.run import run
 from repro.sim import Environment, Resource
 
 
@@ -92,17 +90,17 @@ class StorageBackend:
         total, n_files, n_bytes = entry
         self.stats["opens"] += n_files
         self.stats["bytes_read"] += n_bytes
-        if _trace.tracer.enabled:
-            _trace.complete(
+        if run.tracer.enabled:
+            run.tracer.complete(
                 "fs.load_tree", total, backend=self.name, files=n_files, bytes=n_bytes
             )
-        if _metrics.registry.enabled:
+        if run.metrics.enabled:
             self._io_metrics(n_files, n_bytes)
         return total
 
     def _io_metrics(self, n_files: int, n_bytes: int) -> None:
-        _metrics.inc("fs.io.files", n_files, backend=self.name, op="read")
-        _metrics.inc("fs.io.bytes", n_bytes, backend=self.name, op="read")
+        run.metrics.inc("fs.io.files", n_files, backend=self.name, op="read")
+        run.metrics.inc("fs.io.bytes", n_bytes, backend=self.name, op="read")
 
     # -- process-style API ------------------------------------------------------
     def _require_env(self) -> Environment:
@@ -145,13 +143,13 @@ class StorageBackend:
                     n_bytes += node.size
                 batches.append((cost, n_files, n_bytes))
             cache[key] = batches
-        with _trace.span("fs.load_tree", backend=self.name, top=top):
+        with run.tracer.span("fs.load_tree", backend=self.name, top=top):
             for cost, n_files, n_bytes in batches:
                 self.stats["opens"] += n_files
                 self.stats["bytes_read"] += n_bytes
-                if _metrics.registry.enabled:
+                if run.metrics.enabled:
                     self._io_metrics(n_files, n_bytes)
-                    _metrics.observe("fs.io.latency", cost, backend=self.name, op="read")
+                    run.metrics.observe("fs.io.latency", cost, backend=self.name, op="read")
                 yield env.timeout(cost)
         return self.tree.total_size(top)
 
@@ -205,7 +203,7 @@ class SharedFS(StorageBackend):
         """
         env = self._require_env()
         while True:
-            fault = _faults.active("fs.mds", at=env.now, target=self.name)
+            fault = run.faults.active("fs.mds", at=env.now, target=self.name)
             if fault is None:
                 return 1.0
             if fault.kind is _FaultKind.MDS_OUTAGE:
@@ -226,14 +224,14 @@ class SharedFS(StorageBackend):
         self.tree.get(path)
         self.stats["opens"] += 1
         factor = 1.0
-        if _faults.enabled:
+        if run.faults.enabled:
             factor = yield from self._mds_gate()
         queued_at = env.now
         req = self.mds.request()
         yield req
-        if _metrics.registry.enabled:
-            _metrics.inc("fs.mds.rpcs", depth, backend=self.name)
-            _metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
+        if run.metrics.enabled:
+            run.metrics.inc("fs.mds.rpcs", depth, backend=self.name)
+            run.metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
         yield env.timeout(self.cost_model.open_cost() * depth * factor)
         self.mds.release(req)
         return path
@@ -301,22 +299,22 @@ class SharedFS(StorageBackend):
                 batches.append((meta, read, n_files, n_bytes))
             cache[key] = batches
         total = 0
-        with _trace.span("fs.load_tree", backend=self.name, top=top):
+        with run.tracer.span("fs.load_tree", backend=self.name, top=top):
             for meta, read, n_files, n_bytes in batches:
                 self.stats["opens"] += n_files
                 self.stats["bytes_read"] += n_bytes
                 total += n_bytes
                 factor = 1.0
-                if _faults.enabled:
+                if run.faults.enabled:
                     factor = yield from self._mds_gate()
                 queued_at = env.now
                 req = self.mds.request()
                 yield req
-                if _metrics.registry.enabled:
+                if run.metrics.enabled:
                     self._io_metrics(n_files, n_bytes)
-                    _metrics.inc("fs.mds.batches", backend=self.name)
-                    _metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
-                with _trace.tracer.span("fs.mds.batch", backend=self.name, files=n_files):
+                    run.metrics.inc("fs.mds.batches", backend=self.name)
+                    run.metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
+                with run.tracer.span("fs.mds.batch", backend=self.name, files=n_files):
                     yield env.timeout(meta * factor)
                 self.mds.release(req)
                 yield env.timeout(read)

@@ -40,10 +40,7 @@ from repro.fs.perf import (
 )
 from repro.fs.tree import FileTree, FsError
 from repro.fs.images import SquashImage
-from repro.faults.injector import injector as _faults
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
-from repro.sim import profile as _profile
+from repro.run import run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,13 +110,13 @@ class MountedView:
         self.upper = upper if upper is not None else (FileTree() if writable else None)
         self.source_image = source_image
         self.stats = {"opens": 0, "bytes_read": 0, "bytes_written": 0, "copy_ups": 0}
-        if _trace.tracer.enabled:
-            _trace.tracer.instant(
+        if run.tracer.enabled:
+            run.tracer.instant(
                 "fs.mount", driver=driver.name, layers=len(self.layers),
                 writable=writable,
             )
-        if _metrics.registry.enabled:
-            _metrics.inc("fs.mounts", driver=driver.name)
+        if run.metrics.enabled:
+            run.metrics.inc("fs.mounts", driver=driver.name)
 
     # -- union lookup --------------------------------------------------------
     def _all_trees_top_down(self) -> list[FileTree]:
@@ -205,10 +202,10 @@ class MountedView:
             cost = self.cost_model.random_read_cost(n_ops)
         else:
             cost = self.cost_model.sequential_read_cost(node.size)
-        if _metrics.registry.enabled:
+        if run.metrics.enabled:
             op = "randread" if random else "read"
-            _metrics.inc("fs.io.bytes", node.size, driver=self.driver.name, op=op)
-            _metrics.observe("fs.io.latency", cost, driver=self.driver.name, op=op)
+            run.metrics.inc("fs.io.bytes", node.size, driver=self.driver.name, op=op)
+            run.metrics.observe("fs.io.latency", cost, driver=self.driver.name, op=op)
         return cost, node.size
 
     def write(self, path: str, data: bytes | None = None, size: int | None = None) -> float:
@@ -225,16 +222,16 @@ class MountedView:
             cost += self.cost_model.sequential_read_cost(existing.size)
             cost += self.cost_model.write_cost(existing.size)
             self.stats["copy_ups"] += 1
-            counters = _profile.counters
+            counters = run.counters
             if counters.enabled:
                 counters.cow_copy_ups += 1
         n = len(data) if data is not None else int(size or 0)
         self.upper.create_file(path, data=data, size=size)
         self.stats["bytes_written"] += n
         cost += self.cost_model.write_cost(n)
-        if _metrics.registry.enabled:
-            _metrics.inc("fs.io.bytes", n, driver=self.driver.name, op="write")
-            _metrics.observe("fs.io.latency", cost, driver=self.driver.name, op="write")
+        if run.metrics.enabled:
+            run.metrics.inc("fs.io.bytes", n, driver=self.driver.name, op="write")
+            run.metrics.observe("fs.io.latency", cost, driver=self.driver.name, op="write")
         return cost
 
     def remove(self, path: str) -> None:
@@ -278,14 +275,14 @@ class MountedView:
             total, n_files, n_bytes = entry
             self.stats["opens"] += n_files
             self.stats["bytes_read"] += n_bytes
-            if _trace.tracer.enabled:
-                _trace.complete(
+            if run.tracer.enabled:
+                run.tracer.complete(
                     "fs.load_all", total, driver=self.driver.name,
                     files=n_files, bytes=n_bytes,
                 )
-            if _metrics.registry.enabled:
-                _metrics.inc("fs.io.files", n_files, driver=self.driver.name, op="read")
-                _metrics.inc("fs.io.bytes", n_bytes, driver=self.driver.name, op="read")
+            if run.metrics.enabled:
+                run.metrics.inc("fs.io.files", n_files, driver=self.driver.name, op="read")
+                run.metrics.inc("fs.io.bytes", n_bytes, driver=self.driver.name, op="read")
             return total
         seen: set[str] = set()
         for tree in self._all_trees_top_down():
@@ -296,8 +293,8 @@ class MountedView:
                 total += self.open(path)
                 cost, _ = self.read(path)
                 total += cost
-        if _trace.tracer.enabled:
-            _trace.complete(
+        if run.tracer.enabled:
+            run.tracer.complete(
                 "fs.load_all", total, driver=self.driver.name, files=len(seen)
             )
         return total
@@ -323,8 +320,8 @@ def _check_fuse_alive(driver: MountDriver) -> None:
     ``fuse_death`` window open, starting a FUSE daemon fails — the
     engine's mount raises :class:`FsError` and its cleanup guarantee
     (no half-built container, no stray mounts) takes over."""
-    if _faults.enabled:
-        fault = _faults.active("fs.fuse")
+    if run.faults.enabled:
+        fault = run.faults.active("fs.fuse")
         if fault is not None:
             raise FsError(
                 f"{driver.name}: FUSE daemon died (injected fault until "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.fs.tree import FileTree
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.world import world
 
 #: default compression ratio for typical container content (mixed
@@ -128,7 +128,7 @@ def pack_squash(
     )
     cached = world.pack.get(key)
     if cached is not None:
-        counters = _profile.counters
+        counters = run.counters
         if counters.enabled:
             counters.flatten_cache_hits += 1
         return cached

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import typing as _t
 
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.world import world
 
 
@@ -135,7 +135,7 @@ class FileNode(Node):
         mutation of the node.
         """
         if self._digest_memo is not None:
-            counters = _profile.counters
+            counters = run.counters
             if counters.enabled:
                 counters.digest_cache_hits += 1
             return self._digest_memo

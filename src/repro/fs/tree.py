@@ -28,7 +28,7 @@ from repro.fs.inode import (
     SymlinkNode,
     WhiteoutNode,
 )
-from repro.sim import profile as _profile
+from repro.run import run
 
 __all__ = [
     "FsError",
@@ -52,7 +52,7 @@ def split_parts(path: str) -> list[str]:
 
 
 def _count_copy_up() -> None:
-    counters = _profile.counters
+    counters = run.counters
     if counters.enabled:
         counters.cow_copy_ups += 1
 
@@ -371,7 +371,7 @@ class FileTree:
         trees mutate independently by copying up only the touched spine.
         """
         self.root._freeze()
-        counters = _profile.counters
+        counters = run.counters
         if counters.enabled:
             counters.cow_clones += 1
         return FileTree(root=self.root)

@@ -8,7 +8,7 @@ import itertools
 import typing as _t
 
 from repro.k8s.objects import K8sNode, ObjectMeta, Pod
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.sim.signal import Signal
 
 
@@ -81,8 +81,8 @@ class APIServer:
             # Keyed fast path: one dict probe routes the event to the
             # watcher(s) registered for the object's node, skipping the
             # fan-out over every other keyed watcher entirely.
-            if _profile.counters.enabled:
-                _profile.counters.watch_batched_notifies += 1
+            if run.counters.enabled:
+                run.counters.watch_batched_notifies += 1
             matches = watchers.keyed.get(getattr(event.obj, "node_name", None))
             if matches:
                 targets = sorted([*watchers.unkeyed, *matches])

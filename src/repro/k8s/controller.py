@@ -59,7 +59,7 @@ class NodeLifecycleController:
                 wakeup.unpark(token)
                 if cause is Signal.FIRED:
                     continue  # state changed: re-predict the next duty tick
-            count_skipped_ticks(skipped)
+            count_skipped_ticks(self.env, skipped)
             cursor = tick
             self._check_nodes()
             self._evict_from_dead_nodes()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.network import Interconnect
-from repro.faults.injector import injector as _faults
 from repro.k8s.apiserver import APIServer
 from repro.k8s.cri import CRIRuntime
 from repro.k8s.objects import (
@@ -28,8 +27,7 @@ from repro.k8s.objects import (
     ResourceRequests,
 )
 from repro.kernel.process import SimProcess
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.run import run
 from repro.sim import Environment, Interrupt, Signal
 from repro.sim.signal import count_skipped_ticks, next_tick
 
@@ -123,8 +121,8 @@ class Kubelet:
         if self.rootless:
             self._validate_rootless()
         self._running = True
-        if _faults.enabled:
-            _faults.register("wlm.node", self._on_node_fault)
+        if run.faults.enabled:
+            run.faults.register("wlm.node", self._on_node_fault)
         self._proc = self.env.process(self._main(), name=f"kubelet-{self.node_name}")
         return self._proc
 
@@ -152,8 +150,8 @@ class Kubelet:
             return
         self.evict_active_pods(reason=reason)
         self.cri.engine.abort_all()
-        if _metrics.registry.enabled:
-            _metrics.inc("k8s.kubelet.crashes", node=self.node_name)
+        if run.metrics.enabled:
+            run.metrics.inc("k8s.kubelet.crashes", node=self.node_name)
         self._running = False
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt(cause=reason)
@@ -233,23 +231,23 @@ class Kubelet:
                     wakeup.unpark(token)
                     if cause is Signal.FIRED:
                         tick, skipped = next_tick(epoch, self.sync_interval, self.env.now)
-                        count_skipped_ticks(skipped)
+                        count_skipped_ticks(self.env, skipped)
                         yield self.env.timeout_until(tick)
                     else:
-                        count_skipped_ticks(skipped)
+                        count_skipped_ticks(self.env, skipped)
                 self.stats["sync_loops"] += 1
-                if _metrics.registry.enabled:
-                    _metrics.registry.inc_series(self._series_keys()[0])
+                if run.metrics.enabled:
+                    run.metrics.inc_series(self._series_keys()[0])
                 yield from self._sync()
                 if self.env.now - last_heartbeat >= self.heartbeat_interval:
                     node.condition.last_heartbeat = self.env.now
                     yield self._rpc()
                     self.api.update("Node", node)
                     last_heartbeat = self.env.now
-                    _trace.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+                    run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
         except Interrupt:
             pass
-        _faults.unregister("wlm.node", self._on_node_fault)
+        run.faults.unregister("wlm.node", self._on_node_fault)
         self.api.unwatch("Pod", watch_cb)
         node.condition.ready = False
         self.api.update("Node", node)
@@ -309,7 +307,7 @@ class Kubelet:
         pod.container_results = results
         user = self.user_proc or self.cri.engine.kernel.init
         started_at = self.env.now
-        with _trace.span(
+        with run.tracer.span(
             "k8s.pod.start", pod=pod.metadata.name, node=self.node_name
         ):
             try:
@@ -348,10 +346,10 @@ class Kubelet:
             yield self._rpc()
         self.api.update("Pod", pod)
         self.stats["pods_started"] += 1
-        if _metrics.registry.enabled:
+        if run.metrics.enabled:
             keys = self._series_keys()
-            _metrics.registry.inc_series(keys[1])
-            _metrics.registry.observe_series(keys[2], self.env.now - started_at)
+            run.metrics.inc_series(keys[1])
+            run.metrics.observe_series(keys[2], self.env.now - started_at)
         if pod.spec.duration is not None:
             self.env.process(self._finish_pod_later(pod, results), name=f"pod-{pod.metadata.name}")
 
@@ -373,13 +371,13 @@ class Kubelet:
             self.api.update("Node", self.k8s_node)
         self.api.update("Pod", pod)
         self._active_pods.pop(pod.metadata.uid, None)
-        if _trace.tracer.enabled:
-            _trace.tracer.instant(
+        if run.tracer.enabled:
+            run.tracer.instant(
                 "k8s.pod.failed", pod=pod.metadata.name, node=self.node_name,
                 reason=reason,
             )
-        if _metrics.registry.enabled:
-            _metrics.registry.inc_series(self._series_keys()[3])
+        if run.metrics.enabled:
+            run.metrics.inc_series(self._series_keys()[3])
 
     def _finish_pod_later(self, pod: Pod, results: list):
         assert pod.spec.duration is not None
@@ -396,11 +394,11 @@ class Kubelet:
         self.api.update("Pod", pod)
         self.stats["pods_finished"] += 1
         self._active_pods.pop(pod.metadata.uid, None)
-        _trace.tracer.instant(
+        run.tracer.instant(
             "k8s.pod.finished", pod=pod.metadata.name, node=self.node_name
         )
-        if _metrics.registry.enabled:
-            _metrics.registry.inc_series(self._series_keys()[4])
+        if run.metrics.enabled:
+            run.metrics.inc_series(self._series_keys()[4])
 
     def _series_keys(self) -> tuple:
         """Interned per-node metric keys (built once, on first enabled
@@ -408,7 +406,7 @@ class Kubelet:
         dict re-sorted per event is measurable at 1k nodes."""
         keys = self._metric_keys
         if keys is None:
-            reg = _metrics.registry
+            reg = run.metrics
             keys = self._metric_keys = (
                 reg.series_key("k8s.kubelet.sync_loops", node=self.node_name),
                 reg.series_key("k8s.pods_started", node=self.node_name),

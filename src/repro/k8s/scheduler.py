@@ -19,10 +19,8 @@ import typing as _t
 
 from repro.k8s.apiserver import APIServer, WatchEvent, WatchEventType
 from repro.k8s.objects import K8sNode, Pod, PodPhase
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.run import run
 from repro.sim import Environment, Signal
-from repro.sim import profile as _profile
 
 #: rejected-candidate pops beyond which a pick counts as a linear
 #: fallback (the index stopped short-circuiting for this query)
@@ -72,7 +70,7 @@ class K8sScheduler:
             ):
                 self._pending_uids.add(pod.metadata.uid)
                 self._pending.append(pod)
-                counters = _profile.counters
+                counters = run.counters
                 if counters.enabled and len(self._pending) > counters.sched_pending_peak:
                     counters.sched_pending_peak = len(self._pending)
             self._ring()
@@ -116,11 +114,11 @@ class K8sScheduler:
     # -- one pass ------------------------------------------------------------------
     def _schedule_pass(self) -> None:
         bound = self._bind_pending()
-        if _trace.tracer.enabled:
+        if run.tracer.enabled:
             # The pass's think time elapsed just before this call (the
             # loop sleeps pass_latency, then decides) — replay it as one
             # slice so binds sit at the slice's end on the timeline.
-            _trace.tracer.complete_at(
+            run.tracer.complete_at(
                 "k8s.schedule_pass",
                 self.env.now - self.pass_latency,
                 self.pass_latency,
@@ -161,26 +159,26 @@ class K8sScheduler:
         self.api.update("Pod", pod)
         self.api.update("Node", target)
         self.stats["scheduled"] += 1
-        _trace.tracer.instant(
+        run.tracer.instant(
             "k8s.bind", pod=pod.metadata.name, node=target.metadata.name
         )
-        if _metrics.registry.enabled:
+        if run.metrics.enabled:
             name = target.metadata.name
             key = self._bind_keys.get(name)
             if key is None:
-                key = self._bind_keys[name] = _metrics.registry.series_key(
+                key = self._bind_keys[name] = run.metrics.series_key(
                     "k8s.scheduler.binds", node=name
                 )
-            _metrics.registry.inc_series(key)
+            run.metrics.inc_series(key)
 
     def _count_unschedulable(self) -> None:
         self.stats["unschedulable_events"] += 1
-        if _metrics.registry.enabled:
+        if run.metrics.enabled:
             if self._unsched_key is None:
-                self._unsched_key = _metrics.registry.series_key(
+                self._unsched_key = run.metrics.series_key(
                     "k8s.scheduler.unschedulable"
                 )
-            _metrics.registry.inc_series(self._unsched_key)
+            run.metrics.inc_series(self._unsched_key)
 
     # -- node picking --------------------------------------------------------------
     def _pick_node(self, pod: Pod, failed_keys: set[tuple]) -> K8sNode | None:
@@ -226,7 +224,7 @@ class K8sScheduler:
         # The winner's entry is not pushed back: the caller's claim +
         # Node update re-enters _on_node_index_event, which pushes the
         # fresh (ratio, name, seq+1) entry.
-        counters = _profile.counters
+        counters = run.counters
         if counters.enabled:
             if len(rejected) > _FALLBACK_POPS:
                 counters.sched_linear_fallbacks += 1

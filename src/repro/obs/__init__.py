@@ -19,6 +19,9 @@ Four cooperating instruments over the whole stack:
   evaluated over the sampled series, emitting deterministic fire/resolve
   alerts and a :class:`~repro.obs.slo.ScorecardReport`.
 
+The registry, tracer and recorder a run writes into are parts of the
+current :class:`~repro.run.Run`; an :func:`~repro.run.observing` session
+installs a fresh set, armed as its :class:`~repro.run.ObsConfig` selects.
 All are zero-cost while disabled — every instrumentation point in the
 simulator pays one predicate check — and fully deterministic when
 enabled: timestamps and values are virtual-time quantities, so repeated
@@ -26,16 +29,15 @@ runs export byte-identical artifacts.
 
 Quick use::
 
-    from repro.obs import trace, metrics, timeseries, slo
+    from repro.obs import slo, trace
+    from repro.run import ObsConfig, observing
 
-    trace.enable()
-    metrics.enable()
-    timeseries.enable(interval=5.0)
-    ...  # run a scenario / engine sweep (install a sampler, or let the
-    ...  # fleet engine tick inline)
-    trace.export_json("trace.json")       # open in https://ui.perfetto.dev
-    print(metrics.registry.render_table())
-    evaluation = slo.evaluate(slo.default_chaos_rules(), timeseries.recorder, end_time)
+    with observing(ObsConfig(metrics=True, trace=True, timeseries=5.0)) as run:
+        ...  # run a scenario / engine sweep (install a sampler, or let the
+        ...  # fleet engine tick inline)
+        trace.export_json("trace.json")   # open in https://ui.perfetto.dev
+        print(run.metrics.render_table())
+        evaluation = slo.evaluate(slo.default_chaos_rules(), run.recorder, end_time)
 
 or, from the command line::
 
@@ -46,7 +48,7 @@ or, from the command line::
 
 from repro.obs import metrics, slo, timeseries, trace
 from repro.obs.export import to_chrome_json, validate_chrome_trace
-from repro.obs.metrics import MetricsRegistry, registry, to_openmetrics
+from repro.obs.metrics import MetricsRegistry, to_openmetrics
 from repro.obs.slo import (
     AlertEvent,
     BreachWindow,
@@ -57,8 +59,8 @@ from repro.obs.slo import (
     detection_latencies,
     evaluate,
 )
-from repro.obs.timeseries import TimeSeriesRecorder, install_sampler, recorder
-from repro.obs.trace import Tracer, tracer
+from repro.obs.timeseries import TimeSeriesRecorder, install_sampler
+from repro.obs.trace import Tracer
 
 __all__ = [
     "AlertEvent",
@@ -74,13 +76,10 @@ __all__ = [
     "evaluate",
     "install_sampler",
     "metrics",
-    "recorder",
-    "registry",
     "slo",
     "timeseries",
     "to_chrome_json",
     "to_openmetrics",
     "trace",
-    "tracer",
     "validate_chrome_trace",
 ]

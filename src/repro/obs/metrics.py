@@ -8,9 +8,9 @@ instead of one global integer — while keeping the same operating rules:
   one predicate check against :attr:`MetricsRegistry.enabled`; hot call
   sites additionally guard with the same check before building label
   dicts;
-- **global**: one process-wide registry aggregates across environments,
-  nodes, and engines, so a sweep that builds many of each still gets one
-  roll-up;
+- **one per run**: the current run's registry (``repro.run.run.metrics``)
+  aggregates across environments, nodes, and engines, so a sweep that
+  builds many of each still gets one roll-up;
 - **deterministic**: values are pure functions of simulated behaviour
   (virtual-time costs, counts, bytes) — snapshots of the same run are
   identical.
@@ -19,9 +19,9 @@ The old ``repro.sim.profile`` counters stay the mechanism of record for
 the per-event simulator hot path (they are plain attribute increments —
 a dict-keyed labeled counter would measurably slow ``step()``), and are
 **subsumed behind a compatibility bridge**: :meth:`snapshot` and
-:meth:`render_table` fold them in as ``sim.<counter>`` series, and
-:func:`enable`/:func:`disable` forward to ``profile.enable``/
-``profile.disable`` (nesting-safely) so one switch arms the whole stack.
+:meth:`render_table` fold the current run's counters in as
+``sim.<counter>`` series.  An :func:`~repro.run.observing` session arms
+the registry (``ObsConfig(metrics=True)``) and the counters together.
 
 Histograms use *fixed* bucket boundaries chosen at first observation (or
 passed explicitly), so merged snapshots are always bucket-compatible.
@@ -115,7 +115,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """The process-wide labeled metrics store."""
+    """One run's labeled metrics store."""
 
     def __init__(self) -> None:
         self.enabled = False
@@ -124,13 +124,6 @@ class MetricsRegistry:
         self._histograms: dict[_SeriesKey, Histogram] = {}
         #: metric name -> fixed bucket bounds (set at first observation)
         self._hist_buckets: dict[str, tuple[float, ...]] = {}
-
-    # -- lifecycle ----------------------------------------------------------
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._hist_buckets.clear()
 
     # -- state transfer (shard runner) ---------------------------------------
     def capture_state(self) -> dict[str, object]:
@@ -151,22 +144,18 @@ class MetricsRegistry:
             "hist_buckets": dict(self._hist_buckets),
         }
 
-    def install_state(self, state: dict[str, object], merge: bool = False) -> None:
-        """Load a :meth:`capture_state` blob back into the registry.
-
-        With ``merge=False`` the registry is replaced wholesale.  With
-        ``merge=True`` the blob is *folded in* under the shard-merge
-        rules: counters and histogram bucket counts add, gauges take the
-        incoming value (last writer wins — callers merge cells in
-        deterministic cell-index order, never completion order), and
-        histogram bucket bounds must agree (they are fixed per metric
-        name precisely so merged snapshots stay bucket-compatible).
+    def absorb(self, state: dict[str, object]) -> None:
+        """Fold another registry's :meth:`capture_state` blob in under
+        the shard-merge rules: counters and histogram bucket counts add,
+        gauges take the incoming value (last writer wins — callers merge
+        cells in deterministic cell-index order, never completion
+        order), and histogram bucket bounds must agree (they are fixed
+        per metric name precisely so merged snapshots stay
+        bucket-compatible).
         """
-        if not merge:
-            self.reset()
         counters = _t.cast(dict, state["counters"])
         for key, value in counters.items():
-            self._counters[key] = self._counters.get(key, 0.0) + value if merge else value
+            self._counters[key] = self._counters.get(key, 0.0) + value
         gauges = _t.cast(dict, state["gauges"])
         self._gauges.update(gauges)
         for name, bounds in _t.cast(dict, state["hist_buckets"]).items():
@@ -178,7 +167,7 @@ class MetricsRegistry:
                 )
         for key, (buckets, counts, total, count) in _t.cast(dict, state["histograms"]).items():
             hist = self._histograms.get(key)
-            if hist is None or not merge:
+            if hist is None:
                 hist = self._histograms[key] = Histogram(tuple(buckets))
             if tuple(hist.buckets) != tuple(buckets):
                 raise ValueError(
@@ -285,8 +274,8 @@ class MetricsRegistry:
     def snapshot(self, include_sim: bool = True) -> dict[str, object]:
         """A plain, JSON-ready dict of every series.
 
-        With ``include_sim`` the flat :mod:`repro.sim.profile` counters
-        are bridged in as ``sim.<name>`` counter series (the
+        With ``include_sim`` the current run's :mod:`repro.sim.profile`
+        counters are bridged in as ``sim.<name>`` counter series (the
         compatibility shim over the pre-obs counter block).
         """
         out: dict[str, object] = {}
@@ -297,9 +286,9 @@ class MetricsRegistry:
         for (name, labels), hist in sorted(self._histograms.items()):
             out[format_series(name, labels)] = hist.snapshot()
         if include_sim:
-            from repro.sim import profile as _profile
+            from repro.run import run
 
-            for cname, cvalue in _profile.counters.snapshot().items():
+            for cname, cvalue in run.counters.snapshot().items():
                 out[f"sim.{cname}"] = cvalue
         return out
 
@@ -323,53 +312,6 @@ class MetricsRegistry:
             f"counters={len(self._counters)} gauges={len(self._gauges)} "
             f"histograms={len(self._histograms)}>"
         )
-
-
-#: The global registry every instrumentation point feeds.
-registry = MetricsRegistry()
-
-
-def enable(reset: bool = True, sim_counters: bool = True) -> MetricsRegistry:
-    """Arm the registry (and, by default, the sim-core profile counters
-    through their nesting-safe ``enable``)."""
-    if reset:
-        registry.reset()
-    registry.enabled = True
-    if sim_counters:
-        from repro.sim import profile as _profile
-
-        _profile.enable(reset=reset)
-    return registry
-
-
-def disable(sim_counters: bool = True) -> MetricsRegistry:
-    registry.enabled = False
-    if sim_counters:
-        from repro.sim import profile as _profile
-
-        _profile.disable()
-    return registry
-
-
-def reset() -> None:
-    registry.reset()
-
-
-def inc(name: str, value: float = 1.0, **labels: object) -> None:
-    registry.inc(name, value, **labels)
-
-
-def set_gauge(name: str, value: float, **labels: object) -> None:
-    registry.set_gauge(name, value, **labels)
-
-
-def observe(
-    name: str,
-    value: float,
-    buckets: tuple[float, ...] | None = None,
-    **labels: object,
-) -> None:
-    registry.observe(name, value, buckets=buckets, **labels)
 
 
 # -- OpenMetrics-style text exposition ---------------------------------------
@@ -400,10 +342,13 @@ def to_openmetrics(reg: MetricsRegistry | None = None, include_sim: bool = True)
     conventional ``_total`` suffix, and histograms expose cumulative
     ``le``-labeled buckets plus ``_sum``/``_count`` — close enough to the
     wire format that standard dashboards parse it, while staying a pure
-    deterministic function of the run.  With ``include_sim`` the flat
+    deterministic function of the run.  ``reg`` defaults to the current
+    run's registry.  With ``include_sim`` the current run's
     :mod:`repro.sim.profile` counters are bridged in as ``sim_*``.
     """
-    reg = registry if reg is None else reg
+    from repro.run import run
+
+    reg = run.metrics if reg is None else reg
     lines: list[str] = []
     by_name: dict[str, list[tuple[_LabelKey, float]]] = {}
     for (name, labels), value in reg._counters.items():
@@ -439,9 +384,7 @@ def to_openmetrics(reg: MetricsRegistry | None = None, include_sim: bool = True)
             lines.append(f"{om}_sum{_om_labels(labels)} {_om_value(hist.total)}")
             lines.append(f"{om}_count{_om_labels(labels)} {hist.count}")
     if include_sim:
-        from repro.sim import profile as _profile
-
-        for cname, cvalue in _profile.counters.snapshot().items():
+        for cname, cvalue in run.counters.snapshot().items():
             om = _om_name(f"sim.{cname}")
             lines.append(f"# TYPE {om} counter")
             lines.append(f"{om}_total {_om_value(float(cvalue))}")

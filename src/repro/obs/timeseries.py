@@ -6,7 +6,7 @@ pull latency degrade *during* the outage window?" need the axis the
 registry deliberately drops: virtual time.  This module adds it without
 touching the per-event hot path:
 
-- a process-wide :class:`TimeSeriesRecorder` holds a ring buffer of
+- a :class:`TimeSeriesRecorder` holds a ring buffer of
   ``(t, value)`` points per ``name{label=}`` series;
 - a **sampler** visits the recorder at a fixed virtual-time interval and
   turns the registry's current state into points — gauges verbatim,
@@ -28,11 +28,11 @@ as they would without it.
 Sample timestamps are snapped to the grid (``floor(now/interval) *
 interval``), so a cell sampled inline at irregular epoch times and a
 cell sampled by the process land points on the same time axis.  Like the
-registry, the recorder is **global, off by default, and shard-mergeable**:
-:meth:`capture_state` / :meth:`install_state` mirror the registry's
-contract, and ``merge=True`` concatenates per-series points in the order
-cells are merged (deterministic cell-index order), keeping ``--jobs N``
-byte-identical to serial.
+registry, the recorder is **one per run** (``repro.run.run.recorder``),
+**off by default, and shard-mergeable**: :meth:`capture_state` /
+:meth:`absorb` mirror the registry's contract, concatenating per-series
+points in the order cells are merged (deterministic cell-index order),
+keeping ``--jobs N`` byte-identical to serial.
 """
 
 from __future__ import annotations
@@ -256,25 +256,19 @@ class TimeSeriesRecorder:
         """
         return {
             "interval": self.interval,
-            "capacity": self.capacity,
             "samples": self.samples,
             "points": {key: list(pts) for key, pts in self._points.items()},
         }
 
-    def install_state(self, state: dict[str, object], merge: bool = False) -> None:
-        """Load a :meth:`capture_state` blob back into the recorder.
-
-        With ``merge=False`` the recorder is replaced wholesale (interval
-        and capacity restored from the blob).  With ``merge=True`` each
-        series' points are *appended* in blob order — callers merge cells
-        in deterministic cell-index order, so the combined rings (and any
-        export of them) are identical whether cells ran serially or
-        across N workers.
+    def absorb(self, state: dict[str, object]) -> None:
+        """Fold another recorder's :meth:`capture_state` blob in: each
+        series' points are *appended* in blob order, and the blob's
+        sampling interval is adopted (the points sit on its grid).
+        Callers merge cells in deterministic cell-index order, so the
+        combined rings (and any export of them) are identical whether
+        cells ran serially or across N workers.
         """
-        if not merge:
-            self.reset()
-            self.interval = _t.cast(float, state["interval"])
-            self.capacity = _t.cast(int, state["capacity"])
+        self.interval = _t.cast(float, state["interval"])
         self.samples += _t.cast(int, state["samples"])
         for key, pts in _t.cast(dict, state["points"]).items():
             ring = self._points.get(key)
@@ -290,24 +284,21 @@ class TimeSeriesRecorder:
         )
 
 
-#: The process-wide recorder (mirrors ``metrics.registry`` / ``trace.tracer``).
-recorder = TimeSeriesRecorder()
+def __getattr__(name: str):
+    # ``timeseries.recorder``: the current run's recorder, for callers
+    # outside ``src`` (instrumentation sites read ``repro.run.run.recorder``)
+    if name == "recorder":
+        from repro.run import run
 
-
-def enable(
-    interval: float = DEFAULT_INTERVAL,
-    capacity: int = DEFAULT_CAPACITY,
-    reset: bool = True,
-) -> TimeSeriesRecorder:
-    return recorder.enable(interval=interval, capacity=capacity, reset=reset)
+        return run.recorder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def disable() -> TimeSeriesRecorder:
-    return recorder.disable()
+    """Stop the current run's recorder; its points stay readable."""
+    from repro.run import run
 
-
-def reset() -> None:
-    recorder.reset()
+    return run.recorder.disable()
 
 
 def install_sampler(
@@ -319,10 +310,12 @@ def install_sampler(
     returns as soon as it is the only work left in the environment —
     so it never keeps ``env.run()`` spinning past the scenario's real
     end, and ``env.run(until=event)`` still sees the queue drain when
-    the scenario deadlocks.  Returns the process (or ``None`` when the
-    recorder is disabled).
+    the scenario deadlocks.  Samples the current run's recorder; returns
+    the process (or ``None`` when that recorder is disabled).
     """
-    rec = recorder
+    from repro.run import run
+
+    rec = run.recorder
     if not rec.enabled:
         return None
 

@@ -2,8 +2,9 @@
 
 Records where virtual time goes — engine startup phases, filesystem IO
 bursts, scheduler passes, registry transfers — as Chrome/Perfetto trace
-events.  Three event styles map onto the three shapes of timed work in
-this repository:
+events.  Instrumentation sites record into the current run's tracer,
+``repro.run.run.tracer``.  Three event styles map onto the three shapes
+of timed work in this repository:
 
 ``span(name, **labels)``
     A context manager for code that *advances the virtual clock while it
@@ -33,8 +34,8 @@ recording helper starts with one predicate check against
 building any label dict.  Timestamps are *virtual* seconds (exported as
 microseconds), so an exported trace is fully deterministic: two runs of
 the same scenario produce byte-identical JSON.  Wall-clock deltas (for
-profiling the simulator itself) are recorded only when
-``enable(wall_clock=True)`` — they are deliberately excluded from the
+profiling the simulator itself) are recorded only under
+``ObsConfig(trace_wall=True)`` — they are deliberately excluded from the
 deterministic default.
 
 Clock sources: an :class:`~repro.sim.environment.Environment` created
@@ -135,26 +136,6 @@ class Tracer:
         self._next_tid = 1
 
     # -- lifecycle ----------------------------------------------------------
-    def enable(self, wall_clock: bool = False, reset: bool = True) -> "Tracer":
-        if reset:
-            self.reset()
-        self.enabled = True
-        self.wall_clock = wall_clock
-        return self
-
-    def disable(self) -> "Tracer":
-        self.enabled = False
-        return self
-
-    def reset(self) -> None:
-        self._events.clear()
-        self._env = None
-        self._synthetic = 0.0
-        self._tids.clear()
-        self._thread_names = {MAIN_TID: "main"}
-        self._pinned.clear()
-        self._next_tid = 1
-
     def attach(self, env: "Environment") -> None:
         """Adopt ``env``'s virtual clock and active-process tracking.
 
@@ -237,8 +218,7 @@ class Tracer:
 
     # -- state transfer (shard runner) ---------------------------------------
     def capture_state(self) -> dict[str, object]:
-        """A picklable copy of the recorded events, thread names, tid
-        cursor and wall-clock flag.
+        """A picklable copy of the recorded events and thread names.
 
         Event tuples carry only strings, numbers and plain dicts, so the
         blob crosses a ``multiprocessing`` boundary unchanged; the
@@ -248,19 +228,7 @@ class Tracer:
         return {
             "events": list(self._events),
             "thread_names": dict(self._thread_names),
-            "next_tid": self._next_tid,
-            "wall_clock": self.wall_clock,
         }
-
-    def install_state(self, state: dict[str, object]) -> None:
-        """Replace the tracer's rows with a :meth:`capture_state` blob,
-        restoring its tid cursor and wall-clock flag.  (To fold another
-        shard's rows in on top instead, use :meth:`absorb`.)"""
-        self.reset()
-        self._events.extend(_t.cast(list, state["events"]))
-        self._thread_names.update(_t.cast(dict, state["thread_names"]))
-        self._next_tid = _t.cast(int, state["next_tid"])
-        self.wall_clock = _t.cast(bool, state["wall_clock"])
 
     def absorb(self, state: dict[str, object], label: str | None = None) -> None:
         """Adopt another shard's :meth:`capture_state` blob.
@@ -307,54 +275,13 @@ class Tracer:
         return f"<Tracer {state} events={len(self._events)} tids={len(self._tids)}>"
 
 
-#: The process-wide tracer every instrumentation point feeds.
-tracer = Tracer()
-
-
-# -- module-level convenience (what instrumentation sites import) -----------
-
-def enable(wall_clock: bool = False, reset: bool = True) -> Tracer:
-    """Start tracing (resetting by default); returns the tracer."""
-    return tracer.enable(wall_clock=wall_clock, reset=reset)
-
-
-def disable() -> Tracer:
-    """Stop tracing; recorded events stay exportable."""
-    return tracer.disable()
-
-
-def reset() -> None:
-    tracer.reset()
-
-
-def span(name: str, **labels: object):
-    """``with trace.span("engine.run", engine="sarus"): ...`` — no-op
-    (one predicate check, shared null object) while tracing is off."""
-    return tracer.span(name, **labels)
-
-
-def complete(name: str, duration: float, **labels: object) -> None:
-    tracer.complete(name, duration, **labels)
-
-
-def complete_at(name: str, start: float, duration: float, **labels: object) -> None:
-    tracer.complete_at(name, start, duration, **labels)
-
-
-def instant(name: str, **labels: object) -> None:
-    tracer.instant(name, **labels)
-
-
-def instant_at(name: str, ts: float, **labels: object) -> None:
-    tracer.instant_at(name, ts, **labels)
-
-
 def export_json(path: str | None = None, indent: int | None = None) -> str:
-    """Export the recorded events as Chrome trace JSON (see
+    """Export the current run's events as Chrome trace JSON (see
     :func:`repro.obs.export.to_chrome_json`)."""
     from repro.obs.export import to_chrome_json
+    from repro.run import run
 
-    text = to_chrome_json(tracer, indent=indent)
+    text = to_chrome_json(run.tracer, indent=indent)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

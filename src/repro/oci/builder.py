@@ -21,7 +21,7 @@ from repro.oci.image import ImageConfig, OCIImage
 from repro.oci.layer import Layer, diff_trees
 from repro.oci.shell import run_commands
 from repro.oci.sif import SIFImage
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.world import replay_prefix
 
 
@@ -134,7 +134,7 @@ class Builder:
                 dict(self.last_build_stats),
             ),
         )
-        counters = _profile.counters
+        counters = run.counters
         if replayed and counters.enabled:
             counters.warm_replays += 1
         self.last_build_stats = dict(stats)

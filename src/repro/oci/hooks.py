@@ -12,7 +12,8 @@ import dataclasses
 import enum
 import typing as _t
 
-from repro.faults.injector import injector as _faults
+from repro.run import run
+
 
 
 class HookPoint(enum.Enum):
@@ -90,8 +91,8 @@ class HookRegistry:
         engines' cleanup guarantee relies on teardown never raising.
         """
         for hook in self._hooks[point]:
-            if _faults.enabled and point is not HookPoint.POSTSTOP:
-                fault = _faults.active("engine.hooks", target=hook.name)
+            if run.faults.enabled and point is not HookPoint.POSTSTOP:
+                fault = run.faults.active("engine.hooks", target=hook.name)
                 if fault is not None:
                     raise HookError(
                         f"hook {hook.name!r} failed: injected fault"

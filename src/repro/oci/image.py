@@ -10,7 +10,7 @@ import typing as _t
 from repro.fs.tree import FileTree
 from repro.oci.digest import digest_str
 from repro.oci.layer import Layer
-from repro.sim import profile as _profile
+from repro.run import run
 
 
 @dataclasses.dataclass
@@ -116,7 +116,7 @@ class OCIImage:
                 layer.apply_to(tree)
             self._flat = tree
         else:
-            counters = _profile.counters
+            counters = run.counters
             if counters.enabled:
                 counters.flatten_cache_hits += 1
         return self._flat.clone()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.fs.images import DEFAULT_COMPRESSION_RATIO, PACK_BANDWIDTH, SquashImage, pack_squash
 from repro.fs.tree import FileTree
 from repro.oci.image import OCIImage
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.world import world
 
 #: layer extraction throughput (untar + decompress), bytes/second
@@ -29,7 +29,7 @@ EXTRACT_BANDWIDTH = 450e6
 
 
 def _count_flatten_hit() -> None:
-    counters = _profile.counters
+    counters = run.counters
     if counters.enabled:
         counters.flatten_cache_hits += 1
 

@@ -14,16 +14,14 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from repro.faults.injector import injector as _faults
 from repro.faults.plan import FaultKind
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.oci.image import ImageConfig, Manifest, OCIImage
 from repro.oci.layer import Layer
 from repro.registry.auth import AuthService
 from repro.registry.quota import QuotaManager
 from repro.registry.ratelimit import RateLimiter
 from repro.registry.storage import BlobStore, FSBlobStore
+from repro.run import run
 
 
 class RegistryError(RuntimeError):
@@ -208,13 +206,13 @@ class OCIDistributionRegistry:
         self._tags.setdefault(repository, {})[tag] = image.digest
         cost += self.transport.request_cost(1024)  # manifest PUT
         self.stats["pushes"] += 1
-        if _trace.tracer.enabled:
-            _trace.complete(
+        if run.tracer.enabled:
+            run.tracer.complete(
                 "registry.push", cost, registry=self.name, ref=f"{repository}:{tag}"
             )
-        if _metrics.registry.enabled:
-            _metrics.inc("registry.pushes", registry=self.name)
-            _metrics.inc("registry.bytes", new_bytes, registry=self.name, op="push")
+        if run.metrics.enabled:
+            run.metrics.inc("registry.pushes", registry=self.name)
+            run.metrics.inc("registry.bytes", new_bytes, registry=self.name, op="push")
         return cost
 
     # -- pull ----------------------------------------------------------------------------
@@ -259,8 +257,8 @@ class OCIDistributionRegistry:
         self._authorize(token, "pull")
         self._rate_check(ip, now)
         slow_factor = 1.0
-        if _faults.enabled:
-            fault = _faults.active("registry.pull", at=now, target=self.name)
+        if run.faults.enabled:
+            fault = run.faults.active("registry.pull", at=now, target=self.name)
             if fault is not None:
                 if fault.kind is FaultKind.REGISTRY_429:
                     raise RegistryRateLimited(
@@ -292,18 +290,18 @@ class OCIDistributionRegistry:
                 transferred += blob.size
         cost *= slow_factor
         self.stats["pulls"] += 1
-        if _trace.tracer.enabled:
-            _trace.complete(
+        if run.tracer.enabled:
+            run.tracer.complete(
                 "registry.pull",
                 cost,
                 registry=self.name,
                 ref=f"{repository}:{tag}",
                 bytes=transferred,
             )
-        if _metrics.registry.enabled:
-            _metrics.inc("registry.pulls", registry=self.name)
-            _metrics.inc("registry.bytes", transferred, registry=self.name, op="pull")
-            _metrics.observe("registry.pull_seconds", cost, registry=self.name)
+        if run.metrics.enabled:
+            run.metrics.inc("registry.pulls", registry=self.name)
+            run.metrics.inc("registry.bytes", transferred, registry=self.name, op="pull")
+            run.metrics.observe("registry.pull_seconds", cost, registry=self.name)
         image = self._pull_cache.get(digest)
         if image is None:
             image = self._pull_cache[digest] = OCIImage(config, layers)

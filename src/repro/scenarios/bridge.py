@@ -94,7 +94,7 @@ class BridgeOperatorScenario(IntegrationScenario):
             job_state.unpark(token)
         if waited:
             epoch, skipped = next_tick(epoch, 0.5, self.env.now)
-            count_skipped_ticks(skipped + 1)
+            count_skipped_ticks(self.env, skipped + 1)
         pod.phase = PodPhase.RUNNING
         pod.start_time = job.start_time
         waited = False
@@ -105,7 +105,7 @@ class BridgeOperatorScenario(IntegrationScenario):
             job_state.unpark(token)
         if waited:
             _, skipped = next_tick(epoch, 1.0, self.env.now)
-            count_skipped_ticks(skipped + 1)
+            count_skipped_ticks(self.env, skipped + 1)
         pod.end_time = job.end_time
         pod.phase = PodPhase.SUCCEEDED if job.exit_code == 0 else PodPhase.FAILED
 

@@ -36,8 +36,8 @@ from repro.k8s.objects import (
     ResourceRequests,
 )
 from repro.k8s.apiserver import WatchEvent, WatchEventType
-from repro.obs import metrics as _metrics
 from repro.obs import timeseries as _timeseries
+from repro.run import run
 from repro.scenarios.kubelet_in_allocation import KubeletInAllocationScenario
 from repro.sim import Environment
 from repro.workload.fleet import FleetConfig, ImageCatalog, generate_shard_trace
@@ -117,10 +117,10 @@ class FleetReplayScenario:
     # -- the run -------------------------------------------------------------
     def run(self) -> FleetReplayShardResult:
         env = self.env
-        rec = _timeseries.recorder
+        rec = run.recorder
         if rec.enabled:
             rec.add_probe(self._sample_timeseries)
-            registry = _metrics.registry if _metrics.registry.enabled else None
+            registry = run.metrics if run.metrics.enabled else None
             _timeseries.install_sampler(env, registry)
         ready = self.scenario.provision()
         env.run(until=ready)
@@ -144,7 +144,7 @@ class FleetReplayScenario:
 
     def _sample_timeseries(self, t: float) -> None:
         """Probe: per-shard replay state the registry never sees."""
-        rec = _timeseries.recorder
+        rec = run.recorder
         shard = f"s{self.shard}"
         res = self.result
         rec.record("replay.inflight", t, float(len(self._live_uids)), shard=shard)
@@ -266,7 +266,6 @@ def run_replay_shard(
     don't name the replay sub-cluster's WLM nodes, so delivering them
     would be a silent no-op pretending to be coverage.
     """
-    from repro.faults.injector import injector as _faults
     from repro.faults.plan import PUSH_KINDS, FaultPlan
 
     env = Environment()
@@ -275,12 +274,12 @@ def run_replay_shard(
         pull_plan = FaultPlan(
             [e for e in plan if e.kind not in PUSH_KINDS], seed=plan.seed
         )
-        _faults.arm(pull_plan, env)
+        run.faults.arm(pull_plan, env)
     try:
         return FleetReplayScenario(env, config, shard).run()
     finally:
         if plan is not None:
-            _faults.disarm()
+            run.faults.disarm()
 
 
 # -- fleet-level orchestration ------------------------------------------------
@@ -349,21 +348,15 @@ def replay_cells(config: FleetConfig, plan=None) -> list:
 
 
 def run_fleet_replay(
-    config: FleetConfig,
-    jobs: int = 1,
-    metrics: bool = False,
-    sample_interval: float | None = None,
-    plan=None,
+    config: FleetConfig, jobs: int = 1, plan=None
 ) -> FleetReplayResult:
-    """Run every shard through the shard runner and merge.  ``plan``
-    delivers a fault plan's pull windows (see :func:`run_replay_shard`)."""
-    from repro.shard import ObsConfig, run_cells
+    """Run every shard through the shard runner and merge; each shard
+    records what the current run's :class:`~repro.run.ObsConfig`
+    selects.  ``plan`` delivers a fault plan's pull windows (see
+    :func:`run_replay_shard`)."""
+    from repro.shard import run_cells
 
-    result = run_cells(
-        replay_cells(config, plan=plan),
-        jobs=jobs,
-        obs=ObsConfig(metrics=metrics, timeseries=sample_interval),
-    )
+    result = run_cells(replay_cells(config, plan=plan), jobs=jobs)
     return FleetReplayResult(config=config, shards=result.values())
 
 

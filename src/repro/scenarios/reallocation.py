@@ -108,7 +108,7 @@ class OnDemandReallocationScenario(IntegrationScenario):
         while tick < self.env.now:
             tick += 10.0
             skipped += 1
-        count_skipped_ticks(skipped)
+        count_skipped_ticks(self.env, skipped)
         yield self.env.timeout_until(tick)
         yield self.env.timeout(self.return_after_idle)
         for name in names:

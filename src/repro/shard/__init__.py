@@ -9,6 +9,7 @@ for the work units, and :mod:`repro.shard.runner` for the
 execution/merge engine.
 """
 
+from repro.run import ObsConfig, observing
 from repro.shard.cells import (
     ChaosCell,
     FleetCell,
@@ -21,11 +22,9 @@ from repro.shard.cells import (
 )
 from repro.shard.runner import (
     CellResult,
-    ObsConfig,
     ShardResult,
     default_start_method,
     merge_profiles,
-    observing,
     run_cells,
 )
 from repro.shard.state import WarmSnapshot, warm_scenario_prefix

@@ -25,7 +25,7 @@ import dataclasses
 import pickle
 import typing as _t
 
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.world import WorldState
 
 
@@ -91,7 +91,7 @@ class WarmSnapshot:
         ``warm_replays`` profile event).
         """
         self.world.install()
-        counters = _profile.counters
+        counters = run.counters
         if counters.enabled:
             counters.snapshot_forks += 1
 

@@ -28,9 +28,7 @@ import typing as _t
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.obs.trace import tracer as _tracer
 from repro.sim.events import Event, Interrupt, SimulationError, Timeout
-from repro.sim.profile import counters as _counters
 
 ProcessGenerator = _t.Generator[Event, object, object]
 
@@ -72,11 +70,15 @@ class Environment:
         self._immediate: deque[tuple[int, Event | _Resume]] = deque()
         self._counter = itertools.count()
         self._active_process: Process | None = None
-        self._profile = _counters
-        if _tracer.enabled:
+        # imported here: repro.run imports repro.sim.profile, which
+        # initializes this package first
+        from repro.run import run
+
+        self._profile = run.counters
+        if run.tracer.enabled:
             # Adopt this environment's virtual clock and active-process
             # tracking for span timestamps/thread rows (last env wins).
-            _tracer.attach(self)
+            run.tracer.attach(self)
 
     @property
     def now(self) -> float:

@@ -60,10 +60,12 @@ independent of wall-clock noise:
 - ``sched_pending_peak``: high-water mark of the k8s scheduler's
   pending-pod queue (the control-plane backlog number).
 
-Counters are global (aggregated across all :class:`Environment` instances)
-so a benchmark that builds many environments still gets one roll-up.
-Counting is **off by default** — the hot path pays only a single boolean
-check per event — and is switched on explicitly::
+The block belongs to the current run (:data:`repro.run.run`), aggregated
+across all :class:`Environment` instances, so a benchmark that builds
+many environments still gets one roll-up; each ``Environment`` binds the
+block once, at construction.  Counting is **off by default** outside an
+:func:`~repro.run.observing` session — the hot path pays only a single
+boolean check per event — and is switched on explicitly::
 
     from repro.sim import profile
     profile.enable()      # resets and starts counting
@@ -141,14 +143,6 @@ class SimCounters:
         """
         return {field: getattr(self, field) - baseline.get(field, 0) for field in _FIELDS}
 
-    #: the shard runner's state-transfer name for :meth:`snapshot`
-    capture_state = snapshot
-
-    def install_state(self, state: dict[str, int]) -> None:
-        """Load a :meth:`snapshot` back, replacing the values wholesale."""
-        self.reset()
-        self.merge(state)
-
     def merge(self, snap: dict[str, int]) -> None:
         """Fold another block's :meth:`snapshot` into this one.
 
@@ -172,48 +166,30 @@ class SimCounters:
         return f"SimCounters({body})"
 
 
-#: The global counter block every Environment feeds.
-counters = SimCounters()
+def __getattr__(name: str):
+    # ``profile.counters``: the current run's block, for callers outside
+    # ``src`` (instrumentation sites read ``repro.run.run.counters``)
+    if name == "counters":
+        from repro.run import run
 
-#: enable()/disable() nesting depth — counting stays on until the
-#: outermost enable is balanced by its disable.
-_depth = 0
+        return run.counters
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def enable(reset: bool = True) -> SimCounters:
-    """Start counting; returns the block.
+    """Start counting into the current run's block (zeroed first by
+    default); returns the block."""
+    from repro.run import run
 
-    Re-entrancy-safe: calls nest.  Only the *outermost* ``enable`` may
-    reset the counters (``reset=True``, the default); a nested enable —
-    e.g. a benchmark harness running inside an already-profiled scenario
-    — keeps counting into the same block instead of silently clobbering
-    the outer caller's totals.  Use :meth:`SimCounters.snapshot_delta`
-    to measure the inner region.  Counting turns off only when every
-    ``enable`` has been balanced by a :func:`disable`.
-    """
-    global _depth
-    if _depth == 0 and reset:
-        counters.reset()
-    _depth += 1
-    counters.enabled = True
-    return counters
+    if reset:
+        run.counters.reset()
+    run.counters.enabled = True
+    return run.counters
 
 
 def disable() -> SimCounters:
-    """Undo one :func:`enable`; counting stops at the outermost level.
+    """Stop counting; the accumulated values stay readable."""
+    from repro.run import run
 
-    Extra ``disable()`` calls (no matching enable) are no-ops, so a
-    cleanup-path ``disable`` cannot push the depth negative.  The
-    accumulated values stay readable either way.
-    """
-    global _depth
-    if _depth > 0:
-        _depth -= 1
-    if _depth == 0:
-        counters.enabled = False
-    return counters
-
-
-def enable_depth() -> int:
-    """Current enable() nesting depth (0 == counting off)."""
-    return _depth
+    run.counters.enabled = False
+    return run.counters

@@ -44,7 +44,7 @@ bit-identical even where ``epoch + k*interval`` is not.  The woken loop
 then sleeps until that boundary (``Environment.timeout_until``) and runs
 its body there, indistinguishable from a loop that never stopped
 polling — except for the thousands of idle heap events it no longer
-schedules (counted in ``profile.counters.poll_ticks_skipped``).
+schedules (counted in ``run.counters.poll_ticks_skipped``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import typing as _t
 
 from repro.sim.environment import Environment, Process
 from repro.sim.events import Event, SimulationError
-from repro.sim.profile import counters as _counters
 
 
 class _Fired:
@@ -90,10 +89,11 @@ def next_tick(epoch: float, interval: float, after: float) -> tuple[float, int]:
     return t, skipped
 
 
-def count_skipped_ticks(n: int) -> None:
-    """Record ``n`` avoided idle polls in the profiling counters."""
-    if _counters.enabled and n:
-        _counters.poll_ticks_skipped += n
+def count_skipped_ticks(env: Environment, n: int) -> None:
+    """Record ``n`` avoided idle polls in ``env``'s profiling counters."""
+    counters = env._profile
+    if counters.enabled and n:
+        counters.poll_ticks_skipped += n
 
 
 class Signal:
@@ -161,8 +161,9 @@ class Signal:
         else:
             token = self.env.timeout_until(deadline)
         self._parked[token] = process
-        if _counters.enabled:
-            _counters.parked_processes += 1
+        prof = self.env._profile
+        if prof.enabled:
+            prof.parked_processes += 1
         return token
 
     def unpark(self, token: Event) -> bool:
@@ -202,8 +203,9 @@ class Signal:
                 process._pending_resume = env._schedule_resume(process, Signal.FIRED, None)
                 woken += 1
         if woken:
-            if _counters.enabled:
-                _counters.wakeups_fired += woken
+            prof = self.env._profile
+            if prof.enabled:
+                prof.wakeups_fired += woken
         elif self.latch and not any(not ev.processed for ev in self._last_fired):
             self._pending = True
             self._pending_value = value

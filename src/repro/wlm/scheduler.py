@@ -19,8 +19,7 @@ import bisect
 import heapq
 import typing as _t
 
-from repro.obs import metrics as _metrics
-from repro.sim import profile as _profile
+from repro.run import run
 from repro.wlm.jobs import Job, JobSpec
 from repro.wlm.nodes import NodeState, WLMNode
 
@@ -191,7 +190,7 @@ class _AvailabilityIndex:
                 else:
                     rejected.append((level, (pos, seq)))
 
-        counters = _profile.counters
+        counters = run.counters
         if counters.enabled:
             if len(rejected) > _FALLBACK_POPS:
                 counters.sched_linear_fallbacks += 1
@@ -252,8 +251,8 @@ class BackfillScheduler:
                     blocked_at = self._shadow_time(job, now, calendar, index)
                     if blocked_at is None:
                         blocked_at = float("inf")
-                    if _metrics.registry.enabled:
-                        _metrics.inc("wlm.sched.head_blocked")
+                    if run.metrics.enabled:
+                        run.metrics.inc("wlm.sched.head_blocked")
                 continue
             # The head of the (remaining) queue starts now; behind a
             # blocked head, a job backfills only if it finishes before
@@ -261,9 +260,9 @@ class BackfillScheduler:
             if blocked_at is None or (
                 self.backfill and now + job.spec.time_limit <= blocked_at
             ):
-                if blocked_at is not None and _metrics.registry.enabled:
+                if blocked_at is not None and run.metrics.enabled:
                     # A start *behind* a blocked head is a backfill win.
-                    _metrics.inc("wlm.backfill.starts")
+                    run.metrics.inc("wlm.backfill.starts")
                 decisions.append((job, placement))
                 for n in placement:
                     n.allocate(job.job_id, job.spec.cores_per_node or n.total_cores)

@@ -13,11 +13,9 @@ import itertools
 import typing as _t
 
 from repro.cluster.node import HostNode
-from repro.faults.injector import injector as _faults
 from repro.kernel.cgroups import Controller
 from repro.kernel.process import SimProcess
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro.run import run
 from repro.sim import Environment, Interrupt, Signal
 from repro.wlm.accounting import AccountingDB
 from repro.wlm.jobs import Job, JobSpec, JobState, JobStep
@@ -72,8 +70,8 @@ class SlurmController:
         self._busy_integral = 0.0
         self._busy_nodes = 0
         self._last_change = env.now
-        if _faults.enabled:
-            _faults.register("wlm.node", self._on_node_fault)
+        if run.faults.enabled:
+            run.faults.register("wlm.node", self._on_node_fault)
         env.process(self._scheduler_loop(), name="slurmctld")
 
     # ------------------------------------------------------------- submission
@@ -129,21 +127,21 @@ class SlurmController:
             decisions = self.scheduler.schedule(
                 self.queue, self.nodes, self.env.now, self._calendar
             )
-            if _trace.tracer.enabled:
+            if run.tracer.enabled:
                 # The pass's think time elapsed just before the decision.
-                _trace.tracer.complete_at(
+                run.tracer.complete_at(
                     "wlm.schedule_pass",
                     self.env.now - self.sched_latency,
                     self.sched_latency,
                     queued=len(self.queue),
                     started=len(decisions),
                 )
-            if _metrics.registry.enabled:
-                _metrics.inc("wlm.schedule_passes")
-                _metrics.inc("wlm.jobs_started", len(decisions))
+            if run.metrics.enabled:
+                run.metrics.inc("wlm.schedule_passes")
+                run.metrics.inc("wlm.jobs_started", len(decisions))
             for job, placement in decisions:
                 self.queue.remove(job)
-                _trace.tracer.instant(
+                run.tracer.instant(
                     "wlm.job_start", job=job.job_id, nodes=len(placement)
                 )
                 self.env.process(self._run_job(job, placement), name=f"job-{job.job_id}")
@@ -192,7 +190,7 @@ class SlurmController:
         self._account_busy(len(placement))
 
         # Per-node setup: cgroup, user process, device grants, delegation.
-        with _trace.span("wlm.allocation_setup", job=job.job_id, nodes=len(placement)):
+        with run.tracer.span("wlm.allocation_setup", job=job.job_id, nodes=len(placement)):
             yield self.env.timeout(self.node_setup_cost)
         for node in placement:
             kernel = node.host.kernel
@@ -254,8 +252,8 @@ class SlurmController:
                 job.requeue_count += 1
             else:
                 job.preempt_count = getattr(job, "preempt_count", 0) + 1
-            if _metrics.registry.enabled:
-                _metrics.inc("wlm.job_requeues", cause=requeue_cause)
+            if run.metrics.enabled:
+                run.metrics.inc("wlm.job_requeues", cause=requeue_cause)
             if spec.on_requeue is not None:
                 spec.on_requeue(job)
             for node in placement:
@@ -274,9 +272,9 @@ class SlurmController:
 
         # Teardown.
         job.end_time = self.env.now
-        _trace.tracer.instant("wlm.job_end", job=job.job_id, state=final_state.value)
-        if _metrics.registry.enabled:
-            _metrics.inc("wlm.jobs_finished", state=final_state.value)
+        run.tracer.instant("wlm.job_end", job=job.job_id, state=final_state.value)
+        if run.metrics.enabled:
+            run.metrics.inc("wlm.jobs_finished", state=final_state.value)
         job.set_state(final_state, self.env.now)
         job.exit_code = 0 if final_state is JobState.COMPLETED else 1
         for node in placement:
@@ -351,10 +349,10 @@ class SlurmController:
         """
         node = self._named([name])[0]
         node.fail(reason)
-        if _metrics.registry.enabled:
-            _metrics.inc("wlm.node_failures", node=name)
-        if _trace.tracer.enabled:
-            _trace.tracer.instant("wlm.node_fail", node=name, reason=reason)
+        if run.metrics.enabled:
+            run.metrics.inc("wlm.node_failures", node=name)
+        if run.tracer.enabled:
+            run.tracer.instant("wlm.node_fail", node=name, reason=reason)
         for job in list(self.running.values()):
             if name not in job.allocated_nodes:
                 continue
@@ -371,8 +369,8 @@ class SlurmController:
         node = self._named([name])[0]
         if node.state is NodeState.DOWN:
             node.resume()
-            if _trace.tracer.enabled:
-                _trace.tracer.instant("wlm.node_restore", node=name)
+            if run.tracer.enabled:
+                run.tracer.instant("wlm.node_restore", node=name)
             self._ring()
 
     def _on_node_fault(self, event, phase: str) -> None:

@@ -84,18 +84,16 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from repro.cluster.capacity import CapacityIndex
-from repro.faults.injector import injector as _faults
 from repro.faults.plan import PUSH_KINDS, FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
-from repro.obs import metrics as _metrics
 from repro.obs import timeseries as _timeseries
 from repro.registry.distribution import (
     OCIDistributionRegistry,
     RegistryUnavailable,
 )
 from repro.registry.quota import QuotaManager
+from repro.run import run
 from repro.sim import Environment
-from repro.sim import profile as _profile
 from repro.sim.rng import DeterministicRNG
 from repro.workload.generators import (
     DiurnalProfile,
@@ -674,10 +672,10 @@ class FleetShardEngine:
         self.result.demand_bytes = int(
             np.asarray(self.catalog.compressed_sizes)[self._image_arr].sum()
         ) if self.n_starts else 0
-        self._rec = _timeseries.recorder
+        self._rec = run.recorder
         self._metric_keys = None
-        if _metrics.registry.enabled:
-            reg = _metrics.registry
+        if run.metrics.enabled:
+            reg = run.metrics
             self._metric_keys = [
                 (reg.series_key("fleet.starts", tenant=f"t{gid:05}"),
                  reg.series_key("fleet.cold_pulls", tenant=f"t{gid:05}"))
@@ -751,7 +749,7 @@ class FleetShardEngine:
     def _deliver_edge(self, edge: tuple[float, int, int, int, FaultEvent]) -> None:
         t, _seq, node, phase, event = edge
         if phase == 0:
-            _faults.record_push(event, t)
+            run.faults.record_push(event, t)
             self._crash_node(node, t)
         else:
             self._restore_node(node, t)
@@ -870,7 +868,7 @@ class FleetShardEngine:
         ne = len(edges)
         slot_gen = self._slot_gen
         armed = self._armed
-        prof = _profile.counters
+        prof = run.counters
         i = 0
         while (i < n or self._cal_size or self._local_heap or pending
                or self._edge_i < ne):
@@ -959,7 +957,7 @@ class FleetShardEngine:
         whenever an epoch crosses the sampling grid.  Costs one predicate
         and one float compare per epoch while sampling is off.
         """
-        reg = _metrics.registry
+        reg = run.metrics
         t = rec.sample(self.env.now, reg if reg.enabled else None)
         shard = str(self.shard)
         stats = self.stats
@@ -1108,7 +1106,7 @@ class FleetShardEngine:
         else:
             hist[-1] += 1
         if self._metric_keys is not None:
-            _metrics.registry.inc_series(self._metric_keys[tloc][0])
+            run.metrics.inc_series(self._metric_keys[tloc][0])
 
     def _cold_pull(self, tloc: int, img: int, node: int, t: float,
                    stats: TenantStats) -> float:
@@ -1133,7 +1131,7 @@ class FleetShardEngine:
             except RegistryUnavailable as exc:
                 elapsed += exc.cost
                 self.result.retry_attempts += 1
-                _faults.note_retry("fleet.registry")
+                run.faults.note_retry("fleet.registry")
                 if policy.gives_up(attempts, elapsed):
                     raise RetryExhausted("fleet.registry", attempts, elapsed, exc) from exc
                 delay = policy.delay(attempts - 1)
@@ -1144,7 +1142,7 @@ class FleetShardEngine:
         stats.cold_pulls += 1
         stats.pulled_bytes += missing
         if self._metric_keys is not None:
-            _metrics.registry.inc_series(self._metric_keys[tloc][1])
+            run.metrics.inc_series(self._metric_keys[tloc][1])
         return elapsed + cost + missing * self._inv_unpack + self._warm_start_s
 
     def _complete(self, slot: int, end_t: float) -> None:
@@ -1197,7 +1195,7 @@ def run_fleet_shard(
     """Build and run one shard in a fresh environment (the cell body).
 
     ``plan_json`` arms a :class:`FaultPlan` inside this shard: the
-    pull-style window events go to the process-wide injector (the cold
+    pull-style window events go to the current run's injector (the cold
     pull path polls it through the registry), while the push-style
     ``NODE_CRASH`` events are consumed by the engine's own edge stream —
     the injector is armed with the pull subset only, so its driver
@@ -1209,18 +1207,18 @@ def run_fleet_shard(
         pull_plan = FaultPlan(
             [e for e in plan if e.kind not in PUSH_KINDS], seed=plan.seed
         )
-        _faults.arm(pull_plan, env)
+        run.faults.arm(pull_plan, env)
     try:
         engine = FleetShardEngine(env, config, shard, plan=plan)
         result = engine.run()
         if plan is not None:
-            result.injected = dict(_faults.injected_counts)
-            result.injected_at = dict(_faults.injected_at)
-            result.fault_retries = dict(_faults.retry_counts)
+            result.injected = dict(run.faults.injected_counts)
+            result.injected_at = dict(run.faults.injected_at)
+            result.fault_retries = dict(run.faults.retry_counts)
         return result
     finally:
         if plan is not None:
-            _faults.disarm()
+            run.faults.disarm()
 
 
 def fleet_cells(config: FleetConfig, plan: FaultPlan | None = None) -> list:
@@ -1241,25 +1239,24 @@ def fleet_cells(config: FleetConfig, plan: FaultPlan | None = None) -> list:
 def run_fleet(
     config: FleetConfig,
     jobs: int = 1,
-    metrics: bool = False,
     sample_interval: float | None = None,
     plan: FaultPlan | None = None,
 ) -> FleetResult:
     """Run the whole fleet through the shard runner and merge.
 
-    ``sample_interval`` (virtual seconds) turns on per-shard time-series
-    sampling inside each cell; the runner merges the sampled rings into
-    the parent recorder in cell-index order, so ``--jobs N`` exports are
-    byte-identical to serial.  ``plan`` delivers a fault plan into every
-    shard (see :func:`run_fleet_shard`).
+    Each shard records what the current run's :class:`~repro.run.ObsConfig`
+    selects; ``sample_interval`` (virtual seconds) overrides its
+    time-series sampling interval.  The runner merges the sampled rings
+    into the parent recorder in cell-index order, so ``--jobs N``
+    exports are byte-identical to serial.  ``plan`` delivers a fault
+    plan into every shard (see :func:`run_fleet_shard`).
     """
-    from repro.shard import ObsConfig, run_cells
+    from repro.shard import run_cells
 
-    result = run_cells(
-        fleet_cells(config, plan=plan),
-        jobs=jobs,
-        obs=ObsConfig(metrics=metrics, timeseries=sample_interval),
-    )
+    obs = run.obs
+    if sample_interval is not None:
+        obs = dataclasses.replace(obs, timeseries=sample_interval)
+    result = run_cells(fleet_cells(config, plan=plan), jobs=jobs, obs=obs)
     return merge_shard_results(result.values(), config)
 
 
@@ -1282,7 +1279,7 @@ def score_fleet_slo(
     if rules is None:
         rules = _slo.default_fleet_rules()
     if rec is None:
-        rec = _timeseries.recorder
+        rec = run.recorder
     evaluation = _slo.evaluate(rules, rec, end_time=result.makespan)
     # alert timestamps are snapped to the sampling grid (floor), so snap
     # the injection instants the same way — otherwise a fault injected

@@ -1,10 +1,11 @@
 import pytest
 
-from repro.faults import injector
+from repro.run import ObsConfig, observing
 
 
 @pytest.fixture(autouse=True)
-def _disarm_after_test():
-    """The injector is process-wide state; never leak an armed plan."""
-    yield
-    injector.disarm()
+def _own_run():
+    """Each test runs on a run of its own, so an armed plan never
+    outlives the test that armed it."""
+    with observing(ObsConfig()):
+        yield

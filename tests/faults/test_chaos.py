@@ -1,5 +1,6 @@
 """Chaos runs: determinism, the CLI verb, and the no-leak property."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.faults.chaos import run_chaos
+from repro.run import ObsConfig, observing
 from repro.scenarios import KubeletInAllocationScenario
 
 
@@ -92,18 +94,14 @@ def test_no_leaks_under_any_seeded_plan(seed):
 # -- SLO sampling, detection latency, and run_slo -----------------------------
 
 
+#: what the ``slo`` verb records: metrics plus 5 s time-series sampling
+SAMPLED = ObsConfig(metrics=True, timeseries=5.0)
+
+
 @pytest.fixture
 def _sampling_on():
-    from repro.obs import metrics as _metrics
-    from repro.obs import timeseries as _timeseries
-
-    _metrics.enable()
-    _timeseries.enable(interval=5.0)
-    yield
-    _metrics.disable()
-    _metrics.reset()
-    _timeseries.disable()
-    _timeseries.reset()
+    with observing(SAMPLED):
+        yield
 
 
 def test_chaos_without_recorder_reports_no_detection():
@@ -139,42 +137,39 @@ def test_chaos_report_document_rolls_up_detection(_sampling_on):
     assert doc["reports"][0]["alerts_fired"] == report.alerts_fired
 
 
-def test_run_slo_is_deterministic_and_scores_the_run():
+def _slo_run(plan):
+    """One ``slo``-verb run in a session of its own."""
     from repro.faults.chaos import run_slo
-    from repro.obs import metrics as _metrics
-    from repro.obs import timeseries as _timeseries
 
+    with observing(SAMPLED) as run:
+        _, report, scorecard = run_slo(KubeletInAllocationScenario, plan, seed=42)
+        return report, scorecard, run.recorder.to_json()
+
+
+def test_run_slo_is_deterministic_and_scores_the_run():
     plan = crash_plan()
-    try:
-        _metrics.enable()
-        _, r1, s1 = run_slo(KubeletInAllocationScenario, plan, seed=42)
-        scorecard_1 = s1.to_json()
-        series_1 = _timeseries.recorder.to_json()
-        _metrics.disable()
-        _metrics.enable()  # reset between runs, like a second CLI invocation
-        _, r2, s2 = run_slo(KubeletInAllocationScenario, plan, seed=42)
-        assert s2.to_json() == scorecard_1
-        assert _timeseries.recorder.to_json() == series_1
-        assert r1.to_dict() == r2.to_dict()
-        assert s1.detection == r1.detection
-        assert any(row["fires"] for row in s1.to_dict()["rules"])
-    finally:
-        _metrics.disable()
-        _metrics.reset()
-        _timeseries.disable()
-        _timeseries.reset()
+    r1, s1, series_1 = _slo_run(plan)
+    r2, s2, series_2 = _slo_run(plan)
+    assert s2.to_json() == s1.to_json()
+    assert series_2 == series_1
+    assert r1.to_dict() == r2.to_dict()
+    assert s1.detection == r1.detection
+    assert any(row["fires"] for row in s1.to_dict()["rules"])
 
 
-def test_alert_instants_land_in_the_trace(tmp_path, _sampling_on):
-    from repro.obs import trace as _trace
+def test_run_slo_needs_a_sampling_session():
+    from repro.faults.chaos import run_slo
 
-    _trace.enable()
-    try:
+    with pytest.raises(ValueError, match="timeseries"):
+        run_slo(KubeletInAllocationScenario, crash_plan(), seed=42)
+
+
+def test_alert_instants_land_in_the_trace(tmp_path):
+    from repro.obs.trace import export_json
+
+    with observing(dataclasses.replace(SAMPLED, trace=True)):
         _, report = run_chaos(KubeletInAllocationScenario, crash_plan(), seed=42)
-        doc = json.loads(_trace.export_json(str(tmp_path / "t.json")))
-    finally:
-        _trace.disable()
-        _trace.reset()
+        doc = json.loads(export_json(str(tmp_path / "t.json")))
     alerts = [e for e in doc["traceEvents"] if e.get("name") == "slo.alert"]
     # every fire edge (and any resolve edges) lands as an instant
     assert len(alerts) >= report.alerts_fired >= 1

@@ -12,8 +12,8 @@ from repro.faults import (
     FaultPlan,
     RetryExhausted,
     RetryPolicy,
-    injector,
 )
+from repro.run import run
 from repro.sim import Environment
 
 #: marks a plan field the test leaves out of the entry
@@ -196,27 +196,27 @@ def test_generate_without_nodes_skips_crashes():
 # -- injector -----------------------------------------------------------------------
 
 def test_disabled_injector_is_inert():
-    assert not injector.enabled
-    assert injector.active("registry.pull", at=0.0) is None
-    injector.note_retry("registry")
-    assert injector.retry_counts == {}
-    injector.register("wlm.node", lambda e, p: None)  # no-op while disarmed
-    assert injector._handlers == {}
+    assert not run.faults.enabled
+    assert run.faults.active("registry.pull", at=0.0) is None
+    run.faults.note_retry("registry")
+    assert run.faults.retry_counts == {}
+    run.faults.register("wlm.node", lambda e, p: None)  # no-op while disarmed
+    assert run.faults._handlers == {}
 
 
 def test_armed_injector_serves_windows_and_counts():
     env = Environment()
     plan = FaultPlan([FaultEvent(kind=FaultKind.REGISTRY_429, at=10.0, duration=5.0)])
-    injector.arm(plan, env)
-    assert injector.active("registry.pull", at=5.0) is None
-    hit = injector.active("registry.pull", at=12.0)
+    run.faults.arm(plan, env)
+    assert run.faults.active("registry.pull", at=5.0) is None
+    hit = run.faults.active("registry.pull", at=12.0)
     assert hit is not None and hit.kind is FaultKind.REGISTRY_429
-    assert injector.active("fs.mds", at=12.0) is None
-    injector.note_retry("registry")
-    assert injector.injected_counts == {"registry_429": 1}
-    assert injector.retry_counts == {"registry": 1}
-    injector.disarm()
-    assert injector.active("registry.pull", at=12.0) is None
+    assert run.faults.active("fs.mds", at=12.0) is None
+    run.faults.note_retry("registry")
+    assert run.faults.injected_counts == {"registry_429": 1}
+    assert run.faults.retry_counts == {"registry": 1}
+    run.faults.disarm()
+    assert run.faults.active("registry.pull", at=12.0) is None
 
 
 def test_push_driver_delivers_crash_and_restore_edges():
@@ -224,23 +224,23 @@ def test_push_driver_delivers_crash_and_restore_edges():
     plan = FaultPlan(
         [FaultEvent(kind=FaultKind.NODE_CRASH, at=20.0, duration=30.0, target="n1")]
     )
-    injector.arm(plan, env)
+    run.faults.arm(plan, env)
     seen: list[tuple[float, str, str]] = []
-    injector.register(
+    run.faults.register(
         "wlm.node", lambda event, phase: seen.append((env.now, phase, event.target))
     )
     env.run(until=100.0)
     assert seen == [(20.0, "crash", "n1"), (50.0, "restore", "n1")]
-    assert injector.injected_counts == {"node_crash": 1}
+    assert run.faults.injected_counts == {"node_crash": 1}
 
 
 def test_arm_resets_counts():
     env = Environment()
     plan = FaultPlan([FaultEvent(kind=FaultKind.REGISTRY_429, at=0.0, duration=1.0)])
-    injector.arm(plan, env)
-    injector.active("registry.pull", at=0.5)
-    injector.arm(plan, Environment())
-    assert injector.injected_counts == {}
+    run.faults.arm(plan, env)
+    run.faults.active("registry.pull", at=0.5)
+    run.faults.arm(plan, Environment())
+    assert run.faults.injected_counts == {}
 
 
 # -- retry policies -----------------------------------------------------------------

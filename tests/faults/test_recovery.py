@@ -11,7 +11,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     RetryExhausted,
-    injector,
 )
 from repro.fs import FileTree
 from repro.fs.backends import SharedFS
@@ -26,6 +25,7 @@ from repro.registry import (
     RegistryRateLimited,
     StorageError,
 )
+from repro.run import run
 from repro.sim import Environment
 from repro.wlm import JobSpec, JobState, NodeState, SlurmController
 
@@ -38,7 +38,7 @@ def make_registry(name="site"):
 
 
 def arm(events):
-    injector.arm(FaultPlan(events), Environment())
+    run.faults.arm(FaultPlan(events), Environment())
 
 
 # -- registry backoff ---------------------------------------------------------------
@@ -51,8 +51,8 @@ def test_pull_retries_escape_a_transient_429_window():
     # the backoff accounted itself into pull_cost: strictly more than a
     # fault-free pull, and the retries were recorded for the report
     assert pulled.pull_cost > 2.0
-    assert injector.retry_counts["registry"] >= 1
-    assert injector.injected_counts["registry_429"] >= 1
+    assert run.faults.retry_counts["registry"] >= 1
+    assert run.faults.injected_counts["registry_429"] >= 1
 
 
 def test_pull_exhaustion_surfaces_one_aggregated_error():
@@ -163,7 +163,7 @@ def test_injected_node_crash_drives_fail_and_restore():
     plan = FaultPlan([
         FaultEvent(kind=FaultKind.NODE_CRASH, at=20.0, duration=30.0, target="nid0000"),
     ])
-    injector.arm(plan, env)
+    run.faults.arm(plan, env)
     wlm = make_wlm(env, n=1)          # single node: requeued job must wait
     job = wlm.submit(JobSpec(name="work", user_uid=1000, nodes=1, duration=40.0))
     env.run(until=30.0)
@@ -199,13 +199,13 @@ def run_proc_open(env, fs):
 def test_mds_outage_stalls_gracefully_until_recovery():
     env = Environment()
     fs = make_sharedfs(env)
-    injector.arm(
+    run.faults.arm(
         FaultPlan([FaultEvent(kind=FaultKind.MDS_OUTAGE, at=0.0, duration=50.0)]), env
     )
     finished = run_proc_open(env, fs)
     # no error; the open simply rode out the outage window
     assert finished >= 50.0
-    assert injector.injected_counts["mds_outage"] >= 1
+    assert run.faults.injected_counts["mds_outage"] >= 1
 
 
 def test_mds_degradation_multiplies_metadata_cost():
@@ -213,7 +213,7 @@ def test_mds_degradation_multiplies_metadata_cost():
     baseline = run_proc_open(baseline_env, make_sharedfs(baseline_env))
     env = Environment()
     fs = make_sharedfs(env)
-    injector.arm(
+    run.faults.arm(
         FaultPlan([
             FaultEvent(kind=FaultKind.MDS_DEGRADED, at=0.0, duration=10.0, factor=9.0)
         ]),

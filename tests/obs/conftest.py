@@ -1,23 +1,11 @@
-"""Shared fixtures: the tracer and registry are process-global, so every
-test must leave them disabled and empty."""
-
 import pytest
 
-from repro.obs import metrics, timeseries, trace
-from repro.sim import profile
+from repro.run import ObsConfig, observing
 
 
 @pytest.fixture(autouse=True)
-def _obs_off_after():
-    yield
-    trace.disable()
-    trace.reset()
-    metrics.registry.enabled = False
-    metrics.reset()
-    timeseries.disable()
-    timeseries.reset()
-    # Tests may enable via metrics.enable() (which arms profile too);
-    # drain any leftover nesting depth so the next test starts balanced.
-    while profile.enable_depth() > 0:
-        profile.disable()
-    profile.counters.reset()
+def _own_run():
+    """Each test runs on a run of its own: whatever it arms or records
+    goes away with the session."""
+    with observing(ObsConfig()):
+        yield

@@ -1,14 +1,14 @@
 """Labeled metrics registry (repro.obs.metrics) and the sim.profile
 compatibility bridge."""
 
-from repro.obs import metrics
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
     format_series,
 )
-from repro.sim import Environment, profile
+from repro.run import ObsConfig, Run, observing
+from repro.sim import Environment
 
 
 def test_disabled_registry_is_a_noop():
@@ -76,30 +76,25 @@ def test_histogram_bounds_fixed_per_metric_name():
 
 
 def test_snapshot_bridges_sim_profile_counters():
-    metrics.enable()
-    env = Environment()
+    with observing(ObsConfig(metrics=True)) as metered:
+        env = Environment()
 
-    def proc(env):
-        yield env.timeout(1)
+        def proc(env):
+            yield env.timeout(1)
 
-    env.process(proc(env))
-    env.run()
-    metrics.disable()
-    snap = metrics.registry.snapshot()
-    assert snap["sim.events_processed"] > 0
-    assert snap["sim.processes_spawned"] == 1
-    assert "sim.events_processed" not in metrics.registry.snapshot(include_sim=False)
+        env.process(proc(env))
+        env.run()
+        snap = metered.metrics.snapshot()
+        assert snap["sim.events_processed"] > 0
+        assert snap["sim.processes_spawned"] == 1
+        assert "sim.events_processed" not in metered.metrics.snapshot(include_sim=False)
 
 
-def test_enable_forwards_to_profile_nesting_safely():
-    assert not profile.counters.enabled
-    metrics.enable()
-    assert profile.counters.enabled
-    profile.enable(reset=False)  # a nested consumer
-    metrics.disable()
-    assert profile.counters.enabled  # inner consumer still holds it
-    profile.disable()
-    assert not profile.counters.enabled
+def test_metrics_session_arms_the_profile_counters():
+    idle = Run()
+    assert not idle.metrics.enabled and not idle.counters.enabled
+    with observing(ObsConfig(metrics=True)) as metered:
+        assert metered.metrics.enabled and metered.counters.enabled
 
 
 def test_render_table_lists_all_series():
@@ -175,7 +170,7 @@ def test_quantile_is_monotone_in_q():
     assert qs == sorted(qs)
 
 
-# -- install_state(merge=True) edge cases (the shard-merge contract) ----------
+# -- absorb() edge cases (the shard-merge contract) ----------------------------
 
 
 def _reg_with(counter=0.0, gauge=None, obs=()):
@@ -192,10 +187,8 @@ def _reg_with(counter=0.0, gauge=None, obs=()):
 
 def test_merge_adds_counters_and_histogram_buckets():
     target = MetricsRegistry()
-    target.install_state(_reg_with(counter=3, obs=(0.5,)).capture_state())
-    target.install_state(
-        _reg_with(counter=4, obs=(5.0, 50.0)).capture_state(), merge=True
-    )
+    target.absorb(_reg_with(counter=3, obs=(0.5,)).capture_state())
+    target.absorb(_reg_with(counter=4, obs=(5.0, 50.0)).capture_state())
     assert target.get_counter("c", tenant="a") == 7
     hist = target.get_histogram("h")
     assert hist.counts == [1, 1, 1]
@@ -205,8 +198,8 @@ def test_merge_adds_counters_and_histogram_buckets():
 
 def test_merge_gauge_conflict_last_writer_wins():
     target = MetricsRegistry()
-    target.install_state(_reg_with(gauge=1.0).capture_state())
-    target.install_state(_reg_with(gauge=9.0).capture_state(), merge=True)
+    target.absorb(_reg_with(gauge=1.0).capture_state())
+    target.absorb(_reg_with(gauge=9.0).capture_state())
     assert target.get_gauge("g", shard="s0") == 9.0
 
 
@@ -220,14 +213,14 @@ def test_merge_rejects_mismatched_histogram_buckets():
     b.enabled = True
     b.observe("h", 0.5, buckets=(7.0, 8.0))
     target = MetricsRegistry()
-    target.install_state(a.capture_state())
+    target.absorb(a.capture_state())
     with pytest.raises(ValueError):
-        target.install_state(b.capture_state(), merge=True)
+        target.absorb(b.capture_state())
 
 
 def test_interned_series_keys_survive_capture_install():
     """series_key() identities are the storage keys, so an interned key
-    minted before a capture/install round-trip still addresses the same
+    minted before a capture/absorb round-trip still addresses the same
     series afterwards."""
     reg = MetricsRegistry()
     reg.enabled = True
@@ -236,7 +229,7 @@ def test_interned_series_keys_survive_capture_install():
     blob = reg.capture_state()
     fresh = MetricsRegistry()
     fresh.enabled = True
-    fresh.install_state(blob)
+    fresh.absorb(blob)
     fresh.inc_series(key, 2)
     assert fresh.get_counter("fleet.starts", tenant="t00001") == 7
     assert key in fresh._counters
@@ -263,7 +256,7 @@ def test_merge_property_counter_sums_match_any_split():
     )
     def run(shards):
         merged = MetricsRegistry()
-        merged.install_state(MetricsRegistry().capture_state())
+        merged.absorb(MetricsRegistry().capture_state())
         totals = {}
         last_gauge = None
         for incs in shards:
@@ -274,7 +267,7 @@ def test_merge_property_counter_sums_match_any_split():
                 totals[tenant] = totals.get(tenant, 0.0) + v
                 cell.set_gauge("last", v)
                 last_gauge = v
-            merged.install_state(cell.capture_state(), merge=True)
+            merged.absorb(cell.capture_state())
         for tenant, total in totals.items():
             assert merged.get_counter("starts", tenant=tenant) == total
         if last_gauge is not None:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TimeSeriesRecorder, install_sampler, recorder
+from repro.obs.timeseries import TimeSeriesRecorder, install_sampler
+from repro.run import ObsConfig, observing, run
 from repro.sim import Environment
 
 
@@ -128,17 +129,17 @@ def test_openmetrics_exposes_latest_point_with_timestamp():
     assert text.endswith("# EOF\n")
 
 
-def test_install_state_replaces_wholesale_without_merge():
-    rec = TimeSeriesRecorder().enable(interval=2.0, capacity=128)
-    rec.record("x", 2.0, 1.0)
-    blob = rec.capture_state()
-    other = TimeSeriesRecorder().enable(interval=9.0)
-    other.record("y", 9.0, 5.0)
-    other.install_state(blob)
-    assert other.interval == 2.0
-    assert other.capacity == 128
-    assert other.points("x") == [(2.0, 1.0)]
-    assert other.points("y") == []
+def test_absorb_adopts_the_blob_interval():
+    """Merged points sit on the cells' sampling grid, so the merged
+    recorder reports that interval, not its own default."""
+    cell = TimeSeriesRecorder().enable(interval=10.0)
+    cell.record("x", 10.0, 1.0)
+    merged = TimeSeriesRecorder()
+    assert merged.interval == 5.0
+    merged.absorb(cell.capture_state())
+    assert merged.interval == 10.0
+    assert merged.document()["interval"] == 10.0
+    assert merged.points("x") == [(10.0, 1.0)]
 
 
 def test_install_state_merge_appends_in_blob_order():
@@ -150,8 +151,8 @@ def test_install_state_merge_appends_in_blob_order():
     b.record("w", 5.0, 9.0, shard="s1")
     b.sample(5.0)
     merged = TimeSeriesRecorder()
-    merged.install_state(a.capture_state())
-    merged.install_state(b.capture_state(), merge=True)
+    merged.absorb(a.capture_state())
+    merged.absorb(b.capture_state())
     assert merged.points("w", shard="s0") == [(5.0, 1.0), (5.0, 2.0)]
     assert merged.points("w", shard="s1") == [(5.0, 9.0)]
     assert merged.samples == 2
@@ -167,31 +168,31 @@ def test_capture_state_leaves_rate_bookkeeping_and_probes_behind():
     assert "points" in blob and "samples" in blob
     assert not any(k.startswith("_last") for k in blob)
     fresh = TimeSeriesRecorder()
-    fresh.install_state(blob)
+    fresh.absorb(blob)
     assert fresh._probes == []
     assert fresh._last_counters == {}
 
 
 def test_install_sampler_ticks_and_self_terminates():
-    rec = recorder
-    rec.enable(interval=5.0)
-    env = Environment()
-    reg = _registry()
+    with observing(ObsConfig(timeseries=5.0)) as sampled:
+        rec = sampled.recorder
+        env = Environment()
+        reg = _registry()
 
-    def work():
-        reg.inc("busy", 1)
-        yield env.timeout(12.0)
-        reg.inc("busy", 1)
+        def work():
+            reg.inc("busy", 1)
+            yield env.timeout(12.0)
+            reg.inc("busy", 1)
 
-    env.process(work())
-    install_sampler(env, reg)
-    env.run()  # terminates: the sampler exits once it is the only work
+        env.process(work())
+        install_sampler(env, reg)
+        env.run()  # terminates: the sampler exits once it is the only work
     assert rec.samples >= 2
     assert all(t % 5.0 == 0.0 for t, _ in rec.points("busy.rate"))
 
 
 def test_install_sampler_is_a_noop_when_disabled():
-    assert not recorder.enabled
+    assert not run.recorder.enabled
     env = Environment()
     assert install_sampler(env, _registry()) is None
     env.run()  # empty queue; nothing was scheduled
@@ -215,12 +216,12 @@ def test_merge_order_is_concatenation(shards):
     """Merging N captured recorders in order == recording every point
     into one recorder in the same order (the shard-runner contract)."""
     merged = TimeSeriesRecorder()
-    merged.install_state(TimeSeriesRecorder().enable(interval=5.0).capture_state())
+    merged.absorb(TimeSeriesRecorder().enable(interval=5.0).capture_state())
     direct = TimeSeriesRecorder().enable(interval=5.0)
     for pts in shards:
         cell = TimeSeriesRecorder().enable(interval=5.0)
         for t, v in pts:
             cell.record("s", t, v, shard="x")
             direct.record("s", t, v, shard="x")
-        merged.install_state(cell.capture_state(), merge=True)
+        merged.absorb(cell.capture_state())
     assert merged.points("s", shard="x") == direct.points("s", shard="x")

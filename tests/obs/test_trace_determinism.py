@@ -8,24 +8,19 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.obs.export import to_chrome_json, validate_chrome_trace
 from repro.obs.trace import Tracer
+from repro.run import ObsConfig, observing
 from repro.scenarios.evaluate import run_scenario
 from repro.scenarios.kubelet_in_allocation import KubeletInAllocationScenario
 from repro.sim import Environment
 
 
 def _trace_scenario() -> str:
-    trace.enable()
-    metrics.enable()
-    try:
+    with observing(ObsConfig(metrics=True, trace=True)):
         run_scenario(KubeletInAllocationScenario, n_nodes=2, n_pods=3)
         return trace.export_json()
-    finally:
-        metrics.disable()
-        trace.disable()
-        trace.reset()
 
 
 def test_scenario_trace_is_byte_identical_across_runs():
@@ -65,7 +60,7 @@ span_programs = st.lists(
 @given(st.lists(span_programs, min_size=1, max_size=4))
 def test_spans_never_overlap_incorrectly_within_a_process(programs):
     t = Tracer()
-    t.enable()
+    t.enabled = True
     env = Environment()
     t.attach(env)
 

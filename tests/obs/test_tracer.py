@@ -5,6 +5,7 @@ import json
 from repro.obs import trace
 from repro.obs.export import to_chrome_json, to_events, validate_chrome_trace
 from repro.obs.trace import MAIN_TID, Tracer
+from repro.run import ObsConfig, observing, run
 from repro.sim import Environment
 
 
@@ -26,7 +27,7 @@ def test_disabled_span_is_shared_null_object():
 
 def test_span_records_balanced_b_e_with_virtual_time():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     env = Environment()
     t.attach(env)
 
@@ -47,7 +48,7 @@ def test_spans_nest_per_process_across_interleaving():
     """Two processes interleave on the clock, but each process's spans
     stay properly nested on its own thread row."""
     t = Tracer()
-    t.enable()
+    t.enabled = True
     env = Environment()
     t.attach(env)
 
@@ -68,7 +69,7 @@ def test_spans_nest_per_process_across_interleaving():
 
 def test_span_closes_on_exception():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     try:
         with t.span("engine.run"):
             raise RuntimeError("boom")
@@ -79,7 +80,7 @@ def test_span_closes_on_exception():
 
 def test_complete_advances_synthetic_cursor_without_env():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     t.complete("engine.phase.pull", 3.0)
     t.complete("engine.phase.mount", 0.5)
     (_, _, ts0, _, _, dur0), (_, _, ts1, _, _, dur1) = t.events
@@ -89,7 +90,7 @@ def test_complete_advances_synthetic_cursor_without_env():
 
 def test_complete_uses_env_clock_when_attached():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     env = Environment()
     t.attach(env)
 
@@ -104,19 +105,19 @@ def test_complete_uses_env_clock_when_attached():
 
 
 def test_environment_attaches_itself_while_enabled():
-    trace.enable()
-    env = Environment()
-    assert trace.tracer._env is env
+    with observing(ObsConfig(trace=True)) as traced:
+        env = Environment()
+        assert traced.tracer._env is env
 
 
 def test_environment_does_not_attach_while_disabled():
     env = Environment()
-    assert trace.tracer._env is not env
+    assert run.tracer._env is not env
 
 
 def test_tids_are_stable_and_named_after_processes():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     env = Environment()
     t.attach(env)
 
@@ -135,7 +136,7 @@ def test_tids_are_stable_and_named_after_processes():
 
 def test_categories_are_name_prefixes():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     t.instant("engine.pull")
     t.instant("fs.mds.batch")
     t.complete("wlm.schedule_pass", 0.1)
@@ -144,7 +145,7 @@ def test_categories_are_name_prefixes():
 
 def test_export_emits_metadata_and_sorted_microsecond_ts():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     t.complete("b.second", 1.0)  # synthetic cursor: starts at 0
     t.instant("a.first")  # lands at cursor == 1.0
     events = to_events(t)
@@ -159,7 +160,7 @@ def test_export_emits_metadata_and_sorted_microsecond_ts():
 def test_export_json_is_deterministic_and_valid():
     def build():
         t = Tracer()
-        t.enable()
+        t.enabled = True
         env = Environment()
         t.attach(env)
 
@@ -177,11 +178,13 @@ def test_export_json_is_deterministic_and_valid():
 
 
 def test_module_singleton_roundtrip(tmp_path):
-    trace.enable()
-    with trace.span("engine.run"):
-        pass
-    out = tmp_path / "trace.json"
-    text = trace.export_json(str(out))
+    """``trace.export_json`` writes the current run's tracer."""
+    with observing(ObsConfig(trace=True)) as traced:
+        with traced.tracer.span("engine.run"):
+            pass
+        out = tmp_path / "trace.json"
+        text = trace.export_json(str(out))
+    assert '"engine.run"' in text
     assert out.read_text() == text
     assert validate_chrome_trace(text) == []
 
@@ -210,11 +213,11 @@ def test_validator_rejects_malformed_traces():
 
 def test_wall_clock_args_only_when_opted_in():
     t = Tracer()
-    t.enable()
+    t.enabled = True
     with t.span("engine.run"):
         pass
     assert t.events[1][4] is None  # E has no args by default
-    t.enable(wall_clock=True)
+    t.wall_clock = True
     with t.span("engine.run"):
         pass
-    assert "wall_ms" in t.events[1][4]
+    assert "wall_ms" in t.events[-1][4]

@@ -13,8 +13,8 @@ three-stream merge must reproduce exactly that order.
 
 from __future__ import annotations
 
+from repro.run import run
 from repro.sim import Environment
-from repro.sim import profile as _profile
 from repro.sim.events import Event
 from repro.workload import fleet as _fleet
 
@@ -81,7 +81,7 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         self._note_pressure()
 
     def _note_pressure(self) -> None:
-        prof = _profile.counters
+        prof = run.counters
         if prof.enabled:
             env = self.env
             depth = len(env._queue) + len(env._immediate) + len(self._pending)

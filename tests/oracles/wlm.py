@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing as _t
 
-from repro.obs import metrics as _metrics
+from repro.run import run
 from repro.wlm.jobs import Job
 from repro.wlm.nodes import NodeState, WLMNode
 from repro.wlm.scheduler import BackfillScheduler, CompletionCalendar
@@ -46,14 +46,14 @@ class LinearBackfillScheduler(BackfillScheduler):
             if placement is None:
                 if blocked_at is None:
                     blocked_at = self._scan_shadow_time(job, nodes, now)
-                    if _metrics.registry.enabled:
-                        _metrics.inc("wlm.sched.head_blocked")
+                    if run.metrics.enabled:
+                        run.metrics.inc("wlm.sched.head_blocked")
                 continue
             if blocked_at is None or (
                 self.backfill and now + job.spec.time_limit <= blocked_at
             ):
-                if blocked_at is not None and _metrics.registry.enabled:
-                    _metrics.inc("wlm.backfill.starts")
+                if blocked_at is not None and run.metrics.enabled:
+                    run.metrics.inc("wlm.backfill.starts")
                 decisions.append((job, placement))
                 for n in placement:
                     n.allocate(job.job_id, job.spec.cores_per_node or n.total_cores)

@@ -5,22 +5,23 @@ JSON, report JSON, profile snapshots — because that is the guarantee
 ``--jobs N`` makes: not "statistically the same", identical.
 """
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.run import PARTS, ObsConfig, observing, run
 from repro.shard import (
-    ObsConfig,
     WarmSnapshot,
     chaos_seed_sweep,
     merge_profiles,
-    observing,
     parse_seed_range,
     run_cells,
     scenario_matrix,
 )
 from repro.sim import profile as sim_profile
+from repro.world import WorldState
 
 N_NODES = 2
 N_PODS = 4
@@ -28,16 +29,13 @@ N_PODS = 4
 
 @pytest.fixture
 def _obs_clean():
-    yield
-    from repro.obs import metrics, trace
+    """The test's run is its own: whatever it merges in goes away."""
+    with observing(ObsConfig()):
+        yield
 
-    trace.disable()
-    trace.reset()
-    metrics.registry.enabled = False
-    metrics.reset()
-    while sim_profile.enable_depth() > 0:
-        sim_profile.disable()
-    sim_profile.counters.reset()
+
+def _parts() -> tuple:
+    return tuple(getattr(run, name) for name in PARTS)
 
 
 @pytest.fixture(scope="module")
@@ -48,22 +46,18 @@ def snapshot():
 def _matrix_artifacts(jobs, snapshot, start_method=None):
     """Run the §6.6 matrix and return comparable artifacts."""
     from repro.core.tables import render_table
-    from repro.obs import metrics as obs_metrics
     from repro.scenarios.evaluate import summary_rows
 
-    sim_profile.counters.reset()
-    obs_metrics.registry.reset()
-    result = run_cells(
-        scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS),
-        jobs=jobs,
-        obs=ObsConfig(metrics=True),
-        snapshot=snapshot,
-        start_method=start_method,
-    )
+    # the cells record what the session selects
+    with observing(ObsConfig(metrics=True)) as observed:
+        result = run_cells(
+            scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS),
+            jobs=jobs,
+            snapshot=snapshot,
+            start_method=start_method,
+        )
+        metrics_table = observed.metrics.render_table()
     table = render_table(summary_rows(result.values()), "matrix")
-    metrics_table = obs_metrics.registry.render_table()
-    obs_metrics.registry.reset()
-    sim_profile.counters.reset()
     return table, metrics_table, result.profile
 
 
@@ -108,22 +102,19 @@ def test_matrix_and_chaos_sweep_counters_are_placement_invariant(_obs_clean):
 
 def _sweep_artifacts(jobs, seeds, snapshot):
     from repro.faults.chaos import chaos_report_document
-    from repro.obs import trace as obs_trace
     from repro.obs.export import to_chrome_json, validate_chrome_trace
 
-    obs_trace.tracer.reset()
-    result = run_cells(
-        chaos_seed_sweep("kubelet-in-allocation", seeds,
-                         n_nodes=N_NODES, n_pods=N_PODS),
-        jobs=jobs,
-        obs=ObsConfig(trace=True),
-        snapshot=snapshot,
-    )
+    with observing(ObsConfig()) as observed:
+        result = run_cells(
+            chaos_seed_sweep("kubelet-in-allocation", seeds,
+                             n_nodes=N_NODES, n_pods=N_PODS),
+            jobs=jobs,
+            obs=ObsConfig(trace=True),
+            snapshot=snapshot,
+        )
+        trace_text = to_chrome_json(observed.tracer)
     doc = chaos_report_document(result.values(), "kubelet-in-allocation")
-    trace_text = to_chrome_json(obs_trace.tracer)
     assert validate_chrome_trace(json.loads(trace_text)) == []
-    obs_trace.tracer.reset()
-    sim_profile.counters.reset()
     return json.dumps(doc, indent=2), trace_text
 
 
@@ -135,10 +126,8 @@ def test_chaos_sweep_serial_vs_sharded_identical(snapshot, _obs_clean):
 
 
 def test_runner_restores_parent_state(snapshot, _obs_clean):
-    from repro.world import WorldState
-
     before = WorldState.capture()
-    prof_before = sim_profile.counters.snapshot()
+    prof_before = run.counters.snapshot()
     run_cells(
         scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1],
         jobs=1,
@@ -151,31 +140,87 @@ def test_runner_restores_parent_state(snapshot, _obs_clean):
     assert {n: set(c) for n, c in after.caches.items()} == {
         n: set(c) for n, c in before.caches.items()
     }
-    delta = sim_profile.counters.snapshot_delta(prof_before)
+    delta = run.counters.snapshot_delta(prof_before)
     assert delta["shard_cells_run"] == 1
-    sim_profile.counters.reset()
 
 
 def test_observing_arms_the_selected_sinks_then_restores_all_four(_obs_clean):
-    from repro.obs import metrics, timeseries, trace
+    """A session swaps in five fresh parts armed as its config selects,
+    and puts the outer parts back — the same objects, contents and flags."""
+    outer_obs = ObsConfig(metrics=True)
+    with observing(outer_obs):
+        run.metrics.inc("outer.calls")
+        run.counters.events_processed = 5
+        outer = _parts()
+        before = [part.enabled for part in outer]
+        with observing(ObsConfig(metrics=True, trace=True, timeseries=7.0)) as inner:
+            assert not any(a is b for a, b in zip(_parts(), outer))
+            assert all(part.enabled for part in _parts()[:4])
+            assert not inner.faults.enabled  # armed by a plan, not a config
+            assert inner.recorder.interval == 7.0
+            assert inner.metrics.snapshot(include_sim=False) == {}
+            assert inner.counters.events_processed == 0
+            run_cells(scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1])
+            assert inner.metrics.snapshot(include_sim=False)
+            assert len(inner.tracer)
+        assert all(a is b for a, b in zip(_parts(), outer))
+        assert [part.enabled for part in outer] == before
+        assert run.obs == outer_obs
+        assert run.metrics.snapshot(include_sim=False) == {"outer.calls": 1.0}
+        assert run.counters.events_processed == 5
 
-    sinks = (sim_profile.counters, metrics.registry, trace.tracer, timeseries.recorder)
-    metrics.registry.enabled = True
-    metrics.inc("outer.calls")
-    sim_profile.counters.events_processed = 5
-    trace.tracer.instant("outer.mark")
-    before = [(sink.capture_state(), sink.enabled) for sink in sinks]
-    with observing(ObsConfig(metrics=True, trace=True, timeseries=7.0)):
-        assert [sink.enabled for sink in sinks] == [True] * 4
-        assert timeseries.recorder.interval == 7.0
-        assert metrics.registry.snapshot(include_sim=False) == {}
-        assert len(trace.tracer) == 0
-        assert sim_profile.counters.events_processed == 0
-        run_cells(scenario_matrix(n_nodes=N_NODES, n_pods=N_PODS)[:1],
-                  obs=ObsConfig(metrics=True, trace=True, timeseries=7.0))
-        assert metrics.registry.snapshot(include_sim=False)
-    assert [(sink.capture_state(), sink.enabled) for sink in sinks] == before
-    timeseries.reset()
+
+@dataclasses.dataclass(frozen=True)
+class _RaisingCell:
+    label: str = "boom"
+
+    def run(self) -> object:
+        raise RuntimeError("cell failed")
+
+
+def test_raising_cell_leaves_the_parent_run_installed(_obs_clean):
+    with observing(ObsConfig(metrics=True, trace=True, timeseries=5.0)):
+        parts = _parts()
+        flags = [part.enabled for part in parts]
+        world = WorldState.capture()
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cells([_RaisingCell()], jobs=1)
+        assert all(a is b for a, b in zip(_parts(), parts))
+        assert [part.enabled for part in parts] == flags
+        assert WorldState.capture() == world
+
+
+def test_batch_leaves_a_live_traced_session_attached_and_armed(_obs_clean):
+    """A batch of fleet cells inside a traced session with a live
+    environment: afterwards the process's next instant is stamped at
+    env time on its own row, and the parent's armed plan still fires."""
+    from repro.faults import FaultEvent, FaultKind, FaultPlan
+    from repro.obs.trace import MAIN_TID
+    from repro.sim import Environment
+    from repro.workload.fleet import FleetConfig, generate_fleet_plan, run_fleet
+
+    config = FleetConfig(tenants=2, nodes=4, starts=40, shards=2, seed=1)
+    outage = FaultEvent(kind=FaultKind.REGISTRY_429, at=0.0, duration=100.0)
+    with observing(ObsConfig(trace=True)):
+        env = Environment()
+        run.faults.arm(FaultPlan([outage]), env)
+
+        def driver():
+            yield env.timeout(10.0)
+            run.tracer.instant("before")
+            run_fleet(config, plan=generate_fleet_plan(config, seed=1))
+            yield env.timeout(10.0)
+            run.tracer.instant("after")
+
+        env.process(driver(), name="driver")
+        env.run()
+        marks = {name: (ts, tid) for _ph, name, ts, tid, *_ in run.tracer.events
+                 if name in ("before", "after")}
+        (t_before, tid), (t_after, tid_after) = marks["before"], marks["after"]
+        assert (t_before, t_after) == (10.0, 20.0)
+        assert tid_after == tid != MAIN_TID
+        assert run.faults.enabled
+        assert run.faults.active("registry.pull", at=50.0) is not None
 
 
 # -- the partition-merge property --------------------------------------------
@@ -209,9 +254,9 @@ def test_seed_partition_merges_to_same_report(data):
     cells = chaos_seed_sweep("kubelet-in-allocation", seeds,
                              n_nodes=N_NODES, n_pods=2)
 
-    whole = run_cells(cells, jobs=1).values()
-    parts = (run_cells(cells[:cut], jobs=1).values()
-             + run_cells(cells[cut:], jobs=1).values())
-    sim_profile.counters.reset()
+    with observing(ObsConfig()):
+        whole = run_cells(cells, jobs=1).values()
+        parts = (run_cells(cells[:cut], jobs=1).values()
+                 + run_cells(cells[cut:], jobs=1).values())
     assert (chaos_report_document(parts, "kubelet-in-allocation")
             == chaos_report_document(whole, "kubelet-in-allocation"))

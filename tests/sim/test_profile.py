@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.run import ObsConfig, observing, run
 from repro.sim import Environment
 from repro.sim import profile
 
-
-@pytest.fixture(autouse=True)
-def _counters_off_after():
-    yield
-    profile.disable()
+#: each test starts on a fresh idle run: nothing counts until
+#: ``profile.enable()`` or a session turns counting on
+pytestmark = pytest.mark.usefixtures("idle_run")
 
 
 def _workload(env):
@@ -91,53 +90,65 @@ def test_snapshot_is_plain_dict():
     }
 
 
-# -- enable/disable re-entrancy (regression: a nested enable/disable pair
-#    used to clobber the outer caller's counters and switch counting off) --
+# -- nesting (regression: a nested consumer used to clobber the outer
+#    caller's counters and switch counting off) --
 
 
 def test_nested_enable_does_not_reset_outer_counters():
-    prof = profile.enable()
-    env = Environment()
-    _workload(env)
-    env.run()
-    outer_events = prof.events_processed
-    assert outer_events > 0
+    with observing(ObsConfig()) as outer:
+        prof = outer.counters
+        env = Environment()
+        _workload(env)
+        env.run()
+        before = prof.snapshot()
+        assert before["processes_spawned"] == 2
 
-    inner = profile.enable()  # nested consumer (reset must be suppressed)
-    assert inner is prof
-    assert prof.events_processed == outer_events
-    profile.disable()
+        # a nested harness that opts out of the reset keeps the totals
+        assert profile.enable(reset=False) is prof
+        assert prof.snapshot() == before
 
-    # outer scope still counting after the inner pair unwinds
-    assert prof.enabled
-    env2 = Environment()
-    _workload(env2)
-    env2.run()
-    assert prof.events_processed > outer_events
-    profile.disable()
-    assert not prof.enabled
+        with observing(ObsConfig()) as inner:
+            assert inner.counters is not prof and inner.counters.enabled
+            env2 = Environment()
+            _workload(env2)
+            env2.run()
+            assert inner.counters.processes_spawned == 2
+
+        # the outer block is back, as it was, and still counting — also
+        # for the environment that bound it before the inner session
+        assert run.counters is prof and prof.enabled
+        assert prof.snapshot() == before
+        _workload(env)
+        env.run()
+        assert prof.processes_spawned == 4
+    assert not run.counters.enabled
 
 
 def test_enable_depth_tracks_nesting():
-    assert profile.enable_depth() == 0
-    profile.enable()
-    profile.enable()
-    assert profile.enable_depth() == 2
-    profile.disable()
-    assert profile.enable_depth() == 1
-    assert profile.counters.enabled
-    profile.disable()
-    assert profile.enable_depth() == 0
-    assert not profile.counters.enabled
+    idle = run.counters
+    assert not idle.enabled
+    with observing(ObsConfig()) as outer:
+        prof = outer.counters
+        with observing(ObsConfig()) as inner:
+            assert inner.counters.enabled and prof.enabled
+        # closing the inner session leaves the outer one counting
+        assert run.counters is prof and prof.enabled
+    # closing the outermost session brings back the idle block, still off
+    assert run.counters is idle and not idle.enabled
 
 
 def test_unbalanced_disable_is_harmless():
     profile.disable()
     profile.disable()
-    assert profile.enable_depth() == 0
+    assert not profile.counters.enabled
     prof = profile.enable()  # still works afterwards
     assert prof.enabled
+    env = Environment()
+    _workload(env)
+    env.run()
+    assert prof.processes_spawned == 2
     profile.disable()
+    assert not prof.enabled
 
 
 def test_snapshot_delta_measures_a_sub_workload():
@@ -147,12 +158,10 @@ def test_snapshot_delta_measures_a_sub_workload():
     env.run()
     baseline = prof.snapshot()
 
-    profile.enable()  # inner harness: no reset
-    env2 = Environment()
+    env2 = Environment()  # a sub-workload measured without a reset
     _workload(env2)
     env2.run()
     delta = prof.snapshot_delta(baseline)
-    profile.disable()
     profile.disable()
 
     assert delta["processes_spawned"] == 2

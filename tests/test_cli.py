@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.run import PARTS, ObsConfig, observing
 
 
 def test_tables_all(capsys):
@@ -56,19 +57,9 @@ def test_unknown_command():
 
 @pytest.fixture
 def _obs_clean():
-    yield
-    from repro.obs import metrics, timeseries, trace
-    from repro.sim import profile
-
-    trace.disable()
-    trace.reset()
-    metrics.registry.enabled = False
-    metrics.reset()
-    timeseries.disable()
-    timeseries.reset()
-    while profile.enable_depth() > 0:
-        profile.disable()
-    profile.counters.reset()
+    """The test's run is its own: nothing a verb leaves behind outlives it."""
+    with observing(ObsConfig()):
+        yield
 
 
 def test_trace_subcommand_writes_valid_trace(tmp_path, capsys, _obs_clean):
@@ -343,24 +334,18 @@ SMALL_FLEET = ["--tenants", "4", "--nodes", "8", "--starts", "60", "--shards", "
     ["replay", *SMALL_FLEET, "--timeseries", "{tmp}/ts.json"],
 ], ids=["trace", "chaos", "chaos-seeds", "slo", "scenarios", "startup",
         "fleet-slo", "replay"])
-def test_verbs_leave_every_sink_disabled_and_empty(argv, tmp_path, capsys):
-    """Each verb arms the profile counters, metrics registry, tracer and
-    recorder for its own run only: afterwards all four are back off and
-    empty, as the verb found them."""
-    from repro.obs import metrics, timeseries, trace
-    from repro.sim import profile
-
-    sinks = (profile.counters, metrics.registry, trace.tracer, timeseries.recorder)
-    for sink in sinks:
-        sink.reset()
-        sink.enabled = False
+def test_verbs_leave_every_sink_disabled_and_empty(argv, tmp_path, capsys, idle_run):
+    """Each verb records into a run of its own: afterwards the idle run
+    it found is back — the same five parts, still off and empty."""
+    parts = tuple(getattr(idle_run, name) for name in PARTS)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 0
     capsys.readouterr()
-    assert [sink.enabled for sink in sinks] == [False] * 4
-    assert not any(profile.counters.snapshot().values())
-    assert metrics.registry.snapshot(include_sim=False) == {}
-    assert len(trace.tracer) == 0
-    assert timeseries.recorder.snapshot() == {}
+    assert all(getattr(idle_run, name) is part for name, part in zip(PARTS, parts))
+    assert not any(part.enabled for part in parts)
+    assert not any(idle_run.counters.snapshot().values())
+    assert idle_run.metrics.snapshot(include_sim=False) == {}
+    assert len(idle_run.tracer) == 0
+    assert idle_run.recorder.snapshot() == {}
 
 
 @pytest.mark.parametrize("argv, interval", [
@@ -425,6 +410,36 @@ def test_chaos_sweep_timeseries_needs_the_metrics_registry(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "--metrics" in captured.err and "--metrics-out" in captured.err
     assert captured.out == "" and not path.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scenarios", "--nodes", "0"], "--nodes"),
+    (["chaos", *SMALL_SCENARIO, "--nodes", "0"], "--nodes"),
+    (["chaos", *SMALL_SCENARIO, "--seeds", "0..1", "--nodes", "0"], "--nodes"),
+    (["slo", *SMALL_SCENARIO, "--nodes", "0"], "--nodes"),
+    (["trace", *SMALL_SCENARIO, "--nodes", "0"], "--nodes"),
+    (["scenarios", "--pods", "-1"], "--pods"),
+    (["chaos", *SMALL_SCENARIO, "--pods", "-1"], "--pods"),
+    (["scenarios", "--jobs", "0"], "--jobs"),
+    (["chaos", *SMALL_SCENARIO, "--seeds", "0..1", "--jobs", "-3"], "--jobs"),
+    (["fleet", *SMALL_FLEET, "--jobs", "0"], "--jobs"),
+], ids=["scenarios-nodes", "chaos-nodes", "chaos-seeds-nodes", "slo-nodes",
+        "trace-nodes", "scenarios-pods", "chaos-pods", "scenarios-jobs",
+        "chaos-seeds-jobs", "fleet-jobs"])
+def test_cli_rejects_bad_shape_flags(argv, flag, capsys):
+    """``--nodes 0`` used to die in an IndexError traceback, and a
+    negative ``--pods`` or non-positive ``--jobs`` ran anyway."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be >= " in captured.err
+    assert captured.out == ""
+
+
+def test_cli_accepts_zero_pods(capsys, _obs_clean):
+    assert main(["scenarios", "--nodes", "1", "--pods", "0"]) == 0
+    assert "0 pods on 1 nodes" in capsys.readouterr().out
 
 
 def test_cli_rejects_non_positive_sample_interval(capsys):

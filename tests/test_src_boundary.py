@@ -5,7 +5,12 @@ tests themselves; a production import of ``tests`` would ship them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -86,3 +91,90 @@ def test_draw_packages_do_not_import_the_shard_runner():
         if module == "repro.shard" or module.startswith("repro.shard.")
     ]
     assert not offenders, offenders
+
+
+# -- the run module owns every observability sink and the fault injector -----
+
+RUN = SRC / "run.py"
+
+#: the five part classes, by the module that defines each
+PART_MODULES = {
+    "repro.sim.profile": "SimCounters",
+    "repro.obs.metrics": "MetricsRegistry",
+    "repro.obs.trace": "Tracer",
+    "repro.obs.timeseries": "TimeSeriesRecorder",
+    "repro.faults.injector": "FaultInjector",
+}
+
+#: module attributes that forward to the current run's part, kept for
+#: callers outside ``src``
+FORWARDERS = {"repro.sim.profile": "counters", "repro.obs.timeseries": "recorder"}
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def test_only_the_run_module_binds_sink_and_injector_instances():
+    classes = set(PART_MODULES.values())
+    offenders = [
+        f"{path.relative_to(SRC.parent)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != RUN
+        for name, value in _module_bindings(ast.parse(path.read_text(), str(path)))
+        if value is not None and any(_called_name(n) in classes for n in ast.walk(value))
+    ]
+    assert not offenders, offenders
+
+
+def test_run_module_imports_only_the_part_modules():
+    imports = {
+        m for m in _imported_modules(ast.parse(RUN.read_text(), str(RUN)))
+        if m == "repro" or m.startswith("repro.")
+    }
+    assert imports == set(PART_MODULES)
+
+
+def _module_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> module, for every ``import``/``from`` binding a module."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def test_src_does_not_read_the_forwarders():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = _module_aliases(tree)
+        for module, attr in FORWARDERS.items():
+            if aliases.get(attr) == f"{module}.{attr}":
+                offenders.append(f"{path.relative_to(SRC.parent)}: imports {module}.{attr}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and FORWARDERS.get(aliases.get(node.value.id, "")) == node.attr):
+                offenders.append(f"{path.relative_to(SRC.parent)}:{node.lineno}: "
+                                 f"{node.value.id}.{node.attr}")
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("first", ["repro.run", *PART_MODULES])
+def test_run_module_imports_without_a_cycle(first):
+    """Whichever module a process imports first, ``repro.run`` finishes
+    loading: no part module reaches it at import time."""
+    code = f"import {first}\nfrom repro.run import run\nprint(type(run).__name__)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.returncode == 0 and out.stdout.strip() == "Run", out.stderr

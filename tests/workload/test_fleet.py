@@ -8,9 +8,9 @@ import pytest
 
 from repro.cli import main
 from repro.faults import find_leaks
-from repro.shard import FleetCell, ObsConfig, run_cells
+from repro.run import ObsConfig, observing
+from repro.shard import FleetCell, run_cells
 from repro.sim import Environment
-from repro.sim import profile
 from repro.workload.fleet import (
     FleetConfig,
     FleetShardEngine,
@@ -33,9 +33,9 @@ CONTENDED = FleetConfig(tenants=8, nodes=4, starts=600, images=6, shards=2,
 
 @pytest.fixture()
 def _profile_clean():
-    yield
-    profile.disable()
-    profile.counters.reset()
+    """The test's run is its own: the counters it merges go away with it."""
+    with observing(ObsConfig()):
+        yield
 
 
 # -- config -------------------------------------------------------------------
@@ -199,18 +199,15 @@ def test_epoch_batching_bounds_simulator_events(config, chaos_seed, ceiling,
 def test_sampling_leaves_report_and_counters_unchanged(_profile_clean):
     """Time-series sampling rides the epoch loop: it records points but
     changes neither the report nor the merged counters, serial or pooled."""
-    from repro.obs.timeseries import recorder
-
     plain, plain_counters = _run_counted(SMALL)
     series = []
     for jobs in (1, 2):
-        recorder.reset()
-        sampled, counters = _run_counted(SMALL, jobs=jobs, timeseries=5.0)
+        with observing(ObsConfig()) as sampled_run:
+            sampled, counters = _run_counted(SMALL, jobs=jobs, timeseries=5.0)
+            assert sampled_run.recorder.samples > 0
+            series.append(sampled_run.recorder.snapshot())
         assert fleet_report_document(sampled) == fleet_report_document(plain)
         assert counters == plain_counters
-        assert recorder.samples > 0
-        series.append(recorder.snapshot())
-    recorder.reset()
     assert series[0] and series[1] == series[0]
 
 
@@ -259,17 +256,17 @@ def test_find_leaks_reports_stuck_slot_and_queue():
 
 # -- pressure counters --------------------------------------------------------
 
-def test_fleet_surfaces_queue_and_liveness_peaks(_profile_clean, monkeypatch):
-    profile.counters.reset()
-    run_fleet(SMALL)
-    snap = profile.counters.snapshot()
+def test_fleet_surfaces_queue_and_liveness_peaks(monkeypatch):
+    with observing(ObsConfig()) as counted:
+        run_fleet(SMALL)
+        snap = counted.counters.snapshot()
     assert snap["event_queue_peak"] > 0
     assert snap["live_objects_peak"] > 0
     # the one-event-per-start oracle reports the same pressure
-    profile.counters.reset()
     use_fleet_oracle(monkeypatch)
-    run_fleet(SMALL)
-    oracle_snap = profile.counters.snapshot()
+    with observing(ObsConfig()) as counted:
+        run_fleet(SMALL)
+        oracle_snap = counted.counters.snapshot()
     assert oracle_snap["live_objects_peak"] == snap["live_objects_peak"]
 
 

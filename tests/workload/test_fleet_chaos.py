@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.obs import timeseries as obs_timeseries
+from repro.run import ObsConfig, observing
 from repro.workload.fleet import (
     FleetConfig,
     fleet_cells,
@@ -42,17 +42,26 @@ SEED = 3
 
 
 def _scored_run(config, plan, jobs=1, interval=5.0):
-    """Run a sampled fleet under ``plan`` and score the default rules."""
-    obs_timeseries.reset()
-    result = run_fleet(config, jobs=jobs, sample_interval=interval, plan=plan)
-    # merge restores points but not the interval; pin it before scoring
-    obs_timeseries.recorder.enable(interval=interval, reset=False)
-    try:
-        card = score_fleet_slo(result)
-    finally:
-        obs_timeseries.disable()
-        obs_timeseries.reset()
-    return result, card
+    """Run a sampled fleet under ``plan`` in a session of its own and
+    score the default rules."""
+    with observing(ObsConfig(timeseries=interval)):
+        result = run_fleet(config, jobs=jobs, plan=plan)
+        return result, score_fleet_slo(result)
+
+
+def test_merged_samples_carry_their_interval_outside_a_session(idle_run):
+    """Cells sampled every 10 s used to merge into a recorder that kept
+    reporting its default 5 s interval, so the scorecard snapped the
+    registry outage's detection to the wrong grid."""
+    config = FleetConfig(tenants=8, nodes=32, starts=2000, shards=2, seed=1)
+    plan = generate_fleet_plan(config, seed=1)
+    result = run_fleet(config, sample_interval=10.0, plan=plan)
+    interval = idle_run.recorder.document()["interval"]
+    bare = score_fleet_slo(result)
+    _, sessioned = _scored_run(config, plan, interval=10.0)
+    assert interval == 10.0
+    assert bare.detection["registry_429"] == sessioned.detection["registry_429"] == 10.0
+    assert bare.to_json() == sessioned.to_json()
 
 
 # -- plan generation -----------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs consistency check: dead links, phantom names, stale paths.
 
-Four classes of documentation rot, all cheap to catch mechanically:
+Five classes of documentation rot, all cheap to catch mechanically:
 
 1. **Dead relative links** — every ``[text](path)`` markdown link whose
    target is a relative path must point at a file or directory that
@@ -24,6 +24,10 @@ Four classes of documentation rot, all cheap to catch mechanically:
    ``perfbench/…``, ``tools/…``, ``src/…``, ``tests/…`` or
    ``examples/…`` path (in a code span or a fenced command) in the docs
    that describe the current tree (:data:`CURRENT_DOCS`) must exist.
+5. **Phantom Python names** — every backticked dotted ``repro.x.y``
+   name in :data:`CURRENT_DOCS` must resolve: its longest importable
+   prefix imports, and ``getattr`` reaches the rest.  This catches docs
+   that still name a deleted module, singleton or function.
 
 Exit status: 0 clean, 1 with findings (one line each on stderr).
 """
@@ -31,6 +35,7 @@ Exit status: 0 clean, 1 with findings (one line each on stderr).
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import re
 import sys
@@ -58,6 +63,8 @@ FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 PATH_RE = re.compile(
     r"(?<![\w./-])(?:benchmarks|perfbench|tools|src|tests|examples)/[\w./-]*"
 )
+#: a dotted Python name under the package, inside a code span
+PYNAME_RE = re.compile(r"(?<![\w./-])repro(?:\.\w+)+")
 
 
 def iter_links(text: str):
@@ -163,15 +170,46 @@ def check_paths() -> list[str]:
     return problems
 
 
+def resolves(name: str) -> bool:
+    """Import the longest importable prefix of ``name``, then ``getattr``
+    the remaining parts."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_python_names() -> list[str]:
+    sys.path.insert(0, str(REPO / "src"))
+    problems = []
+    for name in CURRENT_DOCS:
+        text = (REPO / name).read_text()
+        spans = CODE_SPAN_RE.findall(FENCE_RE.sub("", text))
+        names = {found for span in spans for found in PYNAME_RE.findall(span)}
+        problems += [f"{name}: `{found}` does not resolve"
+                     for found in sorted(names) if not resolves(found)]
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_metrics() + check_cli_flags() + check_paths()
+    problems = (check_links() + check_metrics() + check_cli_flags() + check_paths()
+                + check_python_names())
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     print(f"docs OK: {len(DOCS)} files, links + metric catalog + CLI flags + "
-          "repo paths verified")
+          "repo paths + Python names verified")
     return 0
 
 
