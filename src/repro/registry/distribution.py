@@ -126,9 +126,15 @@ class OCIDistributionRegistry:
         #: Images are immutable, so repeat pulls of the same manifest can
         #: share one object instead of re-deriving the manifest + config
         #: digests per pull — at fleet scale that is one sha256/JSON
-        #: round per container start.  Cost accounting is unaffected:
-        #: the per-layer store reads below still run every pull.
+        #: round per container start.
         self._pull_cache: dict[str, OCIImage] = {}
+        #: (manifest digest, which of its layers the client has) -> the
+        #: pull's price before any slow-blob factor, its transferred
+        #: bytes and its layers.  Blobs are content-addressed, so a
+        #: price only goes stale when blobs leave the store, and
+        #: :meth:`garbage_collect` clears the memo when they do.
+        self._prices: dict[tuple[str, tuple[bool, ...]],
+                           tuple[float, int, list[Layer]]] = {}
         #: declared tenants (orgs/projects)
         self._tenants: set[str] = set()
         self.stats = {"pushes": 0, "pulls": 0, "blob_uploads_skipped": 0}
@@ -253,6 +259,13 @@ class OCIDistributionRegistry:
         window lookup (and the rate limiter), so analytic retry loops
         pass ``now + cost_so_far`` to model time moving forward between
         attempts.
+
+        The price of a pull depends only on the manifest and on which of
+        its layers the client already has, so it is computed once per
+        such pair and memoized (the memo is checked after the auth, rate
+        and fault checks, which stay per call).  A memoized pull does not
+        read the blob store again; the slow-blob factor, ``stats``, the
+        ``registry.pull`` span and the metrics are still per call.
         """
         self._authorize(token, "pull")
         self._rate_check(ip, now)
@@ -277,17 +290,22 @@ class OCIDistributionRegistry:
                     slow_factor = max(1.0, fault.factor)
         digest = self.resolve(repository, tag)
         manifest, config = self._manifests[digest]
-        cost = self.transport.request_cost(2048)  # manifest GET
-        layers: list[Layer] = []
-        transferred = 0
-        for layer_digest in manifest.layer_digests:
-            blob, store_cost = self.store.get(layer_digest)
-            layer = blob.payload
-            assert isinstance(layer, Layer)
-            layers.append(layer)
-            if layer_digest not in have_digests:
-                cost += store_cost + self.transport.request_cost(blob.size)
-                transferred += blob.size
+        have = tuple(map(have_digests.__contains__, manifest.layer_digests))
+        price = self._prices.get((digest, have))
+        if price is None:
+            cost = self.transport.request_cost(2048)  # manifest GET
+            layers: list[Layer] = []
+            transferred = 0
+            for layer_digest, cached in zip(manifest.layer_digests, have):
+                blob, store_cost = self.store.get(layer_digest)
+                layer = blob.payload
+                assert isinstance(layer, Layer)
+                layers.append(layer)
+                if not cached:
+                    cost += store_cost + self.transport.request_cost(blob.size)
+                    transferred += blob.size
+            price = self._prices[digest, have] = (cost, transferred, layers)
+        cost, transferred, layers = price
         cost *= slow_factor
         self.stats["pulls"] += 1
         if run.tracer.enabled:
@@ -316,7 +334,9 @@ class OCIDistributionRegistry:
 
     def garbage_collect(self) -> int:
         """Drop manifests and blobs no tag references anymore; returns the
-        number of blobs purged (registry GC, run offline in real life)."""
+        number of blobs purged (registry GC, run offline in real life).
+        Clears the pull-price memo, whose entries assume their blobs."""
+        self._prices.clear()
         referenced_manifests = {
             digest for tags in self._tags.values() for digest in tags.values()
         }

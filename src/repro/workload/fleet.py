@@ -35,23 +35,36 @@ one pod object, and one O(nodes) scheduler scan each.  The engine
 therefore
 
 - batches time into epochs: one simulator event per epoch drives an
-  exact two-stream merge of arrivals (precomputed trace arrays) and
-  completions (a calendar of per-epoch buckets) — virtual-time results
-  are *identical* to one-event-per-start execution;
-- pools container records in slotted parallel arrays with a free list —
-  no per-start object allocation, no retained per-container history;
+  exact merge of arrivals (precomputed trace arrays) and completions (a
+  calendar of per-epoch buckets; the live epoch's bucket is sorted once
+  and popped in ``(end, seq)`` order, with starts that end inside the
+  same epoch insorted) — virtual-time results are *identical* to
+  one-event-per-start execution;
+- runs every placement through one inline block of that merge loop: an
+  arrival places itself (or queues when nothing fits), and a completion
+  or a node crash/restore drains the queue head-first at its own time —
+  no per-start method calls;
+- files each completion as a flat record ``(end, seq, slot, gen, node,
+  req, tenant, busy)`` that carries everything the completion needs, so
+  a completion reads no per-slot arrays; slots are just ids on a free
+  list plus a generation counter (no per-start object allocation, no
+  retained per-container history);
 - places starts through :class:`~repro.cluster.capacity.CapacityIndex`
   (bucketed best-fit, O(log nodes)) instead of a linear scan;
+- prices cold pulls through the registry's memo: a pull's cost depends
+  only on the image and which of its layers the node already holds (see
+  :meth:`~repro.registry.distribution.OCIDistributionRegistry.pull_image`);
 - streams per-tenant results into :class:`TenantStats` accumulators and
   fixed-bucket histograms;
 - feeds labeled metrics through interned series keys
   (:meth:`~repro.obs.metrics.MetricsRegistry.series_key`) so the
   per-start path never rebuilds label dicts.
 
-``tests/oracles/fleet.py`` drives the same engine the slow way — one
-simulator event per arrival, completion and fault edge, placement by a
-linear capacity scan — and the fleet tests hold its reports byte-
-identical to the epoch pump's, with and without chaos.
+``tests/oracles/fleet.py`` runs the same shards the slow way, with
+bodies of its own — one simulator event per arrival, completion and
+fault edge, placement by a linear capacity scan — and the fleet tests
+hold its reports byte-identical to the epoch pump's, with and without
+chaos.
 
 **Chaos.**  A :class:`~repro.faults.plan.FaultPlan` can be delivered
 into a fleet run (``python -m repro fleet --chaos`` / ``--faults``).
@@ -66,9 +79,10 @@ completions, completions over arrivals — exactly the URGENT-before-
 NORMAL order of one-event-per-edge execution, so the oracle equivalence
 holds under chaos too).  A crash kills every slot on the node (their starts
 requeue through placement, the capacity ledger forgets the node), a
-restore returns the node fully free; slot records are generation-
-counted so a killed slot's stale completion is skipped wherever it
-surfaces.  Disarmed runs pay one integer compare per epoch and per
+restore returns the node fully free; slots are generation-counted so a
+killed slot's stale completion is skipped wherever it surfaces.  Only
+armed runs keep each slot's node, trace index and occupancy for the
+crash scan; disarmed runs pay one integer compare per epoch and per
 merge step.
 """
 
@@ -78,8 +92,9 @@ import dataclasses
 import json
 import math
 import typing as _t
+from bisect import bisect_left, insort
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -110,6 +125,12 @@ WAIT_BUCKETS: tuple[float, ...] = (0.0, 1.0, 5.0, 15.0, 60.0, 300.0)
 #: many tenants — smoke-scale runs get full tenant detail, the 2000-tenant
 #: flagship keeps its per-tick sampling cost at O(shard aggregates)
 TENANT_SERIES_MAX = 16
+
+
+def _latest_first(record: tuple) -> tuple:
+    """Sort key of the live epoch's bucket, which the pump sorts latest-
+    first and pops from the end: descending ``(end, seq)``."""
+    return (-record[0], -record[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -622,45 +643,39 @@ class FleetShardEngine:
         self.index = CapacityIndex(self.n_nodes, config.node_cpus)
         self.node_images: list[set[str]] = [set() for _ in range(self.n_nodes)]
         self.node_layers: list[set[str]] = [set() for _ in range(self.n_nodes)]
-        # -- pooled slot records (parallel arrays + free list) --------------
-        self._slot_node: list[int] = []
-        self._slot_req: list[int] = []
-        self._slot_tenant: list[int] = []
-        self._slot_busy: list[float] = []
-        self._free_slots: list[int] = []
-        #: trace index each slot is running (for requeue on node crash)
-        self._slot_k: list[int] = []
-        #: slot occupancy flag (crash kill-scan looks only at live slots)
-        self._slot_live: list[bool] = []
+        # -- pooled slots (free list; a completion record carries its data) -
         #: generation counter, bumped when a crash kills the slot — stale
         #: completion records carry the old generation and are skipped
         self._slot_gen: list[int] = []
-        # -- completion calendar (per-epoch buckets) ------------------------
-        self._calendar: dict[int, list[tuple[float, int, int, int]]] = {}
+        self._free_slots: list[int] = []
+        #: node, trace index and occupancy per slot, kept only while armed
+        #: (the crash kill-scan and its requeues read them)
+        self._slot_node: list[int] = []
+        self._slot_k: list[int] = []
+        self._slot_live: list[bool] = []
+        # -- completion calendar (per-epoch buckets of completion records
+        # ``(end, seq, slot, gen, node, req, tenant, busy)``) ---------------
+        self._calendar: dict[int, list[tuple]] = {}
         self._cal_heap: list[int] = []
-        self._cal_size = 0
-        self._local_heap: list[tuple[float, int, int, int]] = []
-        self._local_epoch = -1
-        self._comp_seq = 0
+        #: the live epoch's bucket, sorted latest-first and popped from the
+        #: end, so it always holds exactly the records still to deliver
+        self._bucket: list[tuple] = []
         self._pending: deque[tuple[int, float]] = deque()
         self._live = 0
         # -- chaos: the plan's crash/restore edges as a third merge stream --
         self._fault_edges = self._index_plan(plan)
-        #: crash bookkeeping (slot_k/slot_live writes, generation reads)
+        #: crash bookkeeping (slot node/k/live writes, generation reads)
         #: is skipped wholesale on the disarmed hot path — with no crash
         #: edges every generation stays 0, so the records are identical
         self._armed = bool(self._fault_edges)
-        self._edge_i = 0
         self._crashes = 0
         self._requeues = 0
         self._last_requeues = 0
         self._last_failed = 0
         self._last_retries = 0
-        # -- hot-loop constants (one attribute hop instead of a chain) ------
-        self._epoch_len = config.epoch
+        # -- cold-pull constants (one attribute hop instead of a chain) -----
         self._warm_start_s = config.warm_start_s
         self._inv_unpack = 1.0 / config.unpack_bandwidth
-        self._digests = self.catalog.digests
         # -- streaming results (peaks/sums folded into the result at end) ---
         self._warm_starts = 0
         self._makespan = 0.0
@@ -747,22 +762,24 @@ class FleetShardEngine:
         return edges
 
     def _deliver_edge(self, edge: tuple[float, int, int, int, FaultEvent]) -> None:
+        """Apply one crash or restore edge; the pump then drains the
+        placement queue at the edge time.  An edge that finds its node
+        already in the target state changes nothing, so that drain
+        places nothing: the queue head did not fit before the edge.
+
+        A crash kills every live slot on the node and takes it out of
+        the pool.  Killed slots requeue their starts (wait restarts at
+        crash time), bump their generation so the stale completion
+        record is skipped wherever it surfaces, and return to the free
+        list.  Their cores are *not* released: the restore recreates the
+        node's full capacity in one step."""
         t, _seq, node, phase, event = edge
-        if phase == 0:
-            run.faults.record_push(event, t)
-            self._crash_node(node, t)
-        else:
-            self._restore_node(node, t)
-
-    def _crash_node(self, node: int, t: float) -> None:
-        """Kill every live slot on ``node`` and take it out of the pool.
-
-        Killed slots requeue their starts (wait restarts at crash time),
-        bump their generation so the stale completion record is skipped
-        wherever it surfaces, and return to the free list.  Their cores
-        are *not* released — :meth:`_restore_node` recreates the node's
-        full capacity in one step."""
         index = self.index
+        if phase == 1:
+            if node in index.down:
+                index.restore_node(node)
+            return
+        run.faults.record_push(event, t)
         if node in index.down:
             return  # overlapping crash windows: first one owns the node
         slot_node = self._slot_node
@@ -777,7 +794,6 @@ class FleetShardEngine:
                 slot_live[slot] = False
                 slot_gen[slot] += 1
                 free_slots.append(slot)
-                self._cal_size -= 1
                 pending.append((slot_k[slot], t))
                 killed += 1
         self._live -= killed
@@ -786,14 +802,6 @@ class FleetShardEngine:
         self._requeues += killed
         if len(pending) > self._pending_peak:
             self._pending_peak = len(pending)
-        self._drain_pending(t)
-
-    def _restore_node(self, node: int, t: float) -> None:
-        """Reboot ``node`` fully free and drain the placement queue."""
-        if node not in self.index.down:
-            return
-        self.index.restore_node(node)
-        self._drain_pending(t)
 
     # -- the run -------------------------------------------------------------
     def run(self) -> FleetShardResult:
@@ -833,16 +841,21 @@ class FleetShardEngine:
     def leak_descriptions(self) -> list[str]:
         """Post-run invariants: every slot freed, every core returned,
         nothing still queued — the fleet equivalent of §3.2's "no
-        lingering processes"."""
+        lingering processes".  Undelivered completions are counted in
+        the calendar and the live epoch's bucket, once each, skipping
+        the records of slots a crash killed."""
         leaks: list[str] = []
         if self._live:
             leaks.append(f"{self._live} container slot(s) still live after drain")
         if self._pending:
             leaks.append(f"{len(self._pending)} start(s) still queued for placement")
-        if self._cal_size or self._local_heap:
-            leaks.append(
-                f"{self._cal_size + len(self._local_heap)} completion(s) never delivered"
-            )
+        slot_gen = self._slot_gen
+        undelivered = sum(
+            1 for bucket in (self._bucket, *self._calendar.values())
+            for _end, _seq, slot, gen, *_ in bucket if slot_gen[slot] == gen
+        )
+        if undelivered:
+            leaks.append(f"{undelivered} completion(s) never delivered")
         if self.index.down:
             leaks.append(
                 f"{len(self.index.down)} node(s) still down after drain"
@@ -857,29 +870,46 @@ class FleetShardEngine:
 
     # -- the epoch-batched pump ----------------------------------------------
     def _pump(self):
+        """The epoch-batched merge: one simulator event per epoch with work.
+
+        Inside an epoch, fault edges, completions and arrivals merge in
+        exact ``(time, stream)`` order — edges win every tie and
+        completions win ties over arrivals (free before place), the
+        order one event per occurrence gives: edges are init-scheduled
+        URGENT events (lowest seq), completions run-scheduled URGENT,
+        arrivals NORMAL.  Each step feeds the one placement block below:
+        an arrival places itself (or queues when nothing fits), a
+        completion or a state-changing edge drains the queue head-first
+        at its own time.  Counters live in locals and are written back
+        at each epoch end and around an edge delivery.
+        """
         env = self.env
         epoch_len = self.config.epoch
-        times = self._times
         n = self.n_starts
-        calendar = self._calendar
-        cal_heap = self._cal_heap
-        pending = self._pending
+        times, cpus, images = self._times, self._cpus, self._images
+        tenants_local, durations = self._tenants_local, self._durations
+        digests, node_images, stats = self.catalog.digests, self.node_images, self.stats
+        warm_start_s, cold_pull = self._warm_start_s, self._cold_pull
+        alloc, release = self.index.alloc, self.index.release
+        calendar, cal_heap, pending = self._calendar, self._cal_heap, self._pending
         edges = self._fault_edges
         ne = len(edges)
-        slot_gen = self._slot_gen
-        armed = self._armed
+        armed, slot_gen, free_slots = self._armed, self._slot_gen, self._free_slots
+        slot_node, slot_k, slot_live = self._slot_node, self._slot_k, self._slot_live
+        hist = self._wait_hist
+        metric_keys, inc_series = self._metric_keys, run.metrics.inc_series
         prof = run.counters
-        i = 0
-        while (i < n or self._cal_size or self._local_heap or pending
-               or self._edge_i < ne):
-            e = self._edge_i
+        live = live_peak = pending_peak = warm_starts = seq = 0
+        makespan = 0.0
+        i = e = 0
+        while i < n or live or pending or e < ne:
             # next epoch with work: earliest arrival, completion bucket,
             # or fault edge
             epoch = None
             if i < n:
                 epoch = int(times[i] // epoch_len)
             while cal_heap and calendar.get(cal_heap[0]) is None:
-                heappop(cal_heap)  # bucket consumed into a local heap earlier
+                heappop(cal_heap)  # bucket already claimed as a live bucket
             if cal_heap and (epoch is None or cal_heap[0] < epoch):
                 epoch = cal_heap[0]
             if e < ne:
@@ -893,61 +923,154 @@ class FleetShardEngine:
             boundary = (epoch + 1) * epoch_len
             if boundary > env.now:
                 yield env.timeout_until(boundary)
-            # claim this epoch's completion bucket as the live local heap
-            local = calendar.pop(epoch, None)
-            if local is None:
-                local = []
+            # claim this epoch's completion bucket, sorted once latest-first
+            bucket = calendar.pop(epoch, None)
+            if bucket is None:
+                bucket = []
             else:
                 if cal_heap and cal_heap[0] == epoch:
                     heappop(cal_heap)
-                heapify(local)
-            self._local_heap = local
-            self._local_epoch = epoch
+                bucket.sort(reverse=True)
+            self._bucket = bucket
             # arrivals that fall inside this epoch
             j = i
             while j < n and times[j] < boundary:
                 j += 1
-            # exact three-stream merge; fault edges win all ties and
-            # completions win ties over arrivals (free before place) —
-            # the order one event per edge would give: edges as
-            # init-scheduled URGENT events (lowest seq), completions
-            # run-scheduled URGENT, arrivals NORMAL
-            complete = self._complete
-            arrive = self._arrive
             k = i
-            while local or k < j or (e < ne and edges[e][0] < boundary):
-                if e < ne:
+            while True:
+                if (e < ne and edges[e][0] < boundary
+                        and (not bucket or edges[e][0] <= bucket[-1][0])
+                        and (k >= j or edges[e][0] <= times[k])):
                     edge = edges[e]
-                    et = edge[0]
-                    if (et < boundary and (not local or et <= local[0][0])
-                            and (k >= j or et <= times[k])):
-                        e += 1
-                        self._edge_i = e
-                        self._deliver_edge(edge)
+                    e += 1
+                    self._live = live
+                    self._pending_peak = pending_peak
+                    self._deliver_edge(edge)
+                    live = self._live
+                    pending_peak = self._pending_peak
+                    if not pending:
                         continue
-                if local and (k >= j or local[0][0] <= times[k]):
-                    end_t, _seq, slot, gen = heappop(local)
-                    if armed and slot_gen[slot] != gen:
-                        continue  # slot killed by a crash; counted there
-                    self._cal_size -= 1
-                    complete(slot, end_t)
-                else:
-                    arrive(k, times[k])
+                    place_t = edge[0]
+                    drain = True
+                elif bucket and (k >= j or bucket[-1][0] <= times[k]):
+                    place_t, _seq, slot, gen, node, req, tloc, busy = bucket.pop()
+                    if armed:
+                        if slot_gen[slot] != gen:
+                            continue  # slot killed by a crash; counted there
+                        slot_live[slot] = False
+                    release(node, req)
+                    st = stats[tloc]
+                    st.completions += 1
+                    st.cpu_seconds += busy * req
+                    live -= 1
+                    free_slots.append(slot)
+                    if not pending:
+                        continue
+                    drain = True
+                elif k < j:
+                    kk = k
                     k += 1
+                    arrival_t = place_t = times[kk]
+                    req = cpus[kk]
+                    node = alloc(req)
+                    if node is None:
+                        pending.append((kk, arrival_t))
+                        if len(pending) > pending_peak:
+                            pending_peak = len(pending)
+                        continue
+                    drain = False
+                else:
+                    break
+                # the placement block: the arrival just allocated, or
+                # queued starts head-first until the head no longer fits
+                while True:
+                    if drain:
+                        if not pending:
+                            break
+                        kk, arrival_t = pending[0]
+                        req = cpus[kk]
+                        node = alloc(req)
+                        if node is None:
+                            break
+                        pending.popleft()
+                    tloc = tenants_local[kk]
+                    img = images[kk]
+                    st = stats[tloc]
+                    node_set = node_images[node]
+                    digest = digests[img]
+                    if digest in node_set:
+                        startup = warm_start_s
+                        warm_starts += 1
+                    else:
+                        try:
+                            startup = cold_pull(tloc, img, node, place_t, st)
+                        except RetryExhausted:
+                            release(node, req)
+                            st.failed += 1
+                            if drain:
+                                continue
+                            break
+                        node_set.add(digest)
+                    busy = startup + durations[kk]
+                    end = place_t + busy
+                    if free_slots:
+                        slot = free_slots.pop()
+                        if armed:
+                            slot_node[slot] = node
+                            slot_k[slot] = kk
+                            slot_live[slot] = True
+                    else:
+                        slot = len(slot_gen)
+                        slot_gen.append(0)
+                        if armed:
+                            slot_node.append(node)
+                            slot_k.append(kk)
+                            slot_live.append(True)
+                    live += 1
+                    if live > live_peak:
+                        live_peak = live
+                    record = (end, seq, slot, slot_gen[slot], node, req, tloc, busy)
+                    seq += 1
+                    end_epoch = int(end // epoch_len)
+                    if end_epoch == epoch:
+                        insort(bucket, record, key=_latest_first)
+                    else:
+                        later = calendar.get(end_epoch)
+                        if later is None:
+                            calendar[end_epoch] = [record]
+                            heappush(cal_heap, end_epoch)
+                        else:
+                            later.append(record)
+                    if end > makespan:
+                        makespan = end
+                    st.starts += 1
+                    wait = place_t - arrival_t
+                    if wait > 0.0:
+                        st.wait_sum += wait
+                        if wait > st.wait_max:
+                            st.wait_max = wait
+                    hist[bisect_left(WAIT_BUCKETS, wait)] += 1
+                    if metric_keys is not None:
+                        inc_series(metric_keys[tloc][0])
+                    if not drain:
+                        break
             i = j
-            self._local_epoch = -1
+            self._live = live
+            self._live_peak = live_peak
+            self._pending_peak = pending_peak
+            self._warm_starts = warm_starts
+            self._makespan = makespan
             self.result.epochs += 1
             rec = self._rec
             if rec.enabled and env.now >= rec._next_due:
                 self._sample_timeseries(rec)
             if prof.enabled:
                 depth = (len(env._queue) + len(env._immediate)
-                         + self._cal_size + len(pending))
+                         + live + len(pending))
                 if depth > prof.event_queue_peak:
                     prof.event_queue_peak = depth
-                live = self._live + len(pending)
-                if live > prof.live_objects_peak:
-                    prof.live_objects_peak = live
+                if live + len(pending) > prof.live_objects_peak:
+                    prof.live_objects_peak = live + len(pending)
 
     def _sample_timeseries(self, rec: "_timeseries.TimeSeriesRecorder") -> None:
         """One sampler tick, inline at an epoch boundary.
@@ -1019,95 +1142,6 @@ class FleetShardEngine:
                     tenant=tenant,
                 )
 
-    def _arrive(self, k: int, t: float) -> None:
-        req = self._cpus[k]
-        node = self.index.alloc(req)
-        if node is None:
-            pending = self._pending
-            pending.append((k, t))
-            if len(pending) > self._pending_peak:
-                self._pending_peak = len(pending)
-            return
-        self._place(k, t, t, node, req)
-
-    def _place(self, k: int, arrival_t: float, place_t: float,
-               node: int, req: int) -> None:
-        tloc = self._tenants_local[k]
-        img = self._images[k]
-        digest = self._digests[img]
-        node_set = self.node_images[node]
-        stats = self.stats[tloc]
-        if digest in node_set:
-            startup = self._warm_start_s
-            self._warm_starts += 1
-        else:
-            try:
-                startup = self._cold_pull(tloc, img, node, place_t, stats)
-            except RetryExhausted:
-                self.index.release(node, req)
-                stats.failed += 1
-                return
-            node_set.add(digest)
-        busy = startup + self._durations[k]
-        end = place_t + busy
-        armed = self._armed
-        free_slots = self._free_slots
-        if free_slots:
-            slot = free_slots.pop()
-            self._slot_node[slot] = node
-            self._slot_req[slot] = req
-            self._slot_tenant[slot] = tloc
-            self._slot_busy[slot] = busy
-            if armed:
-                self._slot_k[slot] = k
-                self._slot_live[slot] = True
-        else:
-            slot = len(self._slot_node)
-            self._slot_node.append(node)
-            self._slot_req.append(req)
-            self._slot_tenant.append(tloc)
-            self._slot_busy.append(busy)
-            self._slot_gen.append(0)
-            if armed:
-                self._slot_k.append(k)
-                self._slot_live.append(True)
-        live = self._live + 1
-        self._live = live
-        if live > self._live_peak:
-            self._live_peak = live
-        seq = self._comp_seq
-        self._comp_seq = seq + 1
-        self._cal_size += 1
-        gen = self._slot_gen[slot] if armed else 0
-        record = (end, seq, slot, gen)
-        epoch = int(end // self._epoch_len)
-        if epoch == self._local_epoch:
-            heappush(self._local_heap, record)
-        else:
-            bucket = self._calendar.get(epoch)
-            if bucket is None:
-                self._calendar[epoch] = [record]
-                heappush(self._cal_heap, epoch)
-            else:
-                bucket.append(record)
-        if end > self._makespan:
-            self._makespan = end
-        stats.starts += 1
-        wait = place_t - arrival_t
-        if wait > 0.0:
-            stats.wait_sum += wait
-            if wait > stats.wait_max:
-                stats.wait_max = wait
-        hist = self._wait_hist
-        for b, bound in enumerate(WAIT_BUCKETS):
-            if wait <= bound:
-                hist[b] += 1
-                break
-        else:
-            hist[-1] += 1
-        if self._metric_keys is not None:
-            run.metrics.inc_series(self._metric_keys[tloc][0])
-
     def _cold_pull(self, tloc: int, img: int, node: int, t: float,
                    stats: TenantStats) -> float:
         """Pull through the real registry; returns the startup cost."""
@@ -1144,49 +1178,6 @@ class FleetShardEngine:
         if self._metric_keys is not None:
             run.metrics.inc_series(self._metric_keys[tloc][1])
         return elapsed + cost + missing * self._inv_unpack + self._warm_start_s
-
-    def _complete(self, slot: int, end_t: float) -> None:
-        node = self._slot_node[slot]
-        req = self._slot_req[slot]
-        stats = self.stats[self._slot_tenant[slot]]
-        index = self.index
-        index.release(node, req)
-        stats.completions += 1
-        stats.cpu_seconds += self._slot_busy[slot] * req
-        self._live -= 1
-        if self._armed:
-            self._slot_live[slot] = False
-        self._free_slots.append(slot)
-        # FIFO head-blocking drain, inlined (this runs once per
-        # completion; _drain_pending is the same loop for the rare
-        # crash-requeue and node-restore paths)
-        pending = self._pending
-        if pending:
-            cpus = self._cpus
-            while pending:
-                k, arrival_t = pending[0]
-                req2 = cpus[k]
-                node2 = index.alloc(req2)
-                if node2 is None:
-                    break
-                pending.popleft()
-                self._place(k, arrival_t, end_t, node2, req2)
-
-    def _drain_pending(self, place_t: float) -> None:
-        """Place queued starts head-first until the head no longer fits
-        (FIFO head-blocking, the shared drain for completions, crash
-        requeues and node restores)."""
-        pending = self._pending
-        index = self.index
-        cpus = self._cpus
-        while pending:
-            k, arrival_t = pending[0]
-            req = cpus[k]
-            node = index.alloc(req)
-            if node is None:
-                break
-            pending.popleft()
-            self._place(k, arrival_t, place_t, node, req)
 
 
 def run_fleet_shard(

@@ -3,9 +3,12 @@
 :class:`OracleFleetShardEngine` runs a fleet shard the slow, obvious
 way.  Every fault edge, arrival and completion is its own simulator
 event, and placement goes through :class:`LinearCapacityScan`.  The
-placement, pull and bookkeeping code (``_arrive``, ``_place``,
-``_complete``, the crash/restore edges) is the production engine's own;
-only the clock differs.  Tie order comes from the simulator itself:
+arrival, placement, completion, drain and crash/restore bodies are the
+oracle's own: one method per occurrence, a slot object per running
+start, and a completion event that carries only the slot id and its
+generation.  From the production engine it takes only the setup (trace,
+catalog, registry, fault edges), the registry pull (``_cold_pull``) and
+the result fold in ``run``.  Tie order comes from the simulator itself:
 fault edges are URGENT and scheduled first, completions are URGENT and
 scheduled as they are placed, arrivals are NORMAL.  The epoch pump's
 three-stream merge must reproduce exactly that order.
@@ -13,6 +16,7 @@ three-stream merge must reproduce exactly that order.
 
 from __future__ import annotations
 
+from repro.faults.retry import RetryExhausted
 from repro.run import run
 from repro.sim import Environment
 from repro.sim.events import Event
@@ -21,34 +25,27 @@ from repro.workload import fleet as _fleet
 from tests.oracles.capacity import LinearCapacityScan
 
 
-class _CompletionEvents:
-    """Stands in for the pump's per-epoch completion calendar.
+class _Slot:
+    """One running start.  Slots are pooled LIFO like the engine's, so a
+    crash kill-scan visits them (and requeues their starts) in the same
+    order; ``gen`` counts crash kills so a killed start's completion
+    event is recognised as stale."""
 
-    ``_place`` files each completion record with ``calendar.get(epoch)``
-    (always None here) followed by ``calendar[epoch] = [record]``; this
-    turns the record into an URGENT event at its end time instead.
-    """
+    __slots__ = ("node", "req", "tenant", "busy", "k", "live", "gen")
 
-    def __init__(self, engine: "OracleFleetShardEngine"):
-        self.engine = engine
-
-    def get(self, epoch: int) -> None:
-        return None
-
-    def __setitem__(self, epoch: int, records: list[tuple]) -> None:
-        for record in records:
-            self.engine._schedule(record[0], self.engine._on_completion, record,
-                                  Environment.URGENT)
+    def __init__(self) -> None:
+        self.live = False
+        self.gen = 0
 
 
 class OracleFleetShardEngine(_fleet.FleetShardEngine):
     def __init__(self, env, config, shard, plan=None):
         super().__init__(env, config, shard, plan=plan)
         self.index = LinearCapacityScan(self.n_nodes, config.node_cpus)
-        self._calendar = _CompletionEvents(self)
+        self._slots: list[_Slot] = []
+        self._free: list[int] = []
         for edge in self._fault_edges:
             self._schedule(edge[0], self._on_edge, edge, Environment.URGENT)
-        self._edge_i = len(self._fault_edges)
         for k, t in enumerate(self._times):
             self._schedule(t, self._on_arrival, k, Environment.NORMAL)
 
@@ -63,22 +60,121 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         return
         yield
 
+    # -- occurrences ---------------------------------------------------------
     def _on_arrival(self, event: Event) -> None:
         k = event._value
-        self._arrive(k, self._times[k])
+        t = self._times[k]
+        req = self._cpus[k]
+        node = self.index.alloc(req)
+        if node is None:
+            self._enqueue(k, t)
+        else:
+            self._place(k, t, t, node, req)
         self._note_pressure()
 
     def _on_completion(self, event: Event) -> None:
-        end, _seq, slot, gen = event._value
-        if self._slot_gen[slot] != gen:
-            return  # slot killed by a crash; counted at kill time
-        self._cal_size -= 1
-        self._complete(slot, end)
+        slot_id, gen = event._value
+        slot = self._slots[slot_id]
+        if slot.gen != gen:
+            return  # killed by a crash; requeued there
+        self.index.release(slot.node, slot.req)
+        stats = self.stats[slot.tenant]
+        stats.completions += 1
+        stats.cpu_seconds += slot.busy * slot.req
+        slot.live = False
+        self._free.append(slot_id)
+        self._live -= 1
+        self._drain(self.env.now)
         self._note_pressure()
 
     def _on_edge(self, event: Event) -> None:
-        self._deliver_edge(event._value)
+        t, _seq, node, phase, fault = event._value
+        if phase == 0:
+            run.faults.record_push(fault, t)
+            if node not in self.index.down:
+                self._crash(node, t)
+                self._drain(t)
+        elif node in self.index.down:
+            self.index.restore_node(node)
+            self._drain(t)
         self._note_pressure()
+
+    # -- the bodies ------------------------------------------------------------
+    def _enqueue(self, k: int, arrival_t: float) -> None:
+        self._pending.append((k, arrival_t))
+        self._pending_peak = max(self._pending_peak, len(self._pending))
+
+    def _drain(self, t: float) -> None:
+        """Place queued starts head-first until the head no longer fits."""
+        pending = self._pending
+        while pending:
+            k, arrival_t = pending[0]
+            req = self._cpus[k]
+            node = self.index.alloc(req)
+            if node is None:
+                return
+            pending.popleft()
+            self._place(k, arrival_t, t, node, req)
+
+    def _place(self, k: int, arrival_t: float, t: float, node: int, req: int) -> None:
+        tenant = self._tenants_local[k]
+        image = self._images[k]
+        digest = self.catalog.digests[image]
+        stats = self.stats[tenant]
+        if digest in self.node_images[node]:
+            startup = self.config.warm_start_s
+            self._warm_starts += 1
+        else:
+            try:
+                startup = self._cold_pull(tenant, image, node, t, stats)
+            except RetryExhausted:
+                self.index.release(node, req)
+                stats.failed += 1
+                return
+            self.node_images[node].add(digest)
+        busy = startup + self._durations[k]
+        end = t + busy
+        if self._free:
+            slot_id = self._free.pop()
+        else:
+            slot_id = len(self._slots)
+            self._slots.append(_Slot())
+        slot = self._slots[slot_id]
+        slot.node, slot.req, slot.tenant, slot.busy, slot.k = node, req, tenant, busy, k
+        slot.live = True
+        self._live += 1
+        self._live_peak = max(self._live_peak, self._live)
+        self._schedule(end, self._on_completion, (slot_id, slot.gen), Environment.URGENT)
+        self._makespan = max(self._makespan, end)
+        stats.starts += 1
+        wait = t - arrival_t
+        if wait > 0.0:
+            stats.wait_sum += wait
+            stats.wait_max = max(stats.wait_max, wait)
+        for b, bound in enumerate(_fleet.WAIT_BUCKETS):
+            if wait <= bound:
+                self._wait_hist[b] += 1
+                break
+        else:
+            self._wait_hist[-1] += 1
+        if run.metrics.enabled:
+            run.metrics.inc("fleet.starts", tenant=f"t{self.tenant_ids[tenant]:05}")
+
+    def _crash(self, node: int, t: float) -> None:
+        """Kill every live slot on ``node`` (requeueing its start) and
+        take the node out of the pool; its cores come back on restore."""
+        killed = 0
+        for slot_id, slot in enumerate(self._slots):
+            if slot.live and slot.node == node:
+                slot.live = False
+                slot.gen += 1
+                self._free.append(slot_id)
+                self._enqueue(slot.k, t)
+                killed += 1
+        self._live -= killed
+        self.index.remove_node(node)
+        self._crashes += 1
+        self._requeues += killed
 
     def _note_pressure(self) -> None:
         prof = run.counters

@@ -3,6 +3,7 @@ quotas, auth, artifacts, squashing."""
 
 import pytest
 
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.fs import FileTree
 from repro.oci import Builder, ImageConfig, Layer, OCIImage
 from repro.oci.catalog import BaseImageCatalog
@@ -14,8 +15,12 @@ from repro.registry import (
     QuotaExceeded,
     QuotaManager,
     RegistryError,
+    RegistryRateLimited,
+    RegistryTimeout,
 )
 from repro.registry.registries import COSIGN_MEDIA_TYPE
+from repro.run import ObsConfig, observing, run
+from repro.sim import Environment
 
 
 def small_image(content: bytes = b"app") -> OCIImage:
@@ -151,3 +156,100 @@ def test_squashing_gated_and_correct():
     flat = squasher.squashed_image("r/app", "v1")
     assert len(flat.layers) == 1
     assert flat.flatten().exists("/a") and flat.flatten().exists("/b")
+
+
+# -- pull-price memo ----------------------------------------------------------
+
+def _layered_registry(image=None):
+    """A registry holding one three-layer image (base, runtime, app)."""
+    if image is None:
+        image = Builder(BaseImageCatalog()).build_dockerfile(
+            "FROM ubuntu\nRUN write /opt/rt 3000000\nRUN write /srv/app 5000000"
+        )
+    registry = OCIDistributionRegistry(name="memo")
+    registry.push_image("hpc/app", "v1", image)
+    return registry, image
+
+
+def _arm(kind, **fields):
+    plan = FaultPlan([FaultEvent(kind=kind, at=0.0, duration=100.0, **fields)])
+    run.faults.arm(plan, Environment())
+
+
+def test_repeated_pulls_share_a_price_but_each_is_counted_and_observed():
+    registry, image = _layered_registry()
+    have = {image.layers[0].digest}
+    with observing(ObsConfig(metrics=True, trace=True)) as obs:
+        pulls = [registry.pull_image("hpc/app", "v1", have_digests=have)
+                 for _ in range(3)]
+        spans = [args for _ph, name, _ts, _tid, args, _dur in obs.tracer.events
+                 if name == "registry.pull"]
+        snap = obs.metrics.snapshot(include_sim=False)
+    assert len({cost for _image, cost in pulls}) == 1
+    assert len({id(pulled) for pulled, _cost in pulls}) == 1
+    assert registry.stats["pulls"] == 3
+    assert len(spans) == 3
+    assert len({span["bytes"] for span in spans}) == 1
+    assert snap['registry.pulls{registry="memo"}'] == 3
+    assert snap['registry.pull_seconds{registry="memo"}']["count"] == 3
+    bytes_per_pull = sum(layer.compressed_size for layer in image.layers[1:])
+    assert snap['registry.bytes{op="pull",registry="memo"}'] == 3 * bytes_per_pull
+
+
+def test_each_layer_presence_pattern_is_priced_on_its_own():
+    registry, image = _layered_registry()
+    digests = [layer.digest for layer in image.layers]
+    _, cold = registry.pull_image("hpc/app", "v1")
+    _, base_cached = registry.pull_image("hpc/app", "v1", have_digests={digests[0]})
+    _, app_cached = registry.pull_image("hpc/app", "v1", have_digests={digests[-1]})
+    _, all_cached = registry.pull_image("hpc/app", "v1", have_digests=set(digests))
+    assert cold > base_cached and cold > app_cached and app_cached > all_cached
+    assert base_cached != app_cached
+    # the same patterns again, through a fresh registry that never memoized
+    fresh, _ = _layered_registry(image)
+    for have, cost in ((set(), cold), ({digests[0]}, base_cached),
+                       ({digests[-1]}, app_cached), (set(digests), all_cached)):
+        assert fresh.pull_image("hpc/app", "v1", have_digests=have)[1] == cost
+
+
+def test_slow_blob_window_scales_a_memoized_price_exactly():
+    registry, image = _layered_registry()
+    fresh, _ = _layered_registry(image)
+    _, base = registry.pull_image("hpc/app", "v1")  # memoizes the price
+    with observing(ObsConfig()):
+        _arm(FaultKind.REGISTRY_SLOW_BLOB, factor=4.0)
+        _, memoized = registry.pull_image("hpc/app", "v1", now=1.0)
+        _, unmemoized = fresh.pull_image("hpc/app", "v1", now=1.0)
+    assert memoized == unmemoized == base * 4.0
+
+
+@pytest.mark.parametrize("kind, error", [
+    (FaultKind.REGISTRY_429, RegistryRateLimited),
+    (FaultKind.REGISTRY_TIMEOUT, RegistryTimeout),
+])
+def test_fault_windows_raise_before_the_memo_is_read(kind, error):
+    registry, _ = _layered_registry()
+    _, price = registry.pull_image("hpc/app", "v1")
+    with observing(ObsConfig()):
+        _arm(kind)
+        with pytest.raises(error):
+            registry.pull_image("hpc/app", "v1", now=1.0)
+        assert registry.pull_image("hpc/app", "v1", now=200.0)[1] == price
+    assert registry.stats["pulls"] == 2
+
+
+def test_garbage_collect_forgets_memoized_prices():
+    registry, image = _layered_registry()
+    registry.pull_image("hpc/app", "v1")
+    registry.delete_tag("hpc/app", "v1")
+    assert registry.garbage_collect() > 0
+    # the re-pushed blobs sit in a slower store: a stale memo would
+    # return the old price
+    registry.store.request_latency = 1.0
+    registry.push_image("hpc/app", "v1", image)
+    _, repriced = registry.pull_image("hpc/app", "v1")
+    slow = OCIDistributionRegistry(name="slow")
+    slow.store.request_latency = 1.0
+    slow.push_image("hpc/app", "v1", image)
+    assert repriced == slow.pull_image("hpc/app", "v1")[1]
+    assert repriced > 3.0

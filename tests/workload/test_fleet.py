@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from repro.cli import main
+from repro.cluster.capacity import CapacityIndex
 from repro.faults import find_leaks
 from repro.run import ObsConfig, observing
 from repro.shard import FleetCell, run_cells
@@ -141,6 +142,19 @@ def test_naive_mode_matches_optimized_engine(monkeypatch):
     assert [fleet_report_document(run_fleet(c)) for c in (SMALL, CONTENDED)] == fast
 
 
+@pytest.mark.parametrize("epoch", [0.25, 45.0])
+@pytest.mark.parametrize("chaos", [False, True], ids=["disarmed", "chaos"])
+def test_pump_matches_oracle_at_any_epoch_length(epoch, chaos, monkeypatch):
+    """Coarse epochs fill each bucket with many completions, arrivals and
+    starts that end inside their own epoch; the result must not depend
+    on the batching grain."""
+    config = dataclasses.replace(CONTENDED, epoch=epoch)
+    plan = generate_fleet_plan(config, seed=3) if chaos else None
+    fast = fleet_report_document(run_fleet(config, plan=plan))
+    use_fleet_oracle(monkeypatch)
+    assert fleet_report_document(run_fleet(config, plan=plan)) == fast
+
+
 def _run_counted(config, jobs=1, plan=None, timeseries=None):
     """Run a fleet through the shard runner: (merged result, merged
     profile counters)."""
@@ -252,6 +266,46 @@ def test_find_leaks_reports_stuck_slot_and_queue():
     engine._pending.append((0, 0.0))
     descriptions = " / ".join(find_leaks(engine))
     assert "still live" in descriptions and "still queued" in descriptions
+
+
+class _AuditingIndex(CapacityIndex):
+    """A capacity index that runs the engine's leak audit at every
+    placement decision, which the pump makes mid-epoch."""
+
+    def alloc(self, req):
+        engine = self.engine
+        owed = len(engine._slot_gen) - len(engine._free_slots)
+        self.audits.append((owed, bool(engine._bucket), engine.leak_descriptions()))
+        return super().alloc(req)
+
+
+def _undelivered(descriptions: list[str]) -> int:
+    for description in descriptions:
+        if description.endswith("completion(s) never delivered"):
+            return int(description.split()[0])
+    return 0
+
+
+@pytest.mark.parametrize("chaos_seed", [None, 3], ids=["disarmed", "chaos"])
+def test_mid_epoch_audit_counts_each_undelivered_completion_once(chaos_seed):
+    """An audit taken while the live epoch's bucket still holds records
+    counts each undelivered completion once, and does not count a record
+    whose slot a crash killed."""
+    config = dataclasses.replace(CONTENDED, shards=1)
+    plan = None if chaos_seed is None else generate_fleet_plan(config, seed=chaos_seed)
+    with observing(ObsConfig()):
+        engine = FleetShardEngine(Environment(), config, shard=0, plan=plan)
+        index = _AuditingIndex(engine.n_nodes, config.node_cpus)
+        index.engine, index.audits = engine, []
+        engine.index = index
+        result = engine.run()
+    assert result.leaks == []
+    assert plan is None or result.crashes > 0
+    # the audit ran while the live bucket still held records
+    assert any(owed and in_bucket for owed, in_bucket, _ in index.audits)
+    assert [_undelivered(leaks) for _, _, leaks in index.audits] == [
+        owed for owed, _, _ in index.audits
+    ]
 
 
 # -- pressure counters --------------------------------------------------------

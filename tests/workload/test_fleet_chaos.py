@@ -7,12 +7,16 @@ start oracle, and the
 §3.2 no-lingering-state property — a crashed-then-restored node must
 leave the capacity ledger and the leak audit clean for *any* seeded
 plan, which is what the hypothesis property at the bottom sweeps.
+Hostile but valid inputs (zero starts, one node, every node down past
+the run, whole-run registry windows) must finish with every start
+accounted for.
 """
 
 import dataclasses
 import json
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
@@ -104,6 +108,22 @@ def test_fast_matches_naive_under_chaos(monkeypatch):
     assert all(doc["summary"]["requeues"] > 0 for doc in fast)
     use_fleet_oracle(monkeypatch)
     assert [fleet_report_document(run_fleet(c, plan=plan)) for c, plan in runs] == fast
+
+
+def test_fast_matches_naive_through_an_outage_under_load(monkeypatch):
+    """A registry timeout window opening on a long queue fails cold
+    pulls inside completion drains, which must keep draining past each
+    failed start exactly as one event per occurrence does."""
+    plan = FaultPlan(
+        [FaultEvent(kind=FaultKind.REGISTRY_TIMEOUT, at=150.0, duration=200.0),
+         FaultEvent(kind=FaultKind.NODE_CRASH, at=200.0, duration=60.0,
+                    target=fleet_node_name(1))],
+        seed=0,
+    )
+    fast = fleet_report_document(run_fleet(CONTENDED, plan=plan))
+    assert fast["summary"]["failed"] > 0 and fast["summary"]["pending_peak"] > 100
+    use_fleet_oracle(monkeypatch)
+    assert fleet_report_document(run_fleet(CONTENDED, plan=plan)) == fast
 
 
 def test_chaos_double_run_and_jobs_byte_identical():
@@ -205,6 +225,48 @@ def test_cli_fleet_chaos_flag_validation(capsys, tmp_path):
     assert "mutually exclusive" in capsys.readouterr().err
     assert main([*FLEET_ARGS, "--save-plan", str(tmp_path / "out.json")]) == 2
     assert "--save-plan needs" in capsys.readouterr().err
+
+
+# -- hostile but valid inputs ---------------------------------------------------
+
+#: a fleet small enough to run pooled in every hostile case
+HOSTILE = FleetConfig(tenants=4, nodes=8, starts=300, images=4, shards=2, day=600.0)
+#: a fault window that outlasts every run here
+FOREVER = 100 * HOSTILE.day
+
+
+def _whole_run(kind: FaultKind) -> FaultPlan:
+    return FaultPlan([FaultEvent(kind=kind, at=0.0, duration=FOREVER)], seed=0)
+
+
+HOSTILE_CASES = {
+    "zero-starts": (dataclasses.replace(HOSTILE, starts=0),
+                    generate_fleet_plan(HOSTILE, seed=SEED)),
+    "one-node-one-tenant": (
+        dataclasses.replace(HOSTILE, tenants=1, nodes=1, shards=1),
+        FaultPlan([FaultEvent(kind=FaultKind.NODE_CRASH, at=100.0, duration=50.0,
+                              target=fleet_node_name(0))], seed=0),
+    ),
+    "every-node-crashed-past-the-run": (HOSTILE, FaultPlan(
+        [FaultEvent(kind=FaultKind.NODE_CRASH, at=0.0, duration=FOREVER, target=name)
+         for name in fleet_node_names(HOSTILE)], seed=0,
+    )),
+    "whole-run-429": (HOSTILE, _whole_run(FaultKind.REGISTRY_429)),
+    "whole-run-timeout": (HOSTILE, _whole_run(FaultKind.REGISTRY_TIMEOUT)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
+def test_hostile_inputs_finish_with_explicit_accounting(case):
+    """Inputs that are valid but hostile drain to the end: every start
+    completes or is counted as failed, the leak audit is clean, and a
+    worker pool reproduces the serial report."""
+    config, plan = HOSTILE_CASES[case]
+    serial = run_fleet(config, jobs=1, plan=plan)
+    pooled = run_fleet(config, jobs=2, plan=plan)
+    assert serial.completions + serial.failed == config.starts
+    assert serial.leaks == []
+    assert fleet_report_document(pooled) == fleet_report_document(serial)
 
 
 # -- property: crash/restore leaves no residue ---------------------------------
