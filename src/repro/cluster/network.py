@@ -18,16 +18,32 @@ class Interconnect:
         self.per_hop_latency = per_hop_latency
         self.hops = hops
         self.stats = {"messages": 0, "bytes": 0}
+        #: (request, response) bytes -> round-trip seconds
+        self._rpc_costs: dict[tuple[int, int], float] = {}
+
+    def _seconds(self, nbytes: int) -> float:
+        return self.nic.latency + self.hops * self.per_hop_latency + nbytes / self.nic.bandwidth
 
     def transfer_cost(self, nbytes: int) -> float:
         """Seconds to move ``nbytes`` point-to-point."""
         self.stats["messages"] += 1
         self.stats["bytes"] += nbytes
-        return self.nic.latency + self.hops * self.per_hop_latency + nbytes / self.nic.bandwidth
+        return self._seconds(nbytes)
 
     def rpc_cost(self, request_bytes: int = 512, response_bytes: int = 4096) -> float:
-        """A request/response round trip (e.g. kubelet → API server)."""
-        return self.transfer_cost(request_bytes) + self.transfer_cost(response_bytes)
+        """A request/response round trip (e.g. kubelet → API server):
+        two messages in ``stats``; the seconds are computed once per
+        message-size pair (the link does not change)."""
+        stats = self.stats
+        stats["messages"] += 2
+        stats["bytes"] += request_bytes + response_bytes
+        key = (request_bytes, response_bytes)
+        cost = self._rpc_costs.get(key)
+        if cost is None:
+            cost = self._rpc_costs[key] = (
+                self._seconds(request_bytes) + self._seconds(response_bytes)
+            )
+        return cost
 
     def broadcast_cost(self, nbytes: int, n_nodes: int) -> float:
         """Binomial-tree broadcast of ``nbytes`` to ``n_nodes``."""

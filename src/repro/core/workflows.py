@@ -143,18 +143,19 @@ class Workflow:
 
     def _submit_step(self, env, wlm, engines, registry, step: WorkflowStep):
         ref = ImageReference.parse(step.image)
+        #: (engine, result) per start of the step's job, requeues included
+        started: list = []
 
         def on_start(node, job, user_proc):
             engine = engines[node.name]
             pulled = engine.pull(ref.repository, ref.tag, registry, now=env.now)
-            result = engine.run(pulled, user_proc)
+            started.append((engine, engine.run(pulled, user_proc)))
             step.started_at = env.now
-            job._wf_result = result  # type: ignore[attr-defined]
 
         def on_end(job):
-            result = getattr(job, "_wf_result", None)
-            if result is not None and result.container.state.value == "running":
-                engines[job.allocated_nodes[0]].runtime.finish(result.container)
+            for engine, result in started:
+                engine.stop(result.container)
+                engine.remove(result.container)
 
         job = wlm.submit(
             JobSpec(

@@ -7,6 +7,7 @@ import dataclasses
 import typing as _t
 
 from repro.cluster.node import HostNode
+from repro.engines.monitor import ConmonMonitor
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.fs.drivers import MountedView
 from repro.kernel.process import SimProcess
@@ -14,7 +15,13 @@ from repro.oci.bundle import Bundle, NamespaceRequest, RuntimeSpec
 from repro.oci.hooks import HookRegistry
 from repro.oci.image import OCIImage
 from repro.oci.layer import Layer
-from repro.oci.runtime import Container, CrunRuntime, OCIRuntime, RuncRuntime
+from repro.oci.runtime import (
+    Container,
+    ContainerState,
+    CrunRuntime,
+    OCIRuntime,
+    RuncRuntime,
+)
 from repro.oci.sif import SIFImage
 from repro.registry.distribution import OCIDistributionRegistry
 from repro.run import run
@@ -356,7 +363,10 @@ class ContainerEngine:
                 "scripted components instead (§4.1.3)"
             )
 
-        result.timings["monitor"] = self._monitor_overhead(user)
+        monitor = self._spawn_monitor(user)
+        result.timings["monitor"] = (
+            self._monitor_overhead(user) if monitor is None else monitor.spawn_cost
+        )
         result.timings["runtime"] = self.runtime.startup_cost()
 
         # Cleanup guarantee (§3.2 "no lingering processes"): a fault
@@ -368,28 +378,48 @@ class ContainerEngine:
         container = None
         try:
             container = self.runtime.create(bundle, owner=owner, extra_hooks=hooks)
+            container.monitor = monitor
             self.runtime.start(container)
         except BaseException:
             if container is not None:
                 self._abort_container(container)
+            elif monitor is not None:
+                self._stop_monitor(monitor)
             raise
         result.container = container
         return result
 
+    # -- teardown: stop → remove (record, processes, monitor) -------------------
+    def stop(self, container: Container, exit_code: int = 0) -> None:
+        """The ``stop`` verb: a running container's process exits with
+        ``exit_code``; a container that is not running is left as is."""
+        if container.state is ContainerState.RUNNING:
+            self.runtime.finish(container, exit_code)
+
+    def remove(self, container: Container) -> None:
+        """The ``rm`` verb on a stopped container: the runtime deletes its
+        record and reaps its process (:meth:`OCIRuntime.delete`), then its
+        monitor is stopped and reaped.  Nothing of the container stays
+        on the node; removing twice is a no-op."""
+        try:
+            if container.state is not ContainerState.DELETED:
+                self.runtime.delete(container)
+        finally:
+            monitor = container.monitor
+            if monitor is not None:
+                container.monitor = None
+                self._stop_monitor(monitor)
+
     def _abort_container(self, container: Container) -> None:
         """Best-effort teardown of a container whose start failed."""
-        from repro.oci.runtime import ContainerState
-
         try:
             if container.state is ContainerState.RUNNING:
                 self.runtime.kill(container)
-            if container.state is not ContainerState.DELETED:
-                self.runtime.delete(container)
+            self.remove(container)
         except Exception:
             # poststop hooks may be as broken as whatever aborted the
-            # start; the record is dropped regardless
-            self.runtime.containers.pop(container.id, None)
-            container.state = ContainerState.DELETED
+            # start; delete drops the record and reaps regardless
+            pass
         if run.metrics.enabled:
             run.metrics.inc("engine.aborted_containers", engine=self.info.name)
 
@@ -400,8 +430,6 @@ class ContainerEngine:
         crash path so a dead node leaves no lingering containers or
         mounts behind (§3.2).
         """
-        from repro.oci.runtime import ContainerState
-
         n = 0
         for container in list(self.runtime.containers.values()):
             if container.state not in (ContainerState.STOPPED, ContainerState.DELETED):
@@ -441,6 +469,14 @@ class ContainerEngine:
 
     def _monitor_overhead(self, user: SimProcess) -> float:
         return 0.0
+
+    def _spawn_monitor(self, user: SimProcess) -> ConmonMonitor | None:
+        """Start the per-container monitor, if the engine runs one; its
+        spawn cost then replaces :meth:`_monitor_overhead`."""
+        return None
+
+    def _stop_monitor(self, monitor: ConmonMonitor) -> None:
+        monitor.stop()
 
     def _container_owner(self, user: SimProcess) -> SimProcess:
         """Which process creates the container (user vs root daemon)."""
@@ -518,7 +554,6 @@ class ContainerEngine:
         capabilities over the container's user namespace — i.e. for the
         user who owns the (rootless) container, or root."""
         from repro.kernel.namespaces import NamespaceKind
-        from repro.oci.runtime import ContainerState
 
         if container.state is not ContainerState.RUNNING:
             raise EngineError(f"container is not running ({container.state.value})")

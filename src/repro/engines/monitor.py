@@ -88,6 +88,11 @@ class ConmonMonitor:
                 monitor="conmon",
             )
 
+    def stop(self) -> None:
+        """The monitored container is gone: conmon exits and is reaped."""
+        self.kernel.exit(self.proc, 0)
+        self.kernel.reap(self.proc)
+
     @property
     def runs_as_user(self) -> bool:
         return not self.proc.creds.is_root

@@ -72,12 +72,17 @@ class PodmanEngine(ContainerEngine):
         super().__init__(node)
         self.keyring = keyring
         self.builder = Builder()
+        #: monitors of the containers not yet removed, in spawn order
         self.monitors: list[ConmonMonitor] = []
 
-    def _monitor_overhead(self, user: SimProcess) -> float:
+    def _spawn_monitor(self, user: SimProcess) -> ConmonMonitor:
         monitor = ConmonMonitor(self.kernel, user)
         self.monitors.append(monitor)
-        return monitor.spawn_cost
+        return monitor
+
+    def _stop_monitor(self, monitor: ConmonMonitor) -> None:
+        monitor.stop()
+        self.monitors.remove(monitor)
 
     def _prepare_rootfs(self, pulled: PulledImage, user: SimProcess, result: RunResult) -> MountedView:
         image = pulled.image

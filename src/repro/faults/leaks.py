@@ -3,10 +3,13 @@
 After a chaos run reaches quiescence, every container ever created must
 be in a terminal state (``STOPPED``/``DELETED``), no kubelet may still
 hold an active-pod record for a pod that is terminal, and no mount may
-remain attached to a non-terminal container.  :func:`find_leaks` walks a
-scenario (or any bag of engines/kubelets) and returns human-readable
-descriptions of every violation — an empty list is the pass criterion
-chaos reports and the hypothesis property test assert on.
+remain attached to a non-terminal container.  A finished pod must also
+give back what its start took (:func:`retained_state_leaks`): no
+terminal container still recorded by its runtime, no exited process
+left unreaped, no emptied pod cgroup left behind.  :func:`find_leaks`
+walks a scenario (or any bag of engines/kubelets) and returns
+human-readable descriptions of every violation — an empty list is the
+pass criterion chaos reports and the hypothesis property test assert on.
 """
 
 from __future__ import annotations
@@ -66,6 +69,53 @@ def kubelet_leaks(kubelets: _t.Iterable[object]) -> list[str]:
     return leaks
 
 
+def retained_state_leaks(
+    engines: _t.Iterable[object], kubelets: _t.Iterable[object]
+) -> list[str]:
+    """State that containers and pods which ended should have given
+    back: runtime records of terminal containers, exited processes not
+    reaped on the engines' kernels, and emptied pod cgroups under the
+    kubelets' delegated subtrees."""
+    from repro.kernel.process import ProcessState
+
+    leaks: list[str] = []
+    kernels: dict[int, object] = {}
+    for engine in engines:
+        runtime = getattr(engine, "runtime", engine)
+        kernel = getattr(runtime, "kernel", None)
+        if kernel is not None:
+            kernels.setdefault(id(kernel), kernel)
+        name = getattr(getattr(engine, "info", None), "name", type(engine).__name__)
+        for cid, container in sorted(getattr(runtime, "containers", {}).items()):
+            if container.state in TERMINAL_CONTAINER_STATES:
+                leaks.append(f"terminal container {cid} on {name} still recorded")
+    for kernel in kernels.values():
+        for pid, proc in sorted(kernel.processes.items()):
+            if proc.state is not ProcessState.RUNNING:
+                leaks.append(
+                    f"exited pid {pid} ({proc.argv[0]}) on {kernel.hostname} not reaped"
+                )
+    seen: set[tuple[int, str]] = set()
+    for kubelet in kubelets:
+        root = kubelet.cgroup_path
+        cgroups = kubelet.cri.engine.kernel.cgroups
+        if root is None or (id(cgroups), root) in seen:
+            continue
+        seen.add((id(cgroups), root))
+        parent = cgroups.cgroup_at(root)
+        for name, cg in sorted(parent.children.items() if parent else ()):
+            if name.startswith("pod-") and not cg.procs and not cg.children:
+                leaks.append(f"empty pod cgroup {root}/{name} not removed")
+    return leaks
+
+
+def _values(bag) -> list:
+    """A mapping's values in key order, or the sequence itself."""
+    if isinstance(bag, dict):
+        return [bag[k] for k in sorted(bag)]
+    return list(bag)
+
+
 def find_leaks(scenario: object) -> list[str]:
     """All leak classes for one scenario object (or anything exposing
     ``engines`` — a mapping or sequence — and optionally ``kubelets``).
@@ -78,16 +128,15 @@ def find_leaks(scenario: object) -> list[str]:
     leak_fn = getattr(scenario, "leak_descriptions", None)
     if callable(leak_fn):
         return list(leak_fn())
-    engines = getattr(scenario, "engines", ())
-    if isinstance(engines, dict):
-        engines = [engines[k] for k in sorted(engines)]
+    engines = _values(getattr(scenario, "engines", ()))
     kubelets = [
-        *getattr(scenario, "kubelets", ()),
+        *_values(getattr(scenario, "kubelets", ())),
         # agents retired by a requeue must be just as clean
-        *getattr(scenario, "retired_kubelets", ()),
+        *_values(getattr(scenario, "retired_kubelets", ())),
     ]
     return [
         *container_leaks(engines),
         *mount_leaks(engines),
         *kubelet_leaks(kubelets),
+        *retained_state_leaks(engines, kubelets),
     ]

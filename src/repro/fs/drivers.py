@@ -28,6 +28,7 @@ facade over one or more file trees with a derived cost model.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as _t
 
 from repro.fs.inode import DirNode, FileNode, Node, SymlinkNode, WhiteoutNode
@@ -329,6 +330,14 @@ def _check_fuse_alive(driver: MountDriver) -> None:
             )
 
 
+@functools.lru_cache(maxsize=64)
+def _fuse_overlay_model(backend_model: IOCostModel) -> IOCostModel:
+    """fuse-overlayfs costs over a backend: fixed by the backend, so
+    derived once per backend model rather than once per mount."""
+    model = backend_model.with_overhead(FUSE_OVERLAY_PER_OP, FUSE_OVERLAY_BW_SCALE)
+    return dataclasses.replace(model, name="fuse-overlayfs")
+
+
 def mount_overlay(
     layers: _t.Sequence[FileTree],
     backend_model: IOCostModel,
@@ -338,8 +347,7 @@ def mount_overlay(
     """Union-mount ``layers`` (bottom first) with an optional upper dir."""
     if fuse:
         _check_fuse_alive(FuseOverlayDriver)
-        model = backend_model.with_overhead(FUSE_OVERLAY_PER_OP, FUSE_OVERLAY_BW_SCALE)
-        model = dataclasses.replace(model, name="fuse-overlayfs")
+        model = _fuse_overlay_model(backend_model)
         driver = FuseOverlayDriver
     else:
         model = backend_model.with_overhead(OVERLAY_KERNEL_PER_LAYER * max(1, len(layers)))

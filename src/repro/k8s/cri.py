@@ -47,6 +47,10 @@ class CRIRuntime:
         )
 
     def stop_container(self, result: RunResult, exit_code: int = 0) -> None:
-        container = result.container
-        if container.state.value == "running":
-            self.engine.runtime.finish(container, exit_code)
+        """StopContainer: a running container exits with ``exit_code``."""
+        self.engine.stop(result.container, exit_code)
+
+    def remove_container(self, result: RunResult) -> None:
+        """RemoveContainer: nothing of a stopped container stays on the
+        node — record, processes and monitor (see ``engine.remove``)."""
+        self.engine.remove(result.container)

@@ -26,6 +26,7 @@ from repro.k8s.objects import (
     PodPhase,
     ResourceRequests,
 )
+from repro.kernel.errors import EBUSY
 from repro.kernel.process import SimProcess
 from repro.run import run
 from repro.sim import Environment, Interrupt, Signal
@@ -148,8 +149,13 @@ class Kubelet:
         """
         if not self._running:
             return
+        evicted = list(self._active_pods.values())
         self.evict_active_pods(reason=reason)
         self.cri.engine.abort_all()
+        # a container still mid-start was not in its pod's results yet:
+        # the abort above reaped it, so its pod cgroup is empty only now
+        for pod in evicted:
+            self._remove_pod_cgroup(pod)
         if run.metrics.enabled:
             run.metrics.inc("k8s.kubelet.crashes", node=self.node_name)
         self._running = False
@@ -321,10 +327,10 @@ class Kubelet:
                             f" ({pulled.pull_cost:.1f}s > {deadline:.1f}s)"
                         )
                     yield self.env.timeout(pulled.pull_cost)
-                    cgroup = (
-                        f"{self.cgroup_path}/pod-{pod.metadata.uid}" if self.cgroup_path else None
+                    result = self.cri.run_container(
+                        pulled, user, command=cspec.command,
+                        cgroup_path=self._pod_cgroup(pod),
                     )
-                    result = self.cri.run_container(pulled, user, command=cspec.command, cgroup_path=cgroup)
                     yield self.env.timeout(result.startup_seconds - pulled.pull_cost)
                     results.append(result)
             except Interrupt:
@@ -353,16 +359,46 @@ class Kubelet:
         if pod.spec.duration is not None:
             self.env.process(self._finish_pod_later(pod, results), name=f"pod-{pod.metadata.name}")
 
+    def _pod_cgroup(self, pod: Pod) -> str | None:
+        if self.cgroup_path is None:
+            return None
+        return f"{self.cgroup_path}/pod-{pod.metadata.uid}"
+
+    def _teardown_pod(self, pod: Pod, results: list, exit_code: int) -> None:
+        """The one way a pod's containers end, whatever ended the pod:
+        CRI stop → remove for each container (the runtime record goes,
+        the container and monitor processes are reaped), then the pod
+        cgroup, empty by now, is removed.  Synchronous: no virtual time
+        passes."""
+        for result in results:
+            self.cri.stop_container(result, exit_code)
+            self.cri.remove_container(result)
+        self._remove_pod_cgroup(pod)
+
+    def _remove_pod_cgroup(self, pod: Pod) -> None:
+        path = self._pod_cgroup(pod)
+        if path is None:
+            return
+        cgroups = self.cri.engine.kernel.cgroups
+        if not cgroups.exists(path):
+            return  # no container of the pod got as far as its cgroup
+        user = self.user_proc or self.cri.engine.kernel.init
+        try:
+            cgroups.remove(path, by_uid=0 if user.creds.is_root else user.creds.uid)
+        except EBUSY:
+            # a container of the pod is still mid-start (an eviction
+            # raced it); the crash path retries once its abort reaped it
+            pass
+
     def _fail_pod(self, pod: Pod, results: list, reason: str) -> None:
         """Propagate a start failure or eviction to the pod record.
 
-        Partial containers are stopped, the node's resource grant is
-        returned, and the pod goes FAILED with ``failure_reason`` set.
-        Synchronous (no RPC cost) so crash paths can run it inline; the
-        status update rides the next sync.
+        Partial containers are torn down (:meth:`_teardown_pod`), the
+        node's resource grant is returned, and the pod goes FAILED with
+        ``failure_reason`` set.  Synchronous (no RPC cost) so crash
+        paths can run it inline; the status update rides the next sync.
         """
-        for result in results:
-            self.cri.stop_container(result, exit_code=137)
+        self._teardown_pod(pod, results, exit_code=137)
         pod.phase = PodPhase.FAILED
         pod.end_time = self.env.now
         pod.failure_reason = reason  # type: ignore[attr-defined]
@@ -384,8 +420,7 @@ class Kubelet:
         yield self.env.timeout(pod.spec.duration)
         if pod.phase is not PodPhase.RUNNING or pod.metadata.uid not in self._active_pods:
             return  # failed or evicted while the payload "ran"
-        for result in results:
-            self.cri.stop_container(result)
+        self._teardown_pod(pod, results, exit_code=0)
         pod.phase = PodPhase.SUCCEEDED
         pod.end_time = self.env.now
         if self.k8s_node is not None:

@@ -58,6 +58,9 @@ class BridgeOperator:
             return
         request = event.obj
         assert isinstance(request, WLMJobRequest)
+        #: every container the job started, with the engine of the node
+        #: it runs on (one per allocated node, requeued attempts included)
+        started: list = []
 
         def on_start(node, job, user_proc):
             if request.image is None or self.registry is None:
@@ -69,15 +72,12 @@ class BridgeOperator:
 
             ref = ImageReference.parse(request.image)
             pulled = engine.pull(ref.repository, ref.tag, self.registry, now=self.env.now)
-            result = engine.run(pulled, user_proc)
-            request.run_results = getattr(request, "run_results", [])  # type: ignore[attr-defined]
-            request.run_results.append(result)  # type: ignore[attr-defined]
+            started.append((engine, engine.run(pulled, user_proc)))
 
         def on_end(job):
-            for result in getattr(request, "run_results", []):
-                if result.container.state.value == "running":
-                    engine = self.engines[job.allocated_nodes[0]]
-                    engine.runtime.finish(result.container)
+            for engine, result in started:
+                engine.stop(result.container)
+                engine.remove(result.container)
             request.status = job.state.value.capitalize()
             self.api.update(self.KIND, request)
             self.stats["completed"] += 1

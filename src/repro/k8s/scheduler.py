@@ -48,6 +48,9 @@ class K8sScheduler:
         self._heap: list[tuple[float, str, int]] = []
         self._node_seq: dict[str, int] = {}
         self._nodes: dict[str, K8sNode] = {}
+        #: name -> ratio of the node's live heap entry, absent while the
+        #: node has none (popped as a pick's winner, or never indexed)
+        self._node_ratio: dict[str, float] = {}
         #: interned per-node metric keys for the bind counter
         self._bind_keys: dict[str, tuple] = {}
         self._unsched_key = None
@@ -86,11 +89,15 @@ class K8sScheduler:
         if event.type is WatchEventType.DELETED:
             self._node_seq.pop(name, None)
             self._nodes.pop(name, None)
+            self._node_ratio.pop(name, None)
             return
+        ratio = node.allocated.cpu / max(node.capacity.cpu, 1e-9)
+        if self._node_ratio.get(name) == ratio and self._nodes.get(name) is node:
+            return  # e.g. a heartbeat: the live entry is still exact
         seq = self._node_seq.get(name, 0) + 1
         self._node_seq[name] = seq
         self._nodes[name] = node
-        ratio = node.allocated.cpu / max(node.capacity.cpu, 1e-9)
+        self._node_ratio[name] = ratio
         heapq.heappush(self._heap, (ratio, name, seq))
         # Stale entries accumulate one per node update; compact before
         # the heap outgrows the live node set by a wide margin.
@@ -206,6 +213,7 @@ class K8sScheduler:
                 # `allocated` directly): re-key under a fresh seq so the
                 # heap order stays the true (ratio, name) order.
                 seq = seqs[name] = seq + 1
+                self._node_ratio[name] = live
                 heapq.heappush(heap, (live, name, seq))
                 continue
             if (
@@ -218,6 +226,8 @@ class K8sScheduler:
                 rejected.append(entry)
                 continue
             target = node
+            # its entry is off the heap until the bind's Node update
+            del self._node_ratio[name]
             break
         for entry in rejected:
             heapq.heappush(heap, entry)

@@ -83,21 +83,24 @@ class VirtualKubelet:
     def _submit_pod(self, pod: Pod) -> None:
         cspec = pod.spec.containers[0]
         ref = ImageReference.parse(cspec.image)
+        #: every container the job started, with the engine of the node it
+        #: runs on (a requeued job starts its next one on another node)
+        started: list = []
 
         def on_start(node, job, user_proc):
             engine = self.engines[node.name]
             pulled = engine.pull(ref.repository, ref.tag, self.registry, now=self.env.now)
             result = engine.run(pulled, user_proc, command=cspec.command or None)
+            started.append((engine, result))
             pod.container_results.append(result)
             pod.phase = PodPhase.RUNNING
             pod.start_time = self.env.now
             self.api.update("Pod", pod)
 
         def on_end(job):
-            for result in pod.container_results:
-                if result.container.state.value == "running":
-                    engine = self.engines[job.allocated_nodes[0]]
-                    engine.runtime.finish(result.container)
+            for engine, result in started:
+                engine.stop(result.container)
+                engine.remove(result.container)
             pod.phase = PodPhase.SUCCEEDED
             pod.end_time = self.env.now
             self.api.update("Pod", pod)

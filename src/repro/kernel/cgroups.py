@@ -9,9 +9,8 @@ delegated subtree an unprivileged kubelet cannot create pod cgroups.
 from __future__ import annotations
 
 import enum
-import typing as _t
 
-from repro.kernel.errors import EINVAL, ENOENT, EPERM
+from repro.kernel.errors import EBUSY, EINVAL, ENOENT, EPERM
 
 
 class Controller(enum.Enum):
@@ -88,21 +87,27 @@ class CgroupManager:
             raise EINVAL(f"cgroup version must be 1 or 2, got {version}")
         self.version = version
         self.root = Cgroup("", None, self)
+        #: pid -> the one cgroup holding it, so attach/lookup never walk
+        self._pid_cgroup: dict[int, Cgroup] = {}
+
+    def cgroup_at(self, path: str) -> Cgroup | None:
+        """The cgroup at ``path``, or None: a lookup that never raises."""
+        node = self.root
+        for part in path.split("/"):
+            if part:
+                node = node.children.get(part)
+                if node is None:
+                    return None
+        return node
 
     def _resolve(self, path: str) -> Cgroup:
-        node = self.root
-        for part in [p for p in path.split("/") if p]:
-            if part not in node.children:
-                raise ENOENT(f"no such cgroup: {path}")
-            node = node.children[part]
+        node = self.cgroup_at(path)
+        if node is None:
+            raise ENOENT(f"no such cgroup: {path}")
         return node
 
     def exists(self, path: str) -> bool:
-        try:
-            self._resolve(path)
-            return True
-        except ENOENT:
-            return False
+        return self.cgroup_at(path) is not None
 
     def create(self, path: str, by_uid: int = 0) -> Cgroup:
         """Create a cgroup; unprivileged uids need a delegated ancestor (v2)."""
@@ -128,6 +133,26 @@ class CgroupManager:
             node = child
         return node
 
+    def remove(self, path: str, by_uid: int = 0) -> None:
+        """rmdir a cgroup.  v2 rules: the cgroup must be empty (no
+        processes, no child cgroups) or the call fails with EBUSY, and an
+        unprivileged uid may only remove cgroups inside a subtree
+        delegated to it — never the delegated root itself."""
+        node = self._resolve(path)
+        parent = node.parent
+        if parent is None:
+            raise EINVAL("cannot remove the root cgroup")
+        if node.procs or node.children:
+            raise EBUSY(f"cgroup {path} is not empty")
+        if by_uid != 0:
+            if self.version == 1:
+                raise EPERM(
+                    "cgroup v1 has no delegation: unprivileged users cannot remove cgroups"
+                )
+            if parent.delegated_uid() != by_uid:
+                raise EPERM(f"uid {by_uid} cannot remove {path}")
+        del parent.children[node.name]
+
     def delegate(self, path: str, uid: int, by_uid: int = 0) -> None:
         """Hand a subtree to ``uid`` (systemd-style Delegate=yes)."""
         if self.version == 1:
@@ -149,19 +174,15 @@ class CgroupManager:
         if by_uid != 0 and node.delegated_uid() != by_uid:
             raise EPERM(f"uid {by_uid} cannot attach processes to {path}")
         # A pid lives in exactly one cgroup (v2 semantics).
-        for other in self.walk():
-            other.procs.discard(pid)
+        self.detach(pid)
         node.procs.add(pid)
+        self._pid_cgroup[pid] = node
+
+    def detach(self, pid: int) -> None:
+        """Drop ``pid`` from whichever cgroup holds it (process reaped)."""
+        node = self._pid_cgroup.pop(pid, None)
+        if node is not None:
+            node.procs.discard(pid)
 
     def cgroup_of(self, pid: int) -> Cgroup | None:
-        for node in self.walk():
-            if pid in node.procs:
-                return node
-        return None
-
-    def walk(self) -> _t.Iterator[Cgroup]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())
+        return self._pid_cgroup.get(pid)

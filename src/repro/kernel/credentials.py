@@ -70,7 +70,8 @@ class Credentials:
         return self.euid == 0
 
     def has(self, cap: Capability) -> bool:
-        return bool(self.capabilities & cap)
+        # on the int values: Flag.__and__ builds a new member per call
+        return bool(self.capabilities.value & cap.value)
 
     def drop(self, cap: Capability) -> None:
         self.capabilities &= ~cap

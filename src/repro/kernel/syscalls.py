@@ -115,6 +115,20 @@ class Kernel:
     def exit(self, proc: SimProcess, code: int = 0) -> None:
         proc.exit(code)
 
+    def reap(self, proc: SimProcess) -> None:
+        """wait(2) on an exited process: its pid, its slot in the
+        parent's children and its cgroup membership are released.  A
+        running process cannot be reaped; reaping twice is a no-op."""
+        if proc.state is ProcessState.RUNNING:
+            raise EINVAL(f"pid {proc.pid} is still running")
+        if self.processes.pop(proc.pid, None) is None:
+            return
+        proc.state = ProcessState.DEAD
+        parent = proc.parent
+        if parent is not None:
+            parent.children.remove(proc)
+        self.cgroups.detach(proc.pid)
+
     # ----------------------------------------------------------- capabilities
     def has_capability(
         self,
@@ -157,17 +171,20 @@ class Kernel:
         if NamespaceKind.USER in kinds:
             self._unshare_user(proc)
             kinds.discard(NamespaceKind.USER)
+        if not kinds:
+            return
+        # Unsharing a non-user namespace changes neither the caller's
+        # userns nor its capabilities, so one check covers every kind.
+        if not self.has_capability(proc, Capability.SYS_ADMIN):
+            kind = next(iter(kinds))
+            raise EPERM(
+                f"unshare({kind.value}) requires CAP_SYS_ADMIN in the current userns"
+            )
+        owner = proc.userns
         for kind in kinds:
-            if not self.has_capability(proc, Capability.SYS_ADMIN):
-                raise EPERM(
-                    f"unshare({kind.value}) requires CAP_SYS_ADMIN in the current userns"
-                )
             if kind is NamespaceKind.MNT:
-                new_table = proc.mount_table.clone(next(self._mount_ns_counter))
-                proc.mount_table = new_table
-                proc.namespaces[kind] = Namespace(kind, owner=proc.userns)
-            else:
-                proc.namespaces[kind] = Namespace(kind, owner=proc.userns)
+                proc.mount_table = proc.mount_table.clone(next(self._mount_ns_counter))
+            proc.namespaces[kind] = Namespace(kind, owner=owner)
 
     def _unshare_user(self, proc: SimProcess) -> None:
         if not self.config.unprivileged_userns and not self.has_capability(

@@ -12,7 +12,7 @@ from repro.oci.hooks import HookRegistry
 from repro.oci.image import ImageConfig
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class NamespaceRequest:
     """Which namespaces the runtime should create/join for the container.
 
@@ -35,15 +35,20 @@ class NamespaceRequest:
 
     @classmethod
     def hpc_minimal(cls) -> "NamespaceRequest":
-        """User + mount only: the HPC weak-isolation setup."""
-        return cls(create=frozenset({NamespaceKind.USER, NamespaceKind.MNT}))
+        """User + mount only: the HPC weak-isolation setup (one shared,
+        immutable request)."""
+        return _HPC_MINIMAL
 
     @classmethod
     def full(cls) -> "NamespaceRequest":
-        return cls()
+        return _FULL
 
     def __contains__(self, kind: NamespaceKind) -> bool:
         return kind in self.create
+
+
+_FULL = NamespaceRequest()
+_HPC_MINIMAL = NamespaceRequest(create=frozenset({NamespaceKind.USER, NamespaceKind.MNT}))
 
 
 @dataclasses.dataclass

@@ -56,14 +56,20 @@ class Hook:
 
 
 class HookRegistry:
-    """Ordered hooks per lifecycle point."""
+    """Ordered hooks per lifecycle point.
+
+    Every container start builds one, and most have no hooks at all, so
+    a point's bucket exists only once a hook is registered there.
+    """
+
+    __slots__ = ("_hooks", "executed")
 
     def __init__(self) -> None:
-        self._hooks: dict[HookPoint, list[Hook]] = {p: [] for p in HookPoint}
+        self._hooks: dict[HookPoint, list[Hook]] = {}
         self.executed: list[tuple[HookPoint, str]] = []
 
     def register(self, hook: Hook) -> None:
-        bucket = self._hooks[hook.point]
+        bucket = self._hooks.setdefault(hook.point, [])
         bucket.append(hook)
         bucket.sort(key=lambda h: h.priority)
 
@@ -79,7 +85,7 @@ class HookRegistry:
         return hook
 
     def hooks_at(self, point: HookPoint) -> list[Hook]:
-        return list(self._hooks[point])
+        return list(self._hooks.get(point, ()))
 
     def run(self, point: HookPoint, context: dict) -> None:
         """Run the hooks registered at ``point`` in priority order.
@@ -90,7 +96,7 @@ class HookRegistry:
         POSTSTOP is exempt — the spec runs poststop best-effort, and the
         engines' cleanup guarantee relies on teardown never raising.
         """
-        for hook in self._hooks[point]:
+        for hook in self._hooks.get(point, ()):
             if run.faults.enabled and point is not HookPoint.POSTSTOP:
                 fault = run.faults.active("engine.hooks", target=hook.name)
                 if fault is not None:
@@ -102,9 +108,14 @@ class HookRegistry:
             self.executed.append((point, hook.name))
 
     def merged_with(self, other: "HookRegistry") -> "HookRegistry":
+        """This registry's hooks then ``other``'s, re-sorted by priority
+        per point.  With no hooks on either side there is nothing to
+        merge, and the (empty) receiver is returned as is."""
+        if not self._hooks and not other._hooks:
+            return self
         combined = HookRegistry()
         for point in HookPoint:
-            for hook in (*self._hooks[point], *other._hooks[point]):
+            for hook in (*self._hooks.get(point, ()), *other._hooks.get(point, ())):
                 combined.register(hook)
         return combined
 

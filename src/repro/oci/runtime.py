@@ -10,6 +10,7 @@ exactly once, here.
 from __future__ import annotations
 
 import enum
+import functools
 import typing as _t
 
 from repro.fs.drivers import MountedView, mount_bind
@@ -19,11 +20,16 @@ from repro.fs.tree import FileTree
 from repro.kernel.credentials import Capability
 from repro.kernel.errors import EINVAL, EPERM
 from repro.kernel.namespaces import IdMapping, NamespaceKind
-from repro.kernel.process import SimProcess
+from repro.kernel.process import ProcessState, SimProcess
 from repro.kernel.syscalls import Kernel
 from repro.oci.bundle import Bundle
 from repro.oci.hooks import HookPoint, HookRegistry
 from repro.world import world
+
+
+@functools.lru_cache(maxsize=64)
+def _namespaces_line(requested: frozenset[NamespaceKind]) -> str:
+    return f"namespaces: {sorted(k.value for k in requested)}"
 
 
 class ContainerState(enum.Enum):
@@ -48,6 +54,11 @@ class Container:
         self.mounts: dict[str, MountedView] = {}
         #: diagnostics trail (namespaces created, hooks run, mounts made)
         self.events: list[str] = []
+        #: the engine's per-container monitor (conmon), if it runs one
+        self.monitor: _t.Any = None
+        #: set by a successful create, dropped by delete
+        self._hooks: HookRegistry | None = None
+        self._context: dict | None = None
 
     @property
     def rootfs(self) -> MountedView:
@@ -114,8 +125,14 @@ class OCIRuntime:
         try:
             return self._create_inner(container, bundle, owner, extra_hooks)
         except BaseException:
-            # failed create must not leak a half-built container record
+            # failed create must not leak a half-built container record,
+            # nor the process it spawned
             self.containers.pop(cid, None)
+            proc = container.proc
+            if proc is not None:
+                if proc.state is ProcessState.RUNNING:
+                    self.kernel.exit(proc, 137)
+                self.kernel.reap(proc)
             raise
 
     def _create_inner(
@@ -149,7 +166,7 @@ class OCIRuntime:
                 [IdMapping(inside=self._inside_uid(bundle), outside=proc.euid)],
                 writer=proc,
             )
-        container.log(f"namespaces: {sorted(k.value for k in requested)}")
+        container.log(_namespaces_line(requested))
 
         hooks.run(HookPoint.CREATE_RUNTIME, context)
 
@@ -182,15 +199,16 @@ class OCIRuntime:
         hooks.run(HookPoint.CREATE_CONTAINER, context)
         hooks.run(HookPoint.PRESTART, context)
         container.state = ContainerState.CREATED
-        container._context = context  # type: ignore[attr-defined]
-        container._hooks = hooks  # type: ignore[attr-defined]
+        container._context = context
+        container._hooks = hooks
         return container
 
     def start(self, container: Container) -> None:
         if container.state is not ContainerState.CREATED:
             raise EINVAL(f"cannot start container in state {container.state.value}")
-        hooks: HookRegistry = container._hooks  # type: ignore[attr-defined]
-        context: dict = container._context  # type: ignore[attr-defined]
+        hooks = container._hooks
+        context = container._context
+        assert hooks is not None and context is not None
         hooks.run(HookPoint.START_CONTAINER, context)
         container.state = ContainerState.RUNNING
         hooks.run(HookPoint.POSTSTART, context)
@@ -215,13 +233,25 @@ class OCIRuntime:
         container.state = ContainerState.STOPPED
 
     def delete(self, container: Container) -> None:
+        """Run the poststop hooks, drop the record and reap the container
+        process (a created-but-never-started one is killed first).  The
+        record and the process go even when a poststop hook raises."""
         if container.state is ContainerState.RUNNING:
             raise EPERM("cannot delete a running container")
-        hooks: HookRegistry = getattr(container, "_hooks", HookRegistry())
-        context: dict = getattr(container, "_context", {})
-        hooks.run(HookPoint.POSTSTOP, context)
-        container.state = ContainerState.DELETED
-        self.containers.pop(container.id, None)
+        hooks = container._hooks
+        try:
+            if hooks is not None:
+                hooks.run(HookPoint.POSTSTOP, container._context)
+        finally:
+            container.state = ContainerState.DELETED
+            self.containers.pop(container.id, None)
+            # the context refers back to the container: drop the cycle
+            container._hooks = container._context = None
+            proc = container.proc
+            if proc is not None:
+                if proc.state is ProcessState.RUNNING:
+                    self.kernel.exit(proc, 137)
+                self.kernel.reap(proc)
 
     # -- helpers ---------------------------------------------------------------
     @staticmethod

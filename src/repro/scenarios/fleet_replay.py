@@ -17,13 +17,21 @@ each with the shard's share of nodes and starts), executed as
 
 The churn path is pooled: a harvested (terminal) pod is deleted from
 the apiserver and its record recycled for a later arrival — only the
-:class:`~repro.k8s.objects.ObjectMeta` is fresh per logical pod — so a
-100k-start replay holds O(live pods), not O(starts), objects.
+:class:`~repro.k8s.objects.ObjectMeta` is fresh per logical pod.  A
+finished pod gives back everything its start took: the kubelet's one
+teardown path (CRI stop → remove) drops the container's runtime record
+and its conmon monitor, reaps the container and monitor processes out
+of the node kernel's process table, their parent's children and their
+cgroup, and removes the emptied pod cgroup.  So a 100k-start replay
+holds O(live pods), not O(starts), objects, and the post-run audit
+(:func:`~repro.faults.leaks.find_leaks`) reports any of that state a
+finished pod still holds as a leak.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import typing as _t
 
@@ -153,20 +161,13 @@ class FleetReplayScenario:
         rec.record("replay.wait_max", t, res.wait_max, shard=shard)
 
     def _collect_stats(self) -> None:
-        from repro.oci.runtime import ContainerState
+        from repro.faults.leaks import find_leaks
 
         res = self.result
-        lingering = 0
         for engine in self.scenario.engines.values():
             res.pulls += engine.stats["pulls"]
             res.coalesced_pulls += engine.stats["coalesced_pulls"]
-            for container in engine.runtime.containers.values():
-                if container.state not in (
-                    ContainerState.STOPPED, ContainerState.DELETED
-                ):
-                    lingering += 1
-        if lingering:
-            res.leaks.append(f"{lingering} containers not terminal after teardown")
+        res.leaks.extend(find_leaks(self.scenario))
         scheduler = self.scenario.k3s.scheduler
         if scheduler is not None:
             res.binds = scheduler.stats["scheduled"]
@@ -193,7 +194,6 @@ class FleetReplayScenario:
             pod.start_time = None
             pod.end_time = None
             pod.message = ""
-            pod.container_results = []
             return pod
         return Pod(
             metadata=ObjectMeta(name="replay-blank"),
@@ -247,8 +247,10 @@ class FleetReplayScenario:
         if end - self._base > res.makespan:
             res.makespan = end - self._base
         # Retire the record: off the apiserver (the store stays O(live
-        # pods)), back into the pool for a later arrival.
+        # pods)), its finished containers dropped, back into the pool for
+        # a later arrival.
         self.api.delete("Pod", pod.metadata.name)
+        pod.container_results = []
         self._free.append(pod)
         self._harvested += 1
         if self._harvested == self.n_starts and not self._done.triggered:
@@ -276,10 +278,16 @@ def run_replay_shard(
         )
         run.faults.arm(pull_plan, env)
     try:
-        return FleetReplayScenario(env, config, shard).run()
+        result = FleetReplayScenario(env, config, shard).run()
     finally:
         if plan is not None:
             run.faults.disarm()
+    # The finished shard's simulation (environment, processes, pods,
+    # node kernels) is one cyclic graph: free it here, so that shards
+    # run one after another in a process never hold two at once.
+    del env
+    gc.collect()
+    return result
 
 
 # -- fleet-level orchestration ------------------------------------------------
@@ -362,10 +370,13 @@ def run_fleet_replay(
 
 # -- reporting ----------------------------------------------------------------
 
+REPLAY_REPORT_SCHEMA = "repro-fleet-replay-report/1"
+
+
 def replay_report_document(result: FleetReplayResult) -> dict:
     """JSON document (schema ``repro-fleet-replay-report/1``)."""
     return {
-        "schema": "repro-fleet-replay-report/1",
+        "schema": REPLAY_REPORT_SCHEMA,
         "config": json.loads(result.config.to_json()),
         "totals": {
             "submitted": result.submitted,
@@ -398,6 +409,84 @@ def replay_report_document(result: FleetReplayResult) -> dict:
         ],
         "leaks": result.leaks,
     }
+
+
+#: the exact shape of ``repro-fleet-replay-report/1``: a dict maps every
+#: key to its shape, a one-element list is a list of that shape, a type
+#: is a leaf (``int`` excludes ``bool``)
+_REPLAY_TOTALS = {
+    "submitted": int, "completed": int, "failed": int,
+    "mean_wait_s": float, "max_wait_s": float, "makespan_s": float,
+    "binds": int, "pulls": int, "coalesced_pulls": int,
+}
+_REPLAY_SHARD = {
+    "shard": int, "nodes": int, "submitted": int, "completed": int,
+    "failed": int, "mean_wait_s": float, "max_wait_s": float,
+    "provision_s": float, "makespan_s": float, "binds": int,
+    "unschedulable_events": int, "pulls": int, "coalesced_pulls": int,
+}
+_REPLAY_REPORT = {
+    "schema": str, "config": dict, "totals": _REPLAY_TOTALS,
+    "shards": [_REPLAY_SHARD], "leaks": [str],
+}
+
+
+def _shape_problems(value: object, shape: object, where: str) -> list[str]:
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return [f"{where}: expected an object, got {type(value).__name__}"]
+        problems = [
+            f"{where}: unexpected key {key!r}" for key in sorted(set(value) - set(shape))
+        ] + [f"{where}: missing key {key!r}" for key in sorted(set(shape) - set(value))]
+        for key in sorted(set(shape) & set(value)):
+            problems += _shape_problems(value[key], shape[key], f"{where}.{key}")
+        return problems
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            return [f"{where}: expected a list, got {type(value).__name__}"]
+        return [
+            problem
+            for i, item in enumerate(value)
+            for problem in _shape_problems(item, shape[0], f"{where}[{i}]")
+        ]
+    assert isinstance(shape, type)
+    if type(value) is not shape:
+        return [f"{where}: expected {shape.__name__}, got {type(value).__name__}"]
+    return []
+
+
+def check_replay_report(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-fleet-replay-report/1`` document:
+    exact keys at every level, exact leaf types, the schema string, and
+    a ``config`` that :meth:`FleetConfig.from_json` reads back to itself.
+    Returns the problems found (empty when the document is well formed),
+    so a writer that changes the document without bumping the schema
+    version fails here."""
+    problems = _shape_problems(doc, _REPLAY_REPORT, "report")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != REPLAY_REPORT_SCHEMA:
+        problems.append(
+            f"report.schema: expected {REPLAY_REPORT_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    try:
+        config = FleetConfig.from_json(json.dumps(doc["config"]))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"report.config: {exc}")
+    else:
+        if json.loads(config.to_json()) != doc["config"]:
+            problems.append("report.config: does not round-trip through FleetConfig")
+    return problems
+
+
+def check_replay_report_file(path: str) -> int:
+    """Check a replay report file; print problems; return an exit code."""
+    with open(path) as fh:
+        problems = check_replay_report(json.load(fh))
+    for problem in problems:
+        print(f"{path}: {problem}")
+    return 1 if problems else 0
 
 
 def render_replay_summary(result: FleetReplayResult) -> str:

@@ -135,3 +135,70 @@ def test_best_fit_prefers_tightest_hole_lowest_id():
     index2 = CapacityIndex(4, 4)
     assert index2.alloc(4) == 0
     assert index2.alloc(4) == 1
+
+
+# mixed script: ("a", req) allocates, ("r", k) releases the k-th oldest
+# live claim, ("c", node) crashes a node, ("u", k) restores the k-th
+# oldest downed node
+mixed_script = st.lists(
+    st.one_of(
+        st.tuples(st.just("a"), st.integers(min_value=1, max_value=NODE_CPUS)),
+        st.tuples(st.just("r"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("c"), st.integers(min_value=0, max_value=23)),
+        st.tuples(st.just("u"), st.integers(min_value=0, max_value=5)),
+    ),
+    max_size=200,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), mixed_script)
+def test_max_free_bound_stays_sound_and_oracle_exact(n_nodes, ops):
+    """The max-free bound only ever short-circuits allocs the oracle
+    also refuses: through any alloc/release/crash/restore sequence it
+    stays >= every node's free capacity, and every decision (including
+    the O(1) refusals) matches the linear scan."""
+    index = CapacityIndex(n_nodes, NODE_CPUS)
+    oracle = LinearCapacityScan(n_nodes, NODE_CPUS)
+    live: list[tuple[int, int]] = []
+    downed: list[int] = []
+
+    for kind, arg in ops:
+        if kind == "a":
+            got = index.alloc(arg)
+            assert got == oracle.alloc(arg)
+            if got is not None:
+                live.append((got, arg))
+        elif kind == "r" and live:
+            node, req = live.pop(arg % len(live))
+            index.release(node, req)
+            oracle.release(node, req)
+        elif kind == "c":
+            node = arg % n_nodes
+            assert index.remove_node(node) == oracle.remove_node(node)
+            if node not in downed:
+                downed.append(node)
+                live = [(n, r) for n, r in live if n != node]
+        elif kind == "u" and downed:
+            node = downed.pop(arg % len(downed))
+            index.restore_node(node)
+            oracle.restore_node(node)
+        assert index.free == oracle.free
+        assert index.down == oracle.down
+        assert index._max_free >= max(index.free)
+
+
+def test_refusal_above_the_bound_touches_no_bucket():
+    index = CapacityIndex(3, 8)
+    for _ in range(3):
+        assert index.alloc(6) is not None  # every node left with 2 free
+    assert index.alloc(3) is None  # full scan: bound drops to 2
+    buckets = [list(b) for b in index._buckets]
+    assert index.alloc(5) is None and index.alloc(3) is None
+    assert [list(b) for b in index._buckets] == buckets
+    assert index.alloc(2) == 0  # at the bound: still placed
+    index.release(0, 6)  # node 0 back to 6 free: the bound rises
+    assert index.alloc(5) == 0
+    index.remove_node(1)
+    index.restore_node(1)  # a rebooted node is fully free
+    assert index.alloc(8) == 1

@@ -52,6 +52,18 @@ def test_rpc_roundtrip():
     assert net.rpc_cost() > 2 * net.nic.latency
 
 
+def test_rpc_cost_is_memoized_but_still_counted():
+    net = Interconnect()
+    first = net.rpc_cost()
+    assert net.rpc_cost() == first
+    # the memoized price is exactly the two one-way transfers
+    fresh = Interconnect()
+    assert first == fresh.transfer_cost(512) + fresh.transfer_cost(4096)
+    assert net.stats == {"messages": 4, "bytes": 2 * (512 + 4096)}
+    assert net.rpc_cost(100, 200) != first
+    assert net.stats["messages"] == 6
+
+
 # -- Site facade --------------------------------------------------------------------
 
 def test_site_autoselects_engine_from_requirements():

@@ -252,3 +252,43 @@ def test_engine_metadata_complete():
         caps = cls.capabilities
         assert caps.rootless
         assert caps.oci_container in ("yes", "partial")
+
+
+def test_podman_stop_remove_gives_back_everything(node, registry, user):
+    """stop → remove: the runtime record goes, the container and conmon
+    processes are reaped (process table, parent's children, cgroup),
+    and the engine forgets the monitor.  Removing twice is a no-op."""
+    node.kernel.cgroups.create("/jobs/j1")
+    node.kernel.cgroups.delegate("/jobs/j1", uid=1000)
+    podman = PodmanEngine(node)
+    pulled = podman.pull("hpc/solver", "v1", registry)
+    baseline = set(node.kernel.processes)
+    result = podman.run(pulled, user, cgroup_path="/jobs/j1/pod-x")
+    container = result.container
+    monitor = container.monitor
+    assert podman.monitors == [monitor]
+    assert set(node.kernel.processes) == baseline | {container.proc.pid, monitor.proc.pid}
+
+    podman.stop(container, exit_code=3)
+    assert container.exit_code == 3 and container.id in podman.runtime.containers
+    podman.remove(container)
+    podman.remove(container)
+    assert container.id not in podman.runtime.containers
+    assert podman.monitors == [] and container.monitor is None
+    assert set(node.kernel.processes) == baseline
+    assert user.children == []
+    assert node.kernel.cgroups.cgroup_at("/jobs/j1/pod-x").procs == set()
+
+
+def test_failed_start_reaps_container_and_monitor(node, registry, user):
+    from repro.oci.hooks import HookError, HookPoint, HookRegistry
+
+    podman = PodmanEngine(node)
+    pulled = podman.pull("hpc/solver", "v1", registry)
+    baseline = set(node.kernel.processes)
+    hooks = HookRegistry()
+    hooks.add(HookPoint.POSTSTART, lambda ctx: 1 / 0, name="broken")
+    with pytest.raises(HookError):
+        podman.run(pulled, user, extra_hooks=hooks)
+    assert not podman.runtime.containers and podman.monitors == []
+    assert set(node.kernel.processes) == baseline

@@ -174,3 +174,16 @@ def test_alert_instants_land_in_the_trace(tmp_path):
     # every fire edge (and any resolve edges) lands as an instant
     assert len(alerts) >= report.alerts_fired >= 1
     assert all(e["ph"] == "i" for e in alerts)
+
+
+@pytest.mark.parametrize("scenario", ["knoc-virtual-kubelet", "bridge-operator"])
+def test_requeued_bridge_jobs_tear_down_each_container_on_its_own_node(scenario):
+    """Seed 17's node crash requeues WLM jobs that had already started
+    containers: the job ends on another node, and each container it
+    started is stopped and removed through the engine of the node it
+    ran on, leaving no record, process or monitor behind."""
+    from repro.shard.cells import ChaosCell
+
+    report = ChaosCell(scenario=scenario, seed=17).run()
+    assert report.jobs_requeued > 0
+    assert report.leaks == [] and report.clean

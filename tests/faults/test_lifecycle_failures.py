@@ -42,9 +42,13 @@ def test_failed_create_leaves_no_container_record():
     hooks = HookRegistry()
     hooks.add(HookPoint.CREATE_CONTAINER, lambda ctx: (_ for _ in ()).throw(ValueError("gpu driver missing")),
               name="bad-hook")
+    owner = kernel.spawn(uid=1000)
     with pytest.raises(HookError):
-        rt.create(make_bundle(hooks), owner=kernel.spawn(uid=1000), container_id="doomed")
+        rt.create(make_bundle(hooks), owner=owner, container_id="doomed")
     assert "doomed" not in rt.containers
+    # nor the process it had spawned
+    assert owner.children == []
+    assert set(kernel.processes) == {kernel.init.pid, owner.pid}
     # the id is reusable after the failure
     ctr = rt.create(make_bundle(), owner=kernel.spawn(uid=1000), container_id="doomed")
     assert ctr.id == "doomed"
@@ -121,3 +125,44 @@ def test_scenario_job_timeout_fails_safe():
     assert all(n.state is NodeState.IDLE for n in scenario.wlm.nodes)
     metrics = scenario.metrics()  # must not raise
     assert metrics.pods_submitted == 0
+
+
+def test_find_leaks_reports_state_a_finished_pod_kept():
+    """The retained-state class: a stopped container never removed is
+    still recorded, its process and monitor exited-but-unreaped (the
+    monitor here is still running, so only the container process
+    shows), and a pod cgroup emptied but not removed."""
+    import types
+
+    from repro.engines import PodmanEngine
+    from repro.faults import find_leaks
+    from repro.faults.leaks import retained_state_leaks
+
+    node = HostNode(name="nid0001", kernel_config=KernelConfig.modern_hpc())
+    registry = OCIDistributionRegistry(name="site")
+    registry.push_image("app", "v1", Builder().build_dockerfile("FROM alpine:3.18"))
+    kernel = node.kernel
+    kernel.cgroups.create("/job")
+    kernel.cgroups.delegate("/job", uid=1000)
+    engine = PodmanEngine(node)
+    user = kernel.spawn(uid=1000)
+    result = engine.run(engine.pull("app", "v1", registry), user, cgroup_path="/job/pod-1")
+    kubelet = types.SimpleNamespace(
+        node_name=node.name, cgroup_path="/job", cri=types.SimpleNamespace(engine=engine),
+        _active_pods={},
+    )
+    scenario = types.SimpleNamespace(engines={node.name: engine}, kubelets=[kubelet])
+    # a running pod holds what it holds: nothing of it is retained state
+    assert retained_state_leaks([engine], [kubelet]) == []
+
+    container = result.container
+    engine.stop(container)
+    kernel.cgroups.detach(container.proc.pid)
+    assert find_leaks(scenario) == [
+        f"terminal container {container.id} on podman still recorded",
+        f"exited pid {container.proc.pid} ({container.proc.argv[0]}) on nid0001 not reaped",
+        "empty pod cgroup /job/pod-1 not removed",
+    ]
+    engine.remove(container)
+    kernel.cgroups.remove("/job/pod-1", by_uid=1000)
+    assert find_leaks(scenario) == []

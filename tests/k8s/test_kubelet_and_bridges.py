@@ -163,12 +163,65 @@ def test_rootless_kubelet_pods_run_as_job_user(env, registry):
         server.api.create("Pod", pod)
 
     env.process(submit(env))
+    # While the pod runs, its container sits in a pod cgroup inside the
+    # delegated subtree, as the job user.
+    while pod.phase is not PodPhase.RUNNING and env.now < 60:
+        env.run(until=env.now + 0.25)
+    assert pod.phase is PodPhase.RUNNING
+    result = pod.container_results[0]
+    pid = result.container.proc.pid
+    assert result.container.proc.host_uid() == 1000
+    cg = host.kernel.cgroups.cgroup_of(pid)
+    assert cg is not None and cg.path.startswith("/slurm/uid_1000/job_7/pod-")
+    pod_cgroup = cg.path
     env.run(until=60)
     assert pod.phase is PodPhase.SUCCEEDED
-    result = pod.container_results[0]
-    assert result.container.proc.host_uid() == 1000
-    cg = host.kernel.cgroups.cgroup_of(result.container.proc.pid)
-    assert cg is not None and cg.path.startswith("/slurm/uid_1000/job_7/pod-")
+    # A finished pod gives everything back: the process is reaped and
+    # the emptied pod cgroup removed; the delegated job cgroup stays.
+    assert pid not in host.kernel.processes
+    assert host.kernel.cgroups.cgroup_of(pid) is None
+    assert not host.kernel.cgroups.exists(pod_cgroup)
+    assert host.kernel.cgroups.exists("/slurm/uid_1000/job_7")
+
+
+def test_crash_mid_start_leaves_no_pod_cgroup(env, registry):
+    """A crash while a container start is still in flight: the eviction
+    cannot remove the pod cgroup (the new container's process is still
+    in it), the abort reaps that process, and the crash path then
+    removes the emptied cgroup — the node keeps nothing of the pod."""
+    from repro.faults.leaks import retained_state_leaks
+
+    server = K3sServer(env)
+    cri, host = make_cri(registry)
+    host.kernel.cgroups.create("/slurm/uid_1000/job_7")
+    host.kernel.cgroups.delegate("/slurm/uid_1000/job_7", uid=1000)
+    user = host.kernel.spawn(uid=1000)
+    kubelet = Kubelet(env, server.api, "alloc-node", cri,
+                      user_proc=user, cgroup_path="/slurm/uid_1000/job_7")
+
+    def bring_up(env):
+        yield server.ready
+        kubelet.start()
+
+    env.process(bring_up(env))
+    pod = make_pod("doomed", duration=30)
+
+    def submit(env):
+        yield env.timeout(15)
+        server.api.create("Pod", pod)
+
+    env.process(submit(env))
+    engine = cri.engine
+    while not engine.runtime.containers and env.now < 60:
+        env.run(until=env.now + 0.001)
+    assert engine.runtime.containers and pod.container_results == []  # mid-start
+    pod_cgroup = f"/slurm/uid_1000/job_7/pod-{pod.metadata.uid}"
+    assert host.kernel.cgroups.cgroup_at(pod_cgroup).procs
+    kubelet.crash()
+    assert pod.phase is PodPhase.FAILED
+    assert not engine.runtime.containers and engine.monitors == []
+    assert not host.kernel.cgroups.exists(pod_cgroup)
+    assert retained_state_leaks([engine], [kubelet]) == []
 
 
 def test_virtual_kubelet_translates_pods_to_wlm_jobs(env, registry):

@@ -116,3 +116,27 @@ def test_indexed_scheduler_matches_linear_oracle(nodes_data, pods_data):
     indexed = run_mode(K8sScheduler, nodes_data, pods_data)
     linear = run_mode(LinearK8sScheduler, nodes_data, pods_data)
     assert indexed == linear
+
+
+def test_unchanged_ratio_node_update_is_not_reindexed():
+    """A heartbeat rewrites the Node without moving its cpu ratio: the
+    index keeps its live entry instead of pushing a fresh one, and
+    placement still sees the node after its own bind (0-cpu pods leave
+    the ratio unchanged too)."""
+    env = Environment()
+    api = APIServer()
+    node = make_node("n0", 8, 0, True, "a")
+    api.create("Node", node)
+    sched = K8sScheduler(env, api)
+    heap_size = len(sched._heap)
+    for _ in range(5):
+        api.update("Node", node)  # heartbeat-style write
+    assert len(sched._heap) == heap_size
+    node.allocated = ResourceRequests(cpu=2)
+    api.update("Node", node)
+    assert len(sched._heap) == heap_size + 1
+    pods = [make_pod(f"p{i}", cpu=0) for i in range(3)]
+    for pod in pods:
+        api.create("Pod", pod)
+    env.run(until=1.0)
+    assert all(p.node_name == "n0" for p in pods)

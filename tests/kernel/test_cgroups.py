@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import Cgroup, CgroupManager, Controller
-from repro.kernel.errors import EINVAL, ENOENT, EPERM
+from repro.kernel.errors import EBUSY, EINVAL, ENOENT, EPERM
 
 
 def test_create_and_paths():
@@ -108,3 +108,53 @@ def test_missing_cgroup_raises():
     mgr = CgroupManager(version=2)
     with pytest.raises(ENOENT):
         mgr.attach("/ghost", pid=1)
+
+
+def test_remove_follows_v2_rmdir_rules():
+    mgr = CgroupManager(version=2)
+    mgr.create("/slurm/job_1")
+    mgr.delegate("/slurm/job_1", uid=1000)
+    mgr.create("/slurm/job_1/pod-a/ctr", by_uid=1000)
+    mgr.attach("/slurm/job_1/pod-a/ctr", pid=42, by_uid=1000)
+    with pytest.raises(EBUSY):
+        mgr.remove("/slurm/job_1/pod-a", by_uid=1000)  # has a child
+    with pytest.raises(EBUSY):
+        mgr.remove("/slurm/job_1/pod-a/ctr", by_uid=1000)  # has a process
+    mgr.detach(42)
+    assert mgr.cgroup_of(42) is None
+    with pytest.raises(EPERM):
+        mgr.remove("/slurm/job_1/pod-a/ctr", by_uid=2000)  # not delegated to 2000
+    mgr.remove("/slurm/job_1/pod-a/ctr", by_uid=1000)
+    mgr.remove("/slurm/job_1/pod-a", by_uid=1000)
+    assert not mgr.exists("/slurm/job_1/pod-a")
+    with pytest.raises(EPERM):
+        mgr.remove("/slurm/job_1", by_uid=1000)  # the delegation root itself
+    with pytest.raises(ENOENT):
+        mgr.remove("/slurm/job_1/pod-a")
+    with pytest.raises(EINVAL):
+        mgr.remove("/")
+    mgr.remove("/slurm/job_1")  # root may
+
+
+def test_remove_needs_root_on_v1():
+    mgr = CgroupManager(version=1)
+    mgr.create("/j")
+    with pytest.raises(EPERM):
+        mgr.remove("/j", by_uid=1000)
+    mgr.remove("/j")
+    assert not mgr.exists("/j")
+
+
+def test_pid_index_tracks_attach_and_detach():
+    mgr = CgroupManager(version=2)
+    mgr.create("/a")
+    mgr.create("/b")
+    mgr.attach("/a", pid=7)
+    mgr.attach("/b", pid=7)
+    assert mgr.cgroup_of(7).path == "/b"
+    assert mgr.cgroup_at("/a").procs == set()
+    mgr.detach(7)
+    mgr.detach(7)  # detaching twice is a no-op
+    assert mgr.cgroup_of(7) is None and mgr.cgroup_at("/b").procs == set()
+    assert mgr.exists("/a") and not mgr.exists("/a/missing")
+    assert mgr.cgroup_at("/nope") is None

@@ -195,3 +195,27 @@ def test_id_mapping_validation():
     assert m.to_parent(10) is None
     assert m.from_parent(100009) == 9
     assert m.from_parent(99999) is None
+
+
+def test_reap_releases_pid_parent_slot_and_cgroup(kernel, user_proc):
+    kernel.cgroups.create("/jobs/j1")
+    child = kernel.spawn(parent=user_proc, argv=("app",))
+    kernel.cgroups.attach("/jobs/j1", child.pid)
+    with pytest.raises(EINVAL, match="still running"):
+        kernel.reap(child)
+    kernel.exit(child, 0)
+    kernel.reap(child)
+    assert child.pid not in kernel.processes
+    assert child not in user_proc.children
+    assert kernel.cgroups.cgroup_of(child.pid) is None
+    assert kernel.cgroups.cgroup_at("/jobs/j1").procs == set()
+    kernel.reap(child)  # reaping twice is a no-op
+
+
+def test_unshare_without_sys_admin_names_a_requested_kind(kernel, user_proc):
+    with pytest.raises(EPERM, match=r"unshare\(mnt\) requires CAP_SYS_ADMIN"):
+        kernel.unshare(user_proc, {NamespaceKind.MNT})
+    # with a user namespace first, one check covers every other kind
+    kernel.unshare(user_proc, {NamespaceKind.USER, NamespaceKind.MNT, NamespaceKind.PID})
+    assert user_proc.namespaces[NamespaceKind.PID].owner is user_proc.userns
+    assert user_proc.namespaces[NamespaceKind.MNT].owner is user_proc.userns

@@ -219,3 +219,34 @@ def test_cgroup_placement_via_delegation(kernel):
 
 def test_crun_faster_than_runc(kernel):
     assert CrunRuntime(kernel).startup_cost() < RuncRuntime(kernel).startup_cost()
+
+
+def test_hook_merge_only_when_a_side_has_hooks():
+    empty, other = HookRegistry(), HookRegistry()
+    assert empty.merged_with(other) is empty  # nothing to merge
+    assert len(empty) == 0 and empty.hooks_at(HookPoint.PRESTART) == []
+    trace = []
+    site = HookRegistry()
+    site.add(HookPoint.PRESTART, lambda ctx: trace.append("site"), name="site", priority=60)
+    spec = HookRegistry()
+    spec.add(HookPoint.PRESTART, lambda ctx: trace.append("spec"), name="spec", priority=40)
+    for merged in (empty.merged_with(site), spec.merged_with(site)):
+        assert merged is not site and merged is not spec
+    merged = spec.merged_with(site)
+    merged.run(HookPoint.PRESTART, {})
+    assert trace == ["spec", "site"]
+    assert len(site) == len(spec) == 1  # the inputs are untouched
+
+
+def test_delete_reaps_the_container_process(kernel):
+    rt = CrunRuntime(kernel)
+    user = kernel.spawn(uid=1000)
+    created = rt.create(make_bundle(), owner=user)
+    rt.delete(created)  # never started: killed, then reaped
+    assert created.proc.pid not in kernel.processes
+    ctr = rt.create(make_bundle(), owner=user)
+    rt.start(ctr)
+    rt.finish(ctr)
+    assert ctr.proc.pid in kernel.processes  # a zombie until deleted
+    rt.delete(ctr)
+    assert ctr.proc.pid not in kernel.processes and user.children == []
