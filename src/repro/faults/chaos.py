@@ -17,6 +17,7 @@ import typing as _t
 from repro.faults.leaks import find_leaks
 from repro.faults.plan import FaultPlan
 from repro.obs import timeseries as _timeseries
+from repro.obs.shape import MapOf, check_file, shape_problems
 from repro.run import run
 from repro.scenarios.base import WORKFLOW_IMAGE, IntegrationScenario, ScenarioMetrics
 from repro.sim import Environment
@@ -115,6 +116,32 @@ class ChaosReport:
         return "\n".join(lines)
 
 
+#: the ``--out`` document's schema string
+CHAOS_REPORT_SCHEMA = "repro-chaos-report/2"
+
+#: the exact shape of ``repro-chaos-report/2``
+#: (:mod:`repro.obs.shape` has the notation)
+_MAYBE_FLOAT = (float, type(None))
+_CHAOS_RUN = {
+    "scenario": str, "seed": int, "plan_events": int,
+    "injected": MapOf(int), "retries": MapOf(int), "jobs_requeued": int,
+    "pods_submitted": int, "pods_completed": int, "pods_failed": int,
+    "leaks": [str], "end_time": float, "alerts_fired": int,
+    "detection": MapOf(_MAYBE_FLOAT), "clean": bool,
+}
+_CHAOS_AGGREGATE = {
+    "runs": int, "injected": MapOf(int), "retries": MapOf(int),
+    "jobs_requeued": int, "pods_submitted": int, "pods_completed": int,
+    "pods_failed": int, "leaks": int, "alerts_fired": int,
+    "detection": MapOf({"detected": int, "of": int, "mean_latency": _MAYBE_FLOAT}),
+    "clean": bool,
+}
+_CHAOS_REPORT = {
+    "schema": str, "scenario": str, "seeds": [int],
+    "reports": [_CHAOS_RUN], "aggregate": _CHAOS_AGGREGATE,
+}
+
+
 def chaos_report_document(
     reports: _t.Sequence[ChaosReport], scenario: str
 ) -> dict[str, object]:
@@ -147,7 +174,7 @@ def chaos_report_document(
             ),
         }
     return {
-        "schema": "repro-chaos-report/2",
+        "schema": CHAOS_REPORT_SCHEMA,
         "scenario": scenario,
         "seeds": [report.seed for report in reports],
         "reports": [report.to_dict() for report in reports],
@@ -165,6 +192,41 @@ def chaos_report_document(
             "clean": all(r.clean for r in reports),
         },
     }
+
+
+def check_chaos_report(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-chaos-report/2`` document: exact
+    keys at every level, exact leaf types, the schema string, and the
+    roll-up agreeing with its runs (seeds, run count, leak count and
+    clean flags).  Returns the problems found (empty when the document
+    is well formed)."""
+    problems = shape_problems(doc, _CHAOS_REPORT, "report")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != CHAOS_REPORT_SCHEMA:
+        problems.append(
+            f"report.schema: expected {CHAOS_REPORT_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    runs = doc["reports"]
+    aggregate = doc["aggregate"]
+    if doc["seeds"] != [r["seed"] for r in runs]:
+        problems.append("report.seeds: do not list the runs' seeds in order")
+    if aggregate["runs"] != len(runs):
+        problems.append("report.aggregate.runs: is not the number of runs")
+    if aggregate["leaks"] != sum(len(r["leaks"]) for r in runs):
+        problems.append("report.aggregate.leaks: is not the runs' leak count")
+    for i, r in enumerate(runs):
+        if r["clean"] != (not r["leaks"]):
+            problems.append(f"report.reports[{i}].clean: disagrees with its leaks")
+    if aggregate["clean"] != all(r["clean"] for r in runs):
+        problems.append("report.aggregate.clean: disagrees with the runs")
+    return problems
+
+
+def check_chaos_report_file(path: str) -> int:
+    """Check a chaos report file; print problems; return an exit code."""
+    return check_file(path, check_chaos_report)
 
 
 def _count_requeues(scenario: object) -> int:

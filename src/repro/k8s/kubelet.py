@@ -171,6 +171,30 @@ class Kubelet:
             n += 1
         return n
 
+    def terminate_pod(self, pod: Pod) -> None:
+        """End an active pod of this node as deleting it does (a no-op
+        for a pod this kubelet does not run).
+
+        A running pod goes through :meth:`_teardown_pod` (CRI stop →
+        remove, then its pod cgroup), gives its node resources back and
+        lands SUCCEEDED, a clean exit on SIGTERM that writes no pod
+        metric or trace record; a pod still starting is evicted
+        (:meth:`_fail_pod`).  Synchronous: no virtual time passes.
+        """
+        if pod.metadata.uid not in self._active_pods:
+            return
+        if pod.phase is not PodPhase.RUNNING:
+            self._fail_pod(pod, list(pod.container_results), reason="terminated")
+            return
+        self._teardown_pod(pod, pod.container_results, exit_code=0)
+        pod.phase = PodPhase.SUCCEEDED
+        pod.end_time = self.env.now
+        if self.k8s_node is not None:
+            self.k8s_node.release(pod.spec.total_requests())
+            self.api.update("Node", self.k8s_node)
+        self.api.update("Pod", pod)
+        del self._active_pods[pod.metadata.uid]
+
     def _on_node_fault(self, event, phase: str) -> None:
         """Push handler: an injected NODE_CRASH for this node kills us."""
         if phase == "crash" and event.target == self.node_name:
@@ -250,7 +274,8 @@ class Kubelet:
                     yield self._rpc()
                     self.api.update("Node", node)
                     last_heartbeat = self.env.now
-                    run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+                    if run.tracer.enabled:
+                        run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
         except Interrupt:
             pass
         run.faults.unregister("wlm.node", self._on_node_fault)
@@ -281,7 +306,15 @@ class Kubelet:
         return bool(self._inbox)
 
     # -- pod sync --------------------------------------------------------------------
-    def _sync(self):
+    def _sync(self) -> _t.Iterable:
+        """The sync body to ``yield from``: the inbox drain, or an
+        empty tuple when the inbox is empty, so an idle sync builds no
+        generator."""
+        if not self._inbox:
+            return ()
+        return self._drain_inbox()
+
+    def _drain_inbox(self):
         # Drain a snapshot: pods landing while a start yields belong to
         # the next sync, as if the pod list were read at sync start.
         batch = self._inbox

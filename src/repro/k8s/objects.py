@@ -48,6 +48,10 @@ class PodSpec:
     duration: float | None = 30.0
 
     def total_requests(self) -> ResourceRequests:
+        containers = self.containers
+        if len(containers) == 1:
+            # the sums of one container are its own (immutable) requests
+            return containers[0].resources
         return ResourceRequests(
             cpu=sum(c.resources.cpu for c in self.containers),
             memory=sum(c.resources.memory for c in self.containers),
@@ -104,8 +108,14 @@ class K8sNode:
         )
 
     def fits(self, req: ResourceRequests) -> bool:
-        free = self.allocatable()
-        return req.cpu <= free.cpu and req.memory <= free.memory and req.gpu <= free.gpu
+        # allocatable(), compared field by field without building it
+        cap = self.capacity
+        used = self.allocated
+        return (
+            req.cpu <= cap.cpu - used.cpu
+            and req.memory <= cap.memory - used.memory
+            and req.gpu <= cap.gpu - used.gpu
+        )
 
     def claim(self, req: ResourceRequests) -> None:
         self.allocated = ResourceRequests(

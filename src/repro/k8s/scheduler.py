@@ -20,7 +20,7 @@ import typing as _t
 from repro.k8s.apiserver import APIServer, WatchEvent, WatchEventType
 from repro.k8s.objects import K8sNode, Pod, PodPhase
 from repro.run import run
-from repro.sim import Environment, Signal
+from repro.sim import Bell, Environment
 
 #: rejected-candidate pops beyond which a pick counts as a linear
 #: fallback (the index stopped short-circuiting for this query)
@@ -36,9 +36,7 @@ class K8sScheduler:
     def __init__(self, env: Environment, apiserver: APIServer):
         self.env = env
         self.api = apiserver
-        # Latching signal == the recreate-an-event "bell" pattern: rings
-        # while a pass is in flight coalesce into the next wait().
-        self._bell = Signal(env, latch=True)
+        self._bell = Bell(env, self.pass_latency, self._schedule_pass, name="kube-scheduler")
         self.stats = {"scheduled": 0, "unschedulable_events": 0}
         #: pending pods in store (ADDED) order; unschedulable pods stay
         self._pending: list[Pod] = []
@@ -60,7 +58,6 @@ class K8sScheduler:
         apiserver.watch("Node", self._on_node_index_event, replay_existing=True)
         apiserver.watch("Pod", self._on_pod_event, replay_existing=True)
         apiserver.watch("Node", self._on_node_event, replay_existing=False)
-        env.process(self._loop(), name="kube-scheduler")
 
     def _on_pod_event(self, event: WatchEvent) -> None:
         if event.type in (WatchEventType.ADDED, WatchEventType.MODIFIED):
@@ -76,10 +73,10 @@ class K8sScheduler:
                 counters = run.counters
                 if counters.enabled and len(self._pending) > counters.sched_pending_peak:
                     counters.sched_pending_peak = len(self._pending)
-            self._ring()
+            self._bell.ring()
 
     def _on_node_event(self, event: WatchEvent) -> None:
-        self._ring()
+        self._bell.ring()
 
     def _on_node_index_event(self, event: WatchEvent) -> None:
         node = event.obj
@@ -109,21 +106,12 @@ class K8sScheduler:
         self._heap = [e for e in self._heap if seqs.get(e[1]) == e[2]]
         heapq.heapify(self._heap)
 
-    def _ring(self) -> None:
-        self._bell.fire()
-
-    def _loop(self):
-        while True:
-            yield self._bell.wait()
-            yield self.env.timeout(self.pass_latency)
-            self._schedule_pass()
-
     # -- one pass ------------------------------------------------------------------
     def _schedule_pass(self) -> None:
         bound = self._bind_pending()
         if run.tracer.enabled:
             # The pass's think time elapsed just before this call (the
-            # loop sleeps pass_latency, then decides) — replay it as one
+            # bell sleeps pass_latency, then decides) — replay it as one
             # slice so binds sit at the slice's end on the timeline.
             run.tracer.complete_at(
                 "k8s.schedule_pass",

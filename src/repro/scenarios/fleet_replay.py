@@ -45,6 +45,7 @@ from repro.k8s.objects import (
 )
 from repro.k8s.apiserver import WatchEvent, WatchEventType
 from repro.obs import timeseries as _timeseries
+from repro.obs.shape import check_file, shape_problems
 from repro.run import run
 from repro.scenarios.kubelet_in_allocation import KubeletInAllocationScenario
 from repro.sim import Environment
@@ -411,9 +412,8 @@ def replay_report_document(result: FleetReplayResult) -> dict:
     }
 
 
-#: the exact shape of ``repro-fleet-replay-report/1``: a dict maps every
-#: key to its shape, a one-element list is a list of that shape, a type
-#: is a leaf (``int`` excludes ``bool``)
+#: the exact shape of ``repro-fleet-replay-report/1``
+#: (:mod:`repro.obs.shape` has the notation)
 _REPLAY_TOTALS = {
     "submitted": int, "completed": int, "failed": int,
     "mean_wait_s": float, "max_wait_s": float, "makespan_s": float,
@@ -431,30 +431,6 @@ _REPLAY_REPORT = {
 }
 
 
-def _shape_problems(value: object, shape: object, where: str) -> list[str]:
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            return [f"{where}: expected an object, got {type(value).__name__}"]
-        problems = [
-            f"{where}: unexpected key {key!r}" for key in sorted(set(value) - set(shape))
-        ] + [f"{where}: missing key {key!r}" for key in sorted(set(shape) - set(value))]
-        for key in sorted(set(shape) & set(value)):
-            problems += _shape_problems(value[key], shape[key], f"{where}.{key}")
-        return problems
-    if isinstance(shape, list):
-        if not isinstance(value, list):
-            return [f"{where}: expected a list, got {type(value).__name__}"]
-        return [
-            problem
-            for i, item in enumerate(value)
-            for problem in _shape_problems(item, shape[0], f"{where}[{i}]")
-        ]
-    assert isinstance(shape, type)
-    if type(value) is not shape:
-        return [f"{where}: expected {shape.__name__}, got {type(value).__name__}"]
-    return []
-
-
 def check_replay_report(doc: object) -> list[str]:
     """Strict shape check of a ``repro-fleet-replay-report/1`` document:
     exact keys at every level, exact leaf types, the schema string, and
@@ -462,7 +438,7 @@ def check_replay_report(doc: object) -> list[str]:
     Returns the problems found (empty when the document is well formed),
     so a writer that changes the document without bumping the schema
     version fails here."""
-    problems = _shape_problems(doc, _REPLAY_REPORT, "report")
+    problems = shape_problems(doc, _REPLAY_REPORT, "report")
     if problems:
         return problems
     assert isinstance(doc, dict)
@@ -482,11 +458,7 @@ def check_replay_report(doc: object) -> list[str]:
 
 def check_replay_report_file(path: str) -> int:
     """Check a replay report file; print problems; return an exit code."""
-    with open(path) as fh:
-        problems = check_replay_report(json.load(fh))
-    for problem in problems:
-        print(f"{path}: {problem}")
-    return 1 if problems else 0
+    return check_file(path, check_replay_report)
 
 
 def render_replay_summary(result: FleetReplayResult) -> str:

@@ -6,6 +6,13 @@ per-user isolation and full WLM accounting — but "it can introduce
 considerable startup overhead.  Until the Kubernetes cluster is ready,
 scheduling Pods or running workflows is not possible", and the workflow
 must be changed to bootstrap the cluster first.
+
+The cluster job is a requeueable service job.  When a node crash
+requeues it, its surviving kubelets evict their pods and stop (the
+allocation hosting them is gone), and the next incarnation restarts K3s
+on its new head node over the cluster's datastore, then rejoins its
+agents; pods still pending in the store run there.  Readiness is
+signalled once, by the first incarnation.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ class KubernetesInWLMScenario(IntegrationScenario):
         self.wlm = SlurmController(env, self.hosts)
         self.k3s: K3sServer | None = None
         self.kubelets: list[Kubelet] = []
+        #: agents stopped by a requeue, kept visible for leak checks
+        self.retired_kubelets: list[Kubelet] = []
+        #: bumped per requeue: a join still waiting for an incarnation
+        #: the requeue ended must not start agents
+        self._incarnation = 0
         self.job = None
         self._cluster_ready = env.event()
 
@@ -46,6 +58,7 @@ class KubernetesInWLMScenario(IntegrationScenario):
             duration=None,  # holds the allocation until cancelled
             time_limit=24 * 3600,
             on_start=self._node_up,
+            on_requeue=self._on_requeue,
         )
         self.job = self.wlm.submit(spec)
         return self.env.process(self._wait_ready(), name="provision-6.3")
@@ -54,12 +67,33 @@ class KubernetesInWLMScenario(IntegrationScenario):
         first = node.name == job.allocated_nodes[0]
         if first:
             # K3s server starts on the head node of the allocation.
-            self.k3s = K3sServer(self.env)
-            self.env.process(self._join_agents(job), name="join-agents")
+            restart = self.k3s is not None
+            if not restart:
+                self.k3s = K3sServer(self.env)
+            self.env.process(
+                self._join_agents(job, restart, self._incarnation), name="join-agents"
+            )
 
-    def _join_agents(self, job):
+    def _on_requeue(self, job) -> None:
+        """The cluster job lost a node: every agent goes with the
+        allocation (the crashed node's kubelet already died through its
+        own fault handler, so stopping it again is a no-op)."""
+        for kubelet in self.kubelets:
+            kubelet.evict_active_pods(reason="allocation lost (node failure)")
+            kubelet.stop()
+        self.retired_kubelets.extend(self.kubelets)
+        self.kubelets.clear()
+        self._incarnation += 1
+
+    def _join_agents(self, job, restart: bool, incarnation: int):
         assert self.k3s is not None
-        yield self.k3s.ready
+        if restart:
+            # the server restarts on the new head node over its datastore
+            yield self.env.timeout(K3sServer.startup_cost)
+        if not self.k3s.is_ready:
+            yield self.k3s.ready
+        if incarnation != self._incarnation:
+            return  # requeued while the server came up
         for name in job.allocated_nodes:
             host = next(h for h in self.hosts if h.name == name)
             user_proc = job.node_procs[name]
@@ -74,7 +108,8 @@ class KubernetesInWLMScenario(IntegrationScenario):
             kubelet.start()
             self.kubelets.append(kubelet)
         yield self.env.timeout(Kubelet.startup_cost + 1.0)
-        self._cluster_ready.succeed(self.env.now)
+        if incarnation == self._incarnation and not self._cluster_ready.triggered:
+            self._cluster_ready.succeed(self.env.now)
 
     def _wait_ready(self):
         yield self._cluster_ready

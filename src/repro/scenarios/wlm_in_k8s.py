@@ -41,6 +41,8 @@ class WLMInKubernetesScenario(IntegrationScenario):
         super().__init__(env, n_nodes, seed)
         self.k8s = FullK8sServer(env)
         self.kubelets: dict[str, Kubelet] = {}
+        #: the slurmd service pods, one per node
+        self.wlm_pods: list[Pod] = []
         self.wlm: SlurmController | None = None
 
     def provision(self):
@@ -74,6 +76,7 @@ class WLMInKubernetesScenario(IntegrationScenario):
                     duration=None,  # service pods
                 ),
             )
+            self.wlm_pods.append(pod)
             self.k8s.api.create("Pod", pod)
         yield self.env.timeout(5.0)
         # The WLM is now functional over the same hardware (privileged pods).
@@ -98,6 +101,16 @@ class WLMInKubernetesScenario(IntegrationScenario):
         """Classic HPC jobs still work — through the WLM layer."""
         assert self.wlm is not None, "provision first"
         return self.wlm.submit(spec)
+
+    def teardown(self) -> None:
+        """End the slurmd service pods through their kubelets' stop →
+        remove path, then stop the kubelets."""
+        for pod in self.wlm_pods:
+            kubelet = self.kubelets.get(pod.node_name or "")
+            if kubelet is not None:
+                kubelet.terminate_pod(pod)
+        for kubelet in self.kubelets.values():
+            kubelet.stop()
 
     def _accounted_cpu_seconds(self) -> float:
         # Pod workload bypasses the WLM entirely.

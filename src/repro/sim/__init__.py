@@ -16,11 +16,12 @@ from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Ti
 from repro.sim.environment import Environment, Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import DeterministicRNG
-from repro.sim.signal import Signal, next_tick
+from repro.sim.signal import Bell, Signal, next_tick
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Bell",
     "Container",
     "DeterministicRNG",
     "Environment",

@@ -36,7 +36,10 @@ ProcessGenerator = _t.Generator[Event, object, object]
 class _Resume:
     """A queued process resume: cheaper than a carrier Event.
 
-    ``process`` is set to ``None`` to cancel the resume in place (used by
+    ``process`` is whatever the record resumes through its
+    ``_do_resume(value, exception)``: a :class:`Process`, or a
+    :class:`~repro.sim.signal.Bell` that reuses one record for its whole
+    life.  It is set to ``None`` to cancel the resume in place (used by
     :meth:`Process.interrupt` so a stale resume cannot fire after the
     interrupt already restarted the generator).
     """
@@ -116,7 +119,9 @@ class Environment:
         return Process(self, generator, name=name)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(
+        self, event: "Event | _Resume", delay: float = 0.0, priority: int = NORMAL
+    ) -> None:
         if delay == 0.0 and priority == 1:
             immediate = True
             self._immediate.append((next(self._counter), event))
@@ -125,7 +130,15 @@ class Environment:
             heappush(self._queue, (self._now + delay, priority, next(self._counter), event))
         prof = self._profile
         if prof.enabled:
-            self._count_push(prof, immediate)
+            # _count_push, inline: every succeed and timeout pushes here
+            prof.events_scheduled += 1
+            if immediate:
+                prof.immediate_pushes += 1
+            else:
+                prof.heap_pushes += 1
+            depth = len(self._queue) + len(self._immediate)
+            if depth > prof.peak_queue_depth:
+                prof.peak_queue_depth = depth
 
     def _schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
         """Schedule ``event`` at the absolute virtual time ``when``."""
@@ -215,13 +228,12 @@ class Environment:
             if process is not None:  # None == cancelled by interrupt()
                 process._do_resume(item.value, item.exception)
             return
-        event = _t.cast(Event, item)
-        callbacks, event.callbacks = event.callbacks, None
+        callbacks, item.callbacks = item.callbacks, None
         assert callbacks is not None
         for callback in callbacks:
-            callback(event)
-        if event._exception is not None and not event.defused:
-            raise event._exception
+            callback(item)
+        if item._exception is not None and not item.defused:
+            raise item._exception
 
     def run(self, until: "float | Event | None" = None) -> object:
         """Run until the queue drains, a deadline passes, or an event fires.

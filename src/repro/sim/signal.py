@@ -1,4 +1,5 @@
-"""Tickless wakeups: the :class:`Signal` primitive and tick alignment.
+"""Tickless wakeups: the :class:`Signal` and :class:`Bell` primitives
+and tick alignment.
 
 PR 1 made every *processed* event cheap; the remaining cost was that
 periodic control loops (kubelet syncs, controller reconciles, scenario
@@ -14,11 +15,7 @@ Two waiting styles are supported:
 ``wait()``
     Returns a fresh :class:`~repro.sim.events.Event` that the next
     :meth:`fire` succeeds through the environment's zero-delay FIFO fast
-    path.  With ``latch=True`` a fire that finds no waiter is remembered
-    and delivered to the next ``wait()`` — the semantics of the
-    recreate-an-event "bell" pattern the schedulers used, including its
-    coalescing behaviour (fires while a woken waiter has not yet resumed
-    are absorbed, exactly like ringing an already-triggered bell).
+    path.  A fire that finds no waiter is lost.
 
 ``park(deadline)``
     Registers the *active process* for a **direct resume**: ``fire()``
@@ -45,13 +42,22 @@ then sleeps until that boundary (``Environment.timeout_until``) and runs
 its body there, indistinguishable from a loop that never stopped
 polling — except for the thousands of idle heap events it no longer
 schedules (counted in ``run.counters.poll_ticks_skipped``).
+
+Scheduler passes
+----------------
+
+A :class:`Bell` is the coalescing "ring → wake → sleep → pass" loop of
+both schedulers (``K8sScheduler``, ``SlurmController``) as a callback
+chain: it queues the generator loop's records through one reused record
+object, so a pass allocates nothing beyond its queue entries.
+``tests/oracles/k8s.py`` keeps that loop as the bell's reference.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from repro.sim.environment import Environment, Process
+from repro.sim.environment import Environment, Process, _Resume
 from repro.sim.events import Event, SimulationError
 
 
@@ -102,20 +108,13 @@ class Signal:
     #: value delivered to a parked process woken by :meth:`fire`
     FIRED: _t.ClassVar[_Fired] = _Fired()
 
-    __slots__ = ("env", "latch", "_waiters", "_parked", "_pending", "_pending_value",
-                 "_last_fired")
+    __slots__ = ("env", "_waiters", "_parked")
 
-    def __init__(self, env: Environment, latch: bool = False):
+    def __init__(self, env: Environment):
         self.env = env
-        self.latch = latch
         self._waiters: list[Event] = []
         #: token event -> parked process, for direct resumes
         self._parked: dict[Event, Process] = {}
-        self._pending = False
-        self._pending_value: object = None
-        #: events succeeded by the most recent fire; while any is still
-        #: unprocessed, further fires coalesce into it (bell semantics)
-        self._last_fired: list[Event] = []
 
     @property
     def waiting(self) -> int:
@@ -124,15 +123,9 @@ class Signal:
 
     # -- event-style waiting ------------------------------------------------
     def wait(self) -> Event:
-        """An event the next :meth:`fire` triggers (or, with ``latch``,
-        one already triggered by a fire nobody was around to hear)."""
+        """An event the next :meth:`fire` triggers."""
         event = Event(self.env)
-        if self._pending:
-            self._pending = False
-            event.succeed(self._pending_value)
-            self._pending_value = None
-        else:
-            self._waiters.append(event)
+        self._waiters.append(event)
         return event
 
     def cancel(self, event: Event) -> bool:
@@ -176,14 +169,11 @@ class Signal:
 
         ``wait()`` waiters are succeeded with ``value`` through the
         zero-delay FIFO; parked processes are resumed directly with
-        :data:`Signal.FIRED`.  With ``latch=True`` an unheard fire is
-        remembered for the next ``wait()`` — unless a just-fired waiter
-        has not resumed yet, in which case the fire coalesces with it.
+        :data:`Signal.FIRED`.
         """
         woken = 0
         if self._waiters:
             waiters, self._waiters = self._waiters, []
-            self._last_fired = waiters
             for event in waiters:
                 if not event.triggered:
                     event.succeed(value)
@@ -206,11 +196,88 @@ class Signal:
             prof = self.env._profile
             if prof.enabled:
                 prof.wakeups_fired += woken
-        elif self.latch and not any(not ev.processed for ev in self._last_fired):
-            self._pending = True
-            self._pending_value = value
         return woken
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Signal waiting={self.waiting} pending={self._pending}"
-                f"{' latch' if self.latch else ''}>")
+        return f"<Signal waiting={self.waiting}>"
+
+
+class Bell:
+    """A coalescing pass loop: ring → zero-delay wake → sleep → pass.
+
+    Record for record the generator loop ::
+
+        while True:
+            yield latching_signal.wait()
+            yield env.timeout(latency)
+            on_pass()
+
+    started as a process at construction.  Its rules:
+
+    - a ring while the loop is idle queues a zero-delay wake, and the
+      wake queues the ``latency`` sleep whose record runs ``on_pass``;
+    - a ring while a ring-queued wake is pending is absorbed;
+    - a ring before the boot record runs, while a latch-queued wake is
+      pending, while the sleep is pending or during ``on_pass`` latches
+      one more pass: the next wake is queued when the boot record or
+      the pass ends.
+
+    ``on_pass`` runs with the bell as the environment's active process,
+    so the tracer puts its records on one thread row named ``name``.
+    """
+
+    _BOOT, _IDLE, _RUNG, _LATCHED, _BUSY = range(5)
+
+    __slots__ = ("env", "name", "latency", "_on_pass", "_state", "_again", "_record")
+
+    def __init__(
+        self,
+        env: Environment,
+        latency: float,
+        on_pass: _t.Callable[[], object],
+        name: str = "bell",
+    ):
+        self.env = env
+        self.name = name
+        self.latency = latency
+        self._on_pass = on_pass
+        self._state = Bell._BOOT
+        #: a latched ring: one more pass is owed once the current step ends
+        self._again = False
+        #: the one queue record the bell ever has in flight, reused
+        self._record = _Resume(self, None, None)  # type: ignore[arg-type]
+        env._schedule(self._record)
+
+    def ring(self) -> None:
+        """Ask for a pass (see the class docstring for coalescing)."""
+        state = self._state
+        if state == Bell._IDLE:
+            self._state = Bell._RUNG
+            self.env._schedule(self._record)
+        elif state != Bell._RUNG:
+            self._again = True
+
+    def _do_resume(self, _value: object, _exception: object) -> None:
+        """The record ran (the environment's ``_Resume`` dispatch)."""
+        state = self._state
+        if state == Bell._RUNG or state == Bell._LATCHED:
+            self._state = Bell._BUSY
+            self.env._schedule(self._record, self.latency)
+            return
+        if state == Bell._BUSY:
+            env = self.env
+            env._active_process = self  # type: ignore[assignment]
+            try:
+                self._on_pass()
+            finally:
+                env._active_process = None
+        # boot, or the pass ended: wait for the next ring
+        if self._again:
+            self._again = False
+            self._state = Bell._LATCHED
+            self.env._schedule(self._record)
+        else:
+            self._state = Bell._IDLE
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<Bell {self.name!r} state={self._state} again={self._again}>"

@@ -16,7 +16,7 @@ from repro.cluster.node import HostNode
 from repro.kernel.cgroups import Controller
 from repro.kernel.process import SimProcess
 from repro.run import run
-from repro.sim import Environment, Interrupt, Signal
+from repro.sim import Bell, Environment, Interrupt, Signal
 from repro.wlm.accounting import AccountingDB
 from repro.wlm.jobs import Job, JobSpec, JobState, JobStep
 from repro.wlm.nodes import NodeState, WLMNode
@@ -61,9 +61,7 @@ class SlurmController:
         self._jobs: dict[int, Job] = {}
         self._job_counter = itertools.count(1)
         self._step_counter = itertools.count(0)
-        # Latching signal == the recreate-an-event "bell" pattern: rings
-        # while a pass is in flight coalesce into the next wait().
-        self._bell = Signal(env, latch=True)
+        self._bell = Bell(env, self.sched_latency, self._schedule_pass, name="slurmctld")
         #: fired on every job state transition (tickless status mirrors
         #: park on this instead of polling squeue)
         self.job_state = Signal(env)
@@ -72,7 +70,6 @@ class SlurmController:
         self._last_change = env.now
         if run.faults.enabled:
             run.faults.register("wlm.node", self._on_node_fault)
-        env.process(self._scheduler_loop(), name="slurmctld")
 
     # ------------------------------------------------------------- submission
     def submit(self, spec: JobSpec) -> Job:
@@ -92,7 +89,7 @@ class SlurmController:
         job = Job(next(self._job_counter), spec, submit_time=self.env.now)
         self._jobs[job.job_id] = job
         self.queue.append(job)
-        self._ring()
+        self._bell.ring()
         self.job_state.fire(job)
         return job
 
@@ -117,36 +114,30 @@ class SlurmController:
         return self._jobs[job_id]
 
     # ------------------------------------------------------------- scheduling
-    def _ring(self) -> None:
-        self._bell.fire()
-
-    def _scheduler_loop(self):
-        while True:
-            yield self._bell.wait()
-            yield self.env.timeout(self.sched_latency)
-            decisions = self.scheduler.schedule(
-                self.queue, self.nodes, self.env.now, self._calendar
+    def _schedule_pass(self) -> None:
+        decisions = self.scheduler.schedule(
+            self.queue, self.nodes, self.env.now, self._calendar
+        )
+        if run.tracer.enabled:
+            # The pass's think time elapsed just before the decision.
+            run.tracer.complete_at(
+                "wlm.schedule_pass",
+                self.env.now - self.sched_latency,
+                self.sched_latency,
+                queued=len(self.queue),
+                started=len(decisions),
             )
-            if run.tracer.enabled:
-                # The pass's think time elapsed just before the decision.
-                run.tracer.complete_at(
-                    "wlm.schedule_pass",
-                    self.env.now - self.sched_latency,
-                    self.sched_latency,
-                    queued=len(self.queue),
-                    started=len(decisions),
-                )
-            if run.metrics.enabled:
-                run.metrics.inc("wlm.schedule_passes")
-                run.metrics.inc("wlm.jobs_started", len(decisions))
-            for job, placement in decisions:
-                self.queue.remove(job)
-                run.tracer.instant(
-                    "wlm.job_start", job=job.job_id, nodes=len(placement)
-                )
-                self.env.process(self._run_job(job, placement), name=f"job-{job.job_id}")
-            if self.preemption and self.queue:
-                self._try_preempt()
+        if run.metrics.enabled:
+            run.metrics.inc("wlm.schedule_passes")
+            run.metrics.inc("wlm.jobs_started", len(decisions))
+        for job, placement in decisions:
+            self.queue.remove(job)
+            run.tracer.instant(
+                "wlm.job_start", job=job.job_id, nodes=len(placement)
+            )
+            self.env.process(self._run_job(job, placement), name=f"job-{job.job_id}")
+        if self.preemption and self.queue:
+            self._try_preempt()
 
     def _try_preempt(self) -> None:
         """Requeue lower-priority running jobs to place the queue head."""
@@ -266,7 +257,7 @@ class SlurmController:
             job.node_procs.clear()
             job.set_state(JobState.PENDING, self.env.now)
             self.queue.append(job)
-            self._ring()
+            self._bell.ring()
             self.job_state.fire(job)
             return
 
@@ -287,7 +278,7 @@ class SlurmController:
                                    comment=getattr(job, "comment", ""))
         if spec.on_end is not None:
             spec.on_end(job)
-        self._ring()
+        self._bell.ring()
         self.job_state.fire(job)
 
     # ------------------------------------------------------------- job steps
@@ -337,7 +328,7 @@ class SlurmController:
     def resume_nodes(self, names: _t.Iterable[str]) -> None:
         for node in self._named(names):
             node.resume()
-        self._ring()
+        self._bell.ring()
 
     # ------------------------------------------------------------- node failure
     def fail_node(self, name: str, reason: str = "node failure") -> None:
@@ -371,7 +362,7 @@ class SlurmController:
             node.resume()
             if run.tracer.enabled:
                 run.tracer.instant("wlm.node_restore", node=name)
-            self._ring()
+            self._bell.ring()
 
     def _on_node_fault(self, event, phase: str) -> None:
         """Push handler for ``"wlm.node"`` faults from the injector."""

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import check_chaos_report, run_chaos
 from repro.run import ObsConfig, observing
-from repro.scenarios import KubeletInAllocationScenario
+from repro.scenarios import KubeletInAllocationScenario, KubernetesInWLMScenario
 
 
 def crash_plan(seed=42, n_nodes=4):
@@ -135,6 +135,45 @@ def test_chaos_report_document_rolls_up_detection(_sampling_on):
         "mean_latency": report.detection["node_crash"],
     }
     assert doc["reports"][0]["alerts_fired"] == report.alerts_fired
+    assert check_chaos_report(json.loads(json.dumps(doc))) == []
+
+
+def _sweep_document():
+    """A two-seed sweep's ``--out`` document, read back from JSON."""
+    from repro.faults.chaos import chaos_report_document
+
+    reports = [run_chaos(KubeletInAllocationScenario, crash_plan(seed=s), seed=s,
+                         n_pods=2)[1] for s in (3, 4)]
+    return json.loads(json.dumps(chaos_report_document(reports, reports[0].scenario)))
+
+
+def test_chaos_report_passes_the_strict_shape_check():
+    assert check_chaos_report(_sweep_document()) == []
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda d: d.update(extra=1), "unexpected key 'extra'"),
+        (lambda d: d["aggregate"].pop("retries"), "missing key 'retries'"),
+        (lambda d: d["reports"][0].update(seed=3.0), "reports[0].seed: expected int"),
+        (lambda d: d["reports"][1].update(pods_failed=False), "pods_failed: expected int"),
+        (lambda d: d["reports"][0].update(end_time=4100), "end_time: expected float"),
+        (lambda d: d["reports"][0]["injected"].update(x="1"), "injected.x: expected int"),
+        (lambda d: d["reports"][0]["detection"].update(x="1"),
+         "detection.x: expected float or NoneType"),
+        (lambda d: d.update(schema="repro-chaos-report/1"), "report.schema"),
+        (lambda d: d.update(seeds=[4, 3]), "report.seeds"),
+        (lambda d: d["aggregate"].update(runs=3), "aggregate.runs"),
+        (lambda d: d["reports"][0].update(leaks=["x"]), "reports[0].clean"),
+        (lambda d: d["aggregate"].update(clean=False), "aggregate.clean"),
+    ],
+)
+def test_chaos_shape_check_rejects_drift(tamper, expected):
+    doc = _sweep_document()
+    tamper(doc)
+    problems = check_chaos_report(doc)
+    assert any(expected in p for p in problems), problems
 
 
 def _slo_run(plan):
@@ -186,4 +225,45 @@ def test_requeued_bridge_jobs_tear_down_each_container_on_its_own_node(scenario)
 
     report = ChaosCell(scenario=scenario, seed=17).run()
     assert report.jobs_requeued > 0
+    assert report.leaks == [] and report.clean
+
+
+class _KeptK8sInWLM(KubernetesInWLMScenario):
+    """Keeps the scenario objects a chaos run builds, for inspection."""
+
+    built: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _KeptK8sInWLM.built.append(self)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_requeued_k8s_in_wlm_cluster_is_ready_once_and_rejoins_its_agents(seed):
+    """Every seeded plan crashes a node of the private cluster's job:
+    the requeued incarnation restarts K3s and rejoins a full set of
+    agents, readiness stays the first incarnation's, and the run ends
+    with every pod accounted for and nothing left behind."""
+    from repro.shard.cells import ChaosCell
+
+    _KeptK8sInWLM.built.clear()
+    _, report = run_chaos(_KeptK8sInWLM, ChaosCell("kubernetes-in-wlm", seed).plan(), seed=seed)
+    (scenario,) = _KeptK8sInWLM.built
+    assert report.jobs_requeued >= 1
+    assert scenario.retired_kubelets
+    assert len(scenario.kubelets) == scenario.n_nodes
+    assert all(k.k8s_node is not None for k in scenario.kubelets)  # rejoined
+    assert scenario._cluster_ready.value == scenario.provisioned_at
+    assert report.pods_completed + report.pods_failed == report.pods_submitted
+    assert report.clean, report.leaks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wlm_in_k8s_teardown_ends_its_slurmd_service_pods(seed):
+    """The slurmd pods never end on their own (``duration=None``): the
+    scenario's teardown ends them through the kubelets' stop → remove
+    path, so the audit finds no running container, mount or record."""
+    from repro.shard.cells import ChaosCell
+
+    report = ChaosCell("wlm-in-kubernetes", seed).run()
     assert report.leaks == [] and report.clean

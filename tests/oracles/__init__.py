@@ -8,7 +8,9 @@ compare every decision, timing and report byte against them:
 - :mod:`tests.oracles.capacity` — ``LinearCapacityScan``, the O(nodes)
   best-fit scan behind ``repro.cluster.CapacityIndex``;
 - :mod:`tests.oracles.k8s` — ``LinearK8sScheduler``, a pass that scans
-  every pod and node instead of the pending queue + node heap;
+  every pod and node instead of the pending queue + node heap, and
+  ``ReferenceBell``, the scheduler loop (a process waiting on a latching
+  signal) that ``repro.sim.Bell`` runs as a callback chain;
 - :mod:`tests.oracles.wlm` — ``LinearBackfillScheduler`` and
   ``LinearSlurmController``: whole-node-list feasibility scans and a
   shadow time sorted from the running jobs;

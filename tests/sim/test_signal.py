@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Signal, next_tick
+from repro.sim import Bell, Environment, Signal, next_tick
 from repro.sim.events import SimulationError
+
+from tests.oracles.k8s import ReferenceBell
 
 
 # -- wait(): event-style waiters ----------------------------------------------
@@ -56,52 +58,189 @@ def test_fire_with_no_waiters_is_lost_without_latch():
     assert sig.waiting == 1
 
 
-def test_latch_remembers_unheard_fire():
-    env = Environment()
-    sig = Signal(env, latch=True)
-    assert sig.fire("ding") == 0
-    log = []
+# -- Bell: the coalescing scheduler-pass loop -----------------------------------
 
-    def late_waiter(env):
-        got = yield sig.wait()
-        log.append((got, env.now))
-        got = yield sig.wait()
-        log.append((got, env.now))
+def test_bell_ring_before_boot_latches():
+    """A ring before the bell's boot record runs is not lost: the boot
+    queues the wake, and a later live ring gets its own pass."""
+    env = Environment()
+    passes = []
+    bell = Bell(env, 1.0, lambda: passes.append(env.now))
+    bell.ring()  # boot record still queued
 
     def producer(env):
         yield env.timeout(2)
-        sig.fire("dong")
+        bell.ring()
 
-    env.process(late_waiter(env))
     env.process(producer(env))
     env.run()
-    # first wait consumed the latched fire at t=0, second the live one
-    assert log == [("ding", 0.0), ("dong", 2.0)]
+    # the latched ring's pass at 0 + latency, the live one at 2 + latency
+    assert passes == [1.0, 3.0]
 
 
-def test_latch_coalesces_fires_while_waiter_unprocessed():
-    """Two rings in the same instant == one bell ring: the second fire
-    lands while the first's waiter event is still queued, so it must be
-    absorbed rather than latched for the *next* wait."""
+def test_bell_absorbs_rings_while_rung_wake_pending():
+    """Two rings in the same instant == one ring: the second lands while
+    the first's wake record is still queued, so it is absorbed rather
+    than latched for one more pass."""
     env = Environment()
-    sig = Signal(env, latch=True)
     passes = []
-
-    def loop(env):
-        while True:
-            yield sig.wait()
-            passes.append(env.now)
-            yield env.timeout(1)
+    bell = Bell(env, 1.0, lambda: passes.append(env.now))
 
     def producer(env):
         yield env.timeout(5)
-        sig.fire()
-        sig.fire()  # same instant, waiter not yet resumed: coalesced
+        bell.ring()
+        bell.ring()  # same instant, wake not yet run: absorbed
 
-    env.process(loop(env))
     env.process(producer(env))
     env.run(until=20)
-    assert passes == [5.0]  # one pass, not two
+    assert passes == [6.0]  # one pass, not two
+
+
+def test_bell_ring_with_no_pass_pending_is_never_lost():
+    """Unlike a plain Signal fire, a ring with nothing waiting always
+    gets a pass: an idle bell queues its wake at once."""
+    env = Environment()
+    passes = []
+    bell = Bell(env, 0.5, lambda: passes.append(env.now))
+    env.run(until=3)  # boot ran long ago; the bell idles
+
+    def producer(env):
+        yield env.timeout(1)
+        bell.ring()
+
+    env.process(producer(env))
+    env.run()
+    assert passes == [4.5]
+
+
+def test_bell_ring_during_sleep_or_pass_latches_one_more_pass():
+    env = Environment()
+    passes = []
+
+    def on_pass():
+        passes.append(env.now)
+        if len(passes) == 1:
+            bell.ring()  # during the pass
+            bell.ring()  # ... twice: still one more pass
+
+    bell = Bell(env, 1.0, on_pass)
+
+    def producer(env):
+        yield env.timeout(1)
+        bell.ring()
+        yield env.timeout(0.5)
+        bell.ring()  # during the sleep: latched, then absorbed by the pass's ring
+
+    env.process(producer(env))
+    env.run()
+    assert passes == [2.0, 3.0]
+
+
+def test_bell_ring_while_latched_wake_pending_latches_again():
+    """A wake queued for a latched ring does not absorb the next ring
+    (the loop it replaces kept no record of it), so a ring between the
+    pass's end and that wake owes yet another pass."""
+    env = Environment()
+    passes = []
+
+    def on_pass():
+        passes.append(env.now)
+        if len(passes) == 1:
+            bell.ring()  # latched: the latch's wake is queued as the pass ends
+            env.process(ring_now(env))
+
+    def ring_now(env):
+        bell.ring()  # runs before the latched wake does
+        yield env.timeout(0)
+
+    bell = Bell(env, 1.0, on_pass)
+    bell.ring()
+    env.run()
+    assert passes == [1.0, 2.0, 3.0]
+
+
+def test_bell_pass_runs_on_its_own_thread_row():
+    env = Environment()
+    seen = []
+    bell = Bell(env, 1.0, lambda: seen.append(env.active_process), name="kube-scheduler")
+    bell.ring()
+    env.run()
+    assert seen == [bell] and bell.name == "kube-scheduler"
+    assert env.active_process is None
+
+
+class _LoggedEnvironment(Environment):
+    """Logs every queue push as (now, due time, priority) and the clock
+    after every step: equal logs mean equal queue order."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushes = []
+        self.steps = []
+
+    def _schedule(self, event, delay=0.0, priority=Environment.NORMAL):
+        self.pushes.append((self._now, self._now + delay, priority))
+        super()._schedule(event, delay, priority)
+
+    def _schedule_at(self, event, when, priority=Environment.NORMAL):
+        self.pushes.append((self._now, when, priority))
+        super()._schedule_at(event, when, priority)
+
+    def _schedule_resume(self, process, value, exception, priority=Environment.NORMAL):
+        self.pushes.append((self._now, self._now, priority))
+        return super()._schedule_resume(process, value, exception, priority)
+
+    def step(self):
+        super().step()
+        self.steps.append(self._now)
+
+
+def _drive_bell(bell_cls, latency, early_rings, script, pass_rings):
+    env = _LoggedEnvironment()
+    passes = []
+
+    def on_pass():
+        passes.append(env.now)
+        if len(passes) < 40:  # a zero latency would otherwise never end
+            for _ in range(pass_rings[len(passes) % len(pass_rings)]):
+                bell.ring()
+
+    def driver(env):
+        for dt, rings in script:
+            if dt:
+                yield env.timeout(dt)
+            for _ in range(rings):
+                bell.ring()
+
+    env.process(driver(env))  # its boot record runs before the bell's
+    bell = bell_cls(env, latency, on_pass)
+    for _ in range(early_rings):
+        bell.ring()
+    env.run(until=100)
+    return passes, env.pushes, env.steps
+
+
+@given(
+    latency=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    early_rings=st.integers(min_value=0, max_value=2),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.5]),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=25,
+    ),
+    pass_rings=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_bell_matches_latching_signal_loop(latency, early_rings, script, pass_rings):
+    """Rings before boot, in the same instant, during the sleep, during
+    the pass and while a latched wake is queued (the driver's grid and
+    the latency share exact float steps): the bell makes the loop's
+    passes at the loop's times through the loop's queue records."""
+    got = _drive_bell(Bell, latency, early_rings, script, pass_rings)
+    want = _drive_bell(ReferenceBell, latency, early_rings, script, pass_rings)
+    assert got == want
 
 
 def test_cancel_deregisters_waiter():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults.chaos import check_chaos_report
 from repro.run import PARTS, ObsConfig, observing
 
 
@@ -139,7 +140,7 @@ def test_chaos_sweep_report_and_trace(tmp_path, capsys, _obs_clean):
     out = capsys.readouterr().out
     assert "chaos sweep: kubelet-in-allocation seeds 0..2 (3 run(s))" in out
     doc = json.loads(report.read_text())
-    assert doc["schema"] == "repro-chaos-report/2"
+    assert check_chaos_report(doc) == []
     assert doc["seeds"] == [0, 1, 2]
     assert len(doc["reports"]) == 3
     assert doc["aggregate"]["runs"] == 3
@@ -183,6 +184,7 @@ def test_chaos_single_seed_writes_report(tmp_path, capsys, _obs_clean):
         "--trace", str(tmp_path / "t.json"), "--out", str(report),
     ]) == 0
     doc = json.loads(report.read_text())
+    assert check_chaos_report(doc) == []
     assert doc["seeds"] == [7]
     assert doc["reports"][0]["scenario"] == "kubelet-in-allocation"
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import GPUDevice, HostNode
 from repro.engines import EnrootEngine, ShifterEngine
+from repro.faults.leaks import retained_state_leaks
 from repro.oci import Builder
 from repro.oci.catalog import BaseImageCatalog
 from repro.oci.runtime import ContainerState
@@ -119,4 +120,37 @@ def test_task_exit_stops_containers(registry):
     ctl.submit(JobSpec(name="j", user_uid=1, duration=5, on_start=on_start))
     env.run()
     ctx = captured["step"].contexts[0]
-    assert ctx.run_result.container.state is ContainerState.STOPPED
+    container = ctx.run_result.container
+    # stop → remove: the record is gone and the process reaped
+    assert container.state is ContainerState.DELETED
+    assert container.id not in engines["n0"].runtime.containers
+    assert container.proc.pid not in hosts[0].kernel.processes
+
+
+@pytest.mark.parametrize(
+    "plugin_cls,engine_cls,option_key",
+    [
+        (ShifterSpankPlugin, ShifterEngine, "shifter_image"),
+        (PyxisSpankPlugin, EnrootEngine, "container_image"),
+    ],
+)
+def test_finished_spank_steps_leave_no_retained_state(
+    registry, plugin_cls, engine_cls, option_key
+):
+    """Five container jobs on one node: each step's end gives back its
+    container record, process and monitor."""
+    env = Environment()
+    hosts = [HostNode(name="n0")]
+    ctl = SlurmController(env, hosts)
+    engines = {h.name: engine_cls(h) for h in hosts}
+    ctl.spank.load(plugin_cls(engines, registry))
+
+    def on_start(node, job, user_proc):
+        step = ctl.srun(job, ("app",), options={option_key: "hpc/app:v1"})
+        ctl.finish_step(job, step)
+
+    for i in range(5):
+        ctl.submit(JobSpec(name=f"j{i}", user_uid=1, duration=5, on_start=on_start))
+    env.run()
+    assert len(ctl.accounting.all()) == 5
+    assert retained_state_leaks(engines.values(), []) == []
