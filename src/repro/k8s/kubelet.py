@@ -9,6 +9,17 @@ Pods reach a kubelet through a Pod watch keyed by its node name: each
 matching event lands in an inbox that the next sync drains, so a sync
 never scans the apiserver store.  ``tests/oracles/kubelet.py`` keeps
 the store-scan sync as the reference the inbox is held equal to.
+
+An idle kubelet spends its life heartbeating: park until the grid tick
+that is due for a heartbeat, sync nothing, send the heartbeat RPC, write
+the Node, park again.  That cycle runs as a callback chain on one
+reused queue record (:meth:`Kubelet._idle`), under the keys the ``_main``
+generator's park token and RPC timeout had, with no generator resume,
+``Event`` or ``Timeout`` per cycle.  The chain hands the loop back to
+``_main`` when pods need syncing, when the wakeup signal fires while it
+is parked, and when the kubelet stops or crashes.
+``tests/oracles/kubelet.py`` keeps the generator loop
+(``ReferenceKubelet``) as the chain's reference.
 """
 
 from __future__ import annotations
@@ -29,12 +40,21 @@ from repro.k8s.objects import (
 from repro.kernel.errors import EBUSY
 from repro.kernel.process import SimProcess
 from repro.run import run
-from repro.sim import Environment, Interrupt, Signal
+from repro.sim import Environment, Event, Interrupt, Signal, SimulationError
+from repro.sim.environment import _Resume
 from repro.sim.signal import count_skipped_ticks, next_tick
 
 
 class KubeletError(RuntimeError):
     pass
+
+
+#: idle chain phases: the ``_main`` generator has control, the chain is
+#: parked until its tick, or the heartbeat RPC is in flight
+_OFF, _PARKED, _RPC = range(3)
+#: what the idle chain hands ``_main``: the tick came with pods to sync,
+#: or the loop top has work the chain does not do
+_TICK, _LOOP = object(), object()
 
 
 class Kubelet:
@@ -84,6 +104,17 @@ class Kubelet:
         self._inbox_uids: set[str] = set()
         self._metric_keys: tuple | None = None
         self.stats = {"pods_started": 0, "pods_finished": 0, "sync_loops": 0}
+        self._last_heartbeat = 0.0
+        # -- the idle chain (see _idle) --
+        self._idle_phase = _OFF
+        #: its one queue record, reused until a fire or stop cancels it
+        self._idle_record = _Resume(self, None, None)  # type: ignore[arg-type]
+        #: what _main yields while the chain runs: never triggered
+        self._idle_hold = Event(env)
+        self._idle_fired = self._on_idle_fire
+        #: the current park's loop epoch and skipped grid ticks
+        self._idle_epoch = 0.0
+        self._idle_skipped = 0
 
     @property
     def rootless(self) -> bool:
@@ -200,10 +231,13 @@ class Kubelet:
         if phase == "crash" and event.target == self.node_name:
             self.crash(reason=f"node crash (injected, t={event.at:.1f})")
 
-    def _rpc(self):
+    def _rpc_cost(self) -> float:
         if self.network is not None:
-            return self.env.timeout(self.network.rpc_cost())
-        return self.env.timeout(self.api.request_latency)
+            return self.network.rpc_cost()
+        return self.api.request_latency
+
+    def _rpc(self):
+        return self.env.timeout(self._rpc_cost())
 
     def _main(self):
         yield self.env.timeout(self.startup_cost)
@@ -222,8 +256,7 @@ class Kubelet:
             node = existing
             self.api.update("Node", node)
         self.k8s_node = node
-        last_heartbeat = self.env.now
-        wakeup = self._wakeup
+        self._last_heartbeat = self.env.now
         watch_cb = self._on_pod_watch
         self.api.watch("Pod", watch_cb, replay_existing=False, key=self.node_name)
         # Seed the inbox from the store: pods bound to this node before
@@ -241,47 +274,139 @@ class Kubelet:
                 self._inbox.append(pod)
         try:
             # Tickless sync loop.  With pending pods it polls on the same
-            # 0.5 s grid as before; idle, it parks until either a pod
-            # lands on this node (watch fires `wakeup`) or the grid tick
-            # that is due for a heartbeat.  A signal-woken loop re-aligns
-            # to the next grid boundary, so every observable virtual time
+            # 0.5 s grid as before; idle, the idle chain parks it until
+            # either a pod lands on this node (watch fires `_wakeup`) or
+            # the grid tick that is due for a heartbeat, and runs idle
+            # heartbeats itself.  A signal-woken loop re-aligns to the
+            # next grid boundary, so every observable virtual time
             # matches the polling version bit for bit.
             while self._running:
-                epoch = self.env.now
                 if self._pending_pods():
                     yield self.env.timeout(self.sync_interval)
                 else:
-                    tick = epoch + self.sync_interval
-                    skipped = 0
-                    while tick - last_heartbeat < self.heartbeat_interval:
-                        tick += self.sync_interval
-                        skipped += 1
-                    token = wakeup.park(tick)
-                    cause = yield token
-                    wakeup.unpark(token)
-                    if cause is Signal.FIRED:
-                        tick, skipped = next_tick(epoch, self.sync_interval, self.env.now)
+                    woke = yield self._idle(self.env.now)
+                    if woke is _LOOP:
+                        continue
+                    if woke is Signal.FIRED:
+                        tick, skipped = next_tick(
+                            self._idle_epoch, self.sync_interval, self.env.now
+                        )
                         count_skipped_ticks(self.env, skipped)
                         yield self.env.timeout_until(tick)
-                    else:
-                        count_skipped_ticks(self.env, skipped)
-                self.stats["sync_loops"] += 1
-                if run.metrics.enabled:
-                    run.metrics.inc_series(self._series_keys()[0])
+                self._count_sync()
                 yield from self._sync()
-                if self.env.now - last_heartbeat >= self.heartbeat_interval:
+                if self.env.now - self._last_heartbeat >= self.heartbeat_interval:
                     node.condition.last_heartbeat = self.env.now
                     yield self._rpc()
-                    self.api.update("Node", node)
-                    last_heartbeat = self.env.now
-                    if run.tracer.enabled:
-                        run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+                    self._heartbeat_written()
         except Interrupt:
-            pass
+            self._halt_idle()
         run.faults.unregister("wlm.node", self._on_node_fault)
         self.api.unwatch("Pod", watch_cb)
         node.condition.ready = False
         self.api.update("Node", node)
+
+    def _count_sync(self) -> None:
+        self.stats["sync_loops"] += 1
+        if run.metrics.enabled:
+            run.metrics.inc_series(self._series_keys()[0])
+
+    def _heartbeat_written(self) -> None:
+        """The heartbeat RPC returned: write the Node."""
+        self.api.update("Node", self.k8s_node)
+        self._last_heartbeat = self.env.now
+        if run.tracer.enabled:
+            run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+
+    # -- the idle chain ----------------------------------------------------------
+    def _idle(self, epoch: float) -> Event:
+        """Hand the idle loop to the callback chain; returns the event
+        ``_main`` yields until the chain hands control back.
+
+        The chain runs park → tick → heartbeat RPC → Node write → park
+        on one reused ``_Resume`` record under the keys the generator
+        loop's park token and RPC timeout had, with no generator resume.
+        It gives ``_main`` back the loop when the tick finds pods to
+        sync (``_TICK``, inline), when the loop top after a heartbeat
+        does (``_LOOP``, inline), or when the signal fires while parked
+        (:data:`Signal.FIRED`, queued as a parked process's resume is).
+        A fire during the RPC finds nothing parked and is lost, as it
+        is for a process; a stop or crash cancels the chain's record in
+        place (:meth:`_halt_idle`)."""
+        self._park(epoch)
+        return self._idle_hold
+
+    def _park(self, epoch: float) -> None:
+        interval = self.sync_interval
+        heartbeat = self.heartbeat_interval
+        last = self._last_heartbeat
+        tick = epoch + interval
+        skipped = 0
+        while tick - last < heartbeat:
+            tick += interval
+            skipped += 1
+        self._idle_epoch = epoch
+        self._idle_skipped = skipped
+        self._idle_phase = _PARKED
+        self._wakeup.park_callback(self._idle_fired)
+        self.env._schedule_at(self._idle_record, tick)  # type: ignore[arg-type]
+
+    def _do_resume(self, _value: object, _exception: object) -> None:
+        """The idle chain's record ran: the park's tick, or the
+        heartbeat RPC's return (the environment's ``_Resume`` dispatch)."""
+        env = self.env
+        proc = self._proc
+        env._active_process = proc
+        try:
+            if self._idle_phase == _PARKED:
+                self._wakeup.unpark_callback(self._idle_fired)
+                count_skipped_ticks(env, self._idle_skipped)
+                if self._pending_pods():
+                    # pods reached the inbox without a fire: _main syncs
+                    self._idle_phase = _OFF
+                    proc._do_resume(_TICK, None)
+                    return
+                self._count_sync()
+                for _event in self._sync():
+                    raise SimulationError("an idle sync found pods to start")
+                if env.now - self._last_heartbeat >= self.heartbeat_interval:
+                    self.k8s_node.condition.last_heartbeat = env.now
+                    self._idle_phase = _RPC
+                    env._schedule(self._idle_record, self._rpc_cost())
+                    return
+            else:
+                self._heartbeat_written()
+            if not self._running or self._pending_pods():
+                self._idle_phase = _OFF
+                proc._do_resume(_LOOP, None)
+                return
+            self._park(env.now)
+        finally:
+            env._active_process = None
+
+    def _on_idle_fire(self) -> bool:
+        """The wakeup fired while the chain was parked: ``_main`` takes
+        the loop back through a queued resume, as a parked process."""
+        proc = self._proc
+        if proc._target is not self._idle_hold:
+            return False  # interrupted: its Interrupt resume is queued
+        self._drop_idle_record()
+        proc._pending_resume = self.env._schedule_resume(proc, Signal.FIRED, None)
+        return True
+
+    def _halt_idle(self) -> None:
+        """Stop or crash: cancel the chain and drop its park."""
+        if self._idle_phase == _PARKED:
+            self._wakeup.unpark_callback(self._idle_fired)
+        if self._idle_phase != _OFF:
+            self._drop_idle_record()
+
+    def _drop_idle_record(self) -> None:
+        # Cancelled in place, the record still pops at its key, as the
+        # generator loop's abandoned token or timeout did.
+        self._idle_record.process = None  # type: ignore[assignment]
+        self._idle_record = _Resume(self, None, None)  # type: ignore[arg-type]
+        self._idle_phase = _OFF
 
     def _wants_pod_event(self, event) -> bool:
         obj = event.obj

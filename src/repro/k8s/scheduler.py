@@ -36,7 +36,10 @@ class K8sScheduler:
     def __init__(self, env: Environment, apiserver: APIServer):
         self.env = env
         self.api = apiserver
-        self._bell = Bell(env, self.pass_latency, self._schedule_pass, name="kube-scheduler")
+        self._bell = Bell(
+            env, self.pass_latency, self._schedule_pass, name="kube-scheduler",
+            idle=self._pass_is_empty,
+        )
         self.stats = {"scheduled": 0, "unschedulable_events": 0}
         #: pending pods in store (ADDED) order; unschedulable pods stay
         self._pending: list[Pod] = []
@@ -107,6 +110,11 @@ class K8sScheduler:
         heapq.heapify(self._heap)
 
     # -- one pass ------------------------------------------------------------------
+    def _pass_is_empty(self) -> bool:
+        """A pass now would bind nothing, count nothing and trace
+        nothing, so the bell need not queue it (see ``Bell``)."""
+        return not self._pending and not run.tracer.enabled
+
     def _schedule_pass(self) -> None:
         bound = self._bind_pending()
         if run.tracer.enabled:

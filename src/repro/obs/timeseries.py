@@ -307,11 +307,13 @@ def install_sampler(
     """Install a sampler process on ``env`` ticking at the grid interval.
 
     The process wakes at each ``k * interval`` boundary, samples, and
-    returns as soon as it is the only work left in the environment —
-    so it never keeps ``env.run()`` spinning past the scenario's real
-    end, and ``env.run(until=event)`` still sees the queue drain when
-    the scenario deadlocks.  Samples the current run's recorder; returns
-    the process (or ``None`` when that recorder is disabled).
+    returns as soon as it is the only work left in the environment
+    (``Environment.drained``: nothing queued and no reserved record
+    still to run) — so it never keeps ``env.run()`` spinning past the
+    scenario's real end, and ``env.run(until=event)`` still sees the
+    queue drain when the scenario deadlocks.  Samples the current run's
+    recorder; returns the process (or ``None`` when that recorder is
+    disabled).
     """
     from repro.run import run
 
@@ -326,7 +328,7 @@ def install_sampler(
                 boundary = rec._next_due
             yield env.timeout_until(boundary)
             rec.sample_due(env.now, registry)
-            if not env._queue and not env._immediate:
+            if env.drained():
                 return
 
     return env.process(_tick(), name="obs.sampler")

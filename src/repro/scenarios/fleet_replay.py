@@ -49,7 +49,12 @@ from repro.obs.shape import check_file, shape_problems
 from repro.run import run
 from repro.scenarios.kubelet_in_allocation import KubeletInAllocationScenario
 from repro.sim import Environment
-from repro.workload.fleet import FleetConfig, ImageCatalog, generate_shard_trace
+from repro.workload.fleet import (
+    FleetConfig,
+    ImageCatalog,
+    config_problems,
+    generate_shard_trace,
+)
 
 
 @dataclasses.dataclass
@@ -446,14 +451,7 @@ def check_replay_report(doc: object) -> list[str]:
         problems.append(
             f"report.schema: expected {REPLAY_REPORT_SCHEMA!r}, got {doc['schema']!r}"
         )
-    try:
-        config = FleetConfig.from_json(json.dumps(doc["config"]))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"report.config: {exc}")
-    else:
-        if json.loads(config.to_json()) != doc["config"]:
-            problems.append("report.config: does not round-trip through FleetConfig")
-    return problems
+    return problems + config_problems(doc["config"])
 
 
 def check_replay_report_file(path: str) -> int:

@@ -19,6 +19,22 @@ bit-identical to a single-heap implementation.
 Process resumes additionally bypass event allocation: instead of a
 throwaway carrier :class:`Event` per resume, the queue carries a slotted
 :class:`_Resume` record that invokes the generator directly.
+
+Reserved keys
+-------------
+
+A loop whose next record would do nothing unless something happens
+first can *reserve* that record's key instead of queuing it:
+:meth:`Environment.reserve` draws the sequence number the push would
+have drawn and returns the ``(time, NORMAL, sequence)`` key.  If the
+something happens before the key passes (:meth:`Environment.passed`),
+:meth:`Environment.schedule_reserved` queues the record under exactly
+that key, so it runs where it always would have; otherwise the record
+never costs a queue entry.  A key has passed once the record in
+progress sorts after it, ties resolved by the full key as the heap
+would; after ``run(until=t)`` every key at or before ``t`` has passed,
+and a draining ``run()`` moves the clock to the latest reserved time, as
+the reserved record would have.
 """
 
 from __future__ import annotations
@@ -31,6 +47,10 @@ from heapq import heappop, heappush
 from repro.sim.events import Event, Interrupt, SimulationError, Timeout
 
 ProcessGenerator = _t.Generator[Event, object, object]
+
+#: ``Environment._seq_now`` once ``run(until=...)`` returns: every key at
+#: or before the clock has passed
+_ALL = float("inf")
 
 
 class _Resume:
@@ -72,6 +92,11 @@ class Environment:
         #: zero-delay normal events at the current time: FIFO of (seq, item)
         self._immediate: deque[tuple[int, Event | _Resume]] = deque()
         self._counter = itertools.count()
+        #: sequence number of the record in progress (see passed()):
+        #: -1 for an URGENT one, _ALL once run(until=...) has returned
+        self._seq_now: float = -1
+        #: the latest reserved key, for drains and drained()
+        self._reserved: tuple[float, int, int] = (float("-inf"), 1, -1)
         self._active_process: Process | None = None
         # imported here: repro.run imports repro.sim.profile, which
         # initializes this package first
@@ -183,6 +208,33 @@ class Environment:
         if depth > prof.peak_queue_depth:
             prof.peak_queue_depth = depth
 
+    # -- reserved keys ------------------------------------------------------
+    def reserve(self, delay: float = 0.0) -> tuple[float, int, int]:
+        """The key a NORMAL record pushed ``delay`` from now would get,
+        drawing its sequence number, without queuing anything."""
+        key = (self._now + delay, 1, next(self._counter))
+        if key[0] >= self._reserved[0]:
+            self._reserved = key
+        return key
+
+    def passed(self, key: tuple[float, int, int]) -> bool:
+        """Whether a record under the reserved ``key`` would already have
+        run: the record in progress sorts after it."""
+        when = key[0]
+        now = self._now
+        return when < now or (when == now and key[2] < self._seq_now)
+
+    def schedule_reserved(self, record: "Event | _Resume", key: tuple[float, int, int]) -> None:
+        """Queue ``record`` under a :meth:`reserve` key that has not passed."""
+        heappush(self._queue, (key[0], key[1], key[2], record))
+        prof = self._profile
+        if prof.enabled:
+            self._count_push(prof, False)
+
+    def drained(self) -> bool:
+        """Nothing is queued and no reserved key is still to pass."""
+        return not self._queue and not self._immediate and self.passed(self._reserved)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if queue is empty."""
         if self._immediate:
@@ -205,14 +257,16 @@ class Environment:
                     prio = head[1]
                     use_heap = prio < 1 or (prio == 1 and head[2] < immediate[0][0])
             if use_heap:
-                when, _prio, _seq, item = heappop(queue)
+                when, prio, seq, item = heappop(queue)
                 self._now = when
+                self._seq_now = seq if prio == 1 else -1
             else:
                 from_heap = False
-                item = immediate.popleft()[1]
+                self._seq_now, item = immediate.popleft()
         elif queue:
-            when, _prio, _seq, item = heappop(queue)
+            when, prio, seq, item = heappop(queue)
             self._now = when
+            self._seq_now = seq if prio == 1 else -1
         else:
             raise SimulationError("step() on empty event queue")
         prof = self._profile
@@ -268,6 +322,9 @@ class Environment:
             self.step()
         if deadline != float("inf"):
             self._now = deadline
+        elif self._reserved[0] > self._now:
+            self._now = self._reserved[0]
+        self._seq_now = _ALL
         return None
 
 

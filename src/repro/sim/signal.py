@@ -29,6 +29,13 @@ Two waiting styles are supported:
     (scheduled exactly, without float re-derivation) or ``None`` to park
     until fired.
 
+``park_callback(callback)``
+    Parks a **callback chain**, a loop that runs on its own queue
+    records instead of a generator (the kubelet's idle heartbeat cycle):
+    the next ``fire()`` calls ``callback()`` once, and the chain queues
+    whatever its wakeup costs, under the keys a parked process would
+    have got.  ``unpark_callback`` drops the registration.
+
 Tick alignment
 --------------
 
@@ -49,8 +56,12 @@ Scheduler passes
 A :class:`Bell` is the coalescing "ring → wake → sleep → pass" loop of
 both schedulers (``K8sScheduler``, ``SlurmController``) as a callback
 chain: it queues the generator loop's records through one reused record
-object, so a pass allocates nothing beyond its queue entries.
-``tests/oracles/k8s.py`` keeps that loop as the bell's reference.
+object, so a pass allocates nothing beyond its queue entries.  Given an
+``idle`` predicate, a wake whose pass would do nothing reserves the
+sleep record's key (:meth:`Environment.reserve`) instead of queuing it,
+and queues it under that key only if a ring comes before the key
+passes.  ``tests/oracles/k8s.py`` keeps the loop, running every pass, as
+the bell's reference.
 """
 
 from __future__ import annotations
@@ -108,18 +119,21 @@ class Signal:
     #: value delivered to a parked process woken by :meth:`fire`
     FIRED: _t.ClassVar[_Fired] = _Fired()
 
-    __slots__ = ("env", "_waiters", "_parked")
+    __slots__ = ("env", "_waiters", "_parked", "_callbacks")
 
     def __init__(self, env: Environment):
         self.env = env
         self._waiters: list[Event] = []
         #: token event -> parked process, for direct resumes
         self._parked: dict[Event, Process] = {}
+        #: parked callback chains, called by the next fire
+        self._callbacks: list[_t.Callable[[], bool]] = []
 
     @property
     def waiting(self) -> int:
-        """Number of registered waiters (events and parked processes)."""
-        return len(self._waiters) + len(self._parked)
+        """Number of registered waiters (events, parked processes and
+        parked callbacks)."""
+        return len(self._waiters) + len(self._parked) + len(self._callbacks)
 
     # -- event-style waiting ------------------------------------------------
     def wait(self) -> Event:
@@ -163,13 +177,31 @@ class Signal:
         """Drop a park registration (idempotent); call after waking."""
         return self._parked.pop(token, None) is not None
 
+    def park_callback(self, callback: _t.Callable[[], bool]) -> None:
+        """Park a callback chain: the next :meth:`fire` calls
+        ``callback()`` once, which returns whether it woke anything.
+        The chain queues its own records, so a fire costs what it
+        makes the callback queue."""
+        self._callbacks.append(callback)
+        prof = self.env._profile
+        if prof.enabled:
+            prof.parked_processes += 1
+
+    def unpark_callback(self, callback: _t.Callable[[], bool]) -> bool:
+        """Drop a :meth:`park_callback` registration (idempotent)."""
+        try:
+            self._callbacks.remove(callback)
+            return True
+        except ValueError:
+            return False
+
     # -- producers ----------------------------------------------------------
     def fire(self, value: object = None) -> int:
         """Wake every current waiter; returns how many were woken.
 
         ``wait()`` waiters are succeeded with ``value`` through the
         zero-delay FIFO; parked processes are resumed directly with
-        :data:`Signal.FIRED`.
+        :data:`Signal.FIRED`; parked callbacks are called.
         """
         woken = 0
         if self._waiters:
@@ -192,6 +224,11 @@ class Signal:
                     continue
                 process._pending_resume = env._schedule_resume(process, Signal.FIRED, None)
                 woken += 1
+        if self._callbacks:
+            callbacks, self._callbacks = self._callbacks, []
+            for callback in callbacks:
+                if callback():
+                    woken += 1
         if woken:
             prof = self.env._profile
             if prof.enabled:
@@ -222,13 +259,24 @@ class Bell:
       one more pass: the next wake is queued when the boot record or
       the pass ends.
 
+    Empty passes: when ``idle()`` says a pass would do nothing and no
+    ring is latched, the wake reserves the sleep record's key
+    (:meth:`Environment.reserve`) instead of queuing the record.  A ring
+    before that key passes queues the record under it and latches, as a
+    ring during the sleep does; a ring after it finds the loop idle.  So
+    every pass that does something runs at the loop's time from the
+    loop's key, and an empty one costs no queue record.
+
     ``on_pass`` runs with the bell as the environment's active process,
     so the tracer puts its records on one thread row named ``name``.
     """
 
-    _BOOT, _IDLE, _RUNG, _LATCHED, _BUSY = range(5)
+    _BOOT, _IDLE, _RUNG, _LATCHED, _BUSY, _GHOST = range(6)
 
-    __slots__ = ("env", "name", "latency", "_on_pass", "_state", "_again", "_record")
+    __slots__ = (
+        "env", "name", "latency", "_on_pass", "_idle", "_state", "_again", "_record",
+        "_key",
+    )
 
     def __init__(
         self,
@@ -236,21 +284,34 @@ class Bell:
         latency: float,
         on_pass: _t.Callable[[], object],
         name: str = "bell",
+        idle: _t.Callable[[], bool] | None = None,
     ):
         self.env = env
         self.name = name
         self.latency = latency
         self._on_pass = on_pass
+        #: whether a pass would do nothing now (None: every pass runs)
+        self._idle = idle
         self._state = Bell._BOOT
         #: a latched ring: one more pass is owed once the current step ends
         self._again = False
         #: the one queue record the bell ever has in flight, reused
         self._record = _Resume(self, None, None)  # type: ignore[arg-type]
+        #: the reserved key of an empty pass's sleep record
+        self._key: tuple[float, int, int] | None = None
         env._schedule(self._record)
 
     def ring(self) -> None:
         """Ask for a pass (see the class docstring for coalescing)."""
         state = self._state
+        if state == Bell._GHOST:
+            env = self.env
+            if not env.passed(self._key):  # type: ignore[arg-type]
+                self._state = Bell._BUSY
+                self._again = True
+                env.schedule_reserved(self._record, self._key)  # type: ignore[arg-type]
+                return
+            state = Bell._IDLE  # the empty pass is over
         if state == Bell._IDLE:
             self._state = Bell._RUNG
             self.env._schedule(self._record)
@@ -261,8 +322,13 @@ class Bell:
         """The record ran (the environment's ``_Resume`` dispatch)."""
         state = self._state
         if state == Bell._RUNG or state == Bell._LATCHED:
-            self._state = Bell._BUSY
-            self.env._schedule(self._record, self.latency)
+            idle = self._idle
+            if idle is not None and not self._again and idle():
+                self._state = Bell._GHOST
+                self._key = self.env.reserve(self.latency)
+            else:
+                self._state = Bell._BUSY
+                self.env._schedule(self._record, self.latency)
             return
         if state == Bell._BUSY:
             env = self.env

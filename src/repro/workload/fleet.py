@@ -102,6 +102,7 @@ from repro.cluster.capacity import CapacityIndex
 from repro.faults.plan import PUSH_KINDS, FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.obs import timeseries as _timeseries
+from repro.obs.shape import MapOf, check_file, shape_problems
 from repro.registry.distribution import (
     OCIDistributionRegistry,
     RegistryUnavailable,
@@ -1290,6 +1291,16 @@ def score_fleet_slo(
 
 # -- reporting ----------------------------------------------------------------
 
+FLEET_REPORT_SCHEMA = "repro-fleet-report/2"
+
+#: the per-tenant row of ``repro-fleet-report/2``: column name, leaf type
+_TENANT_COLUMNS = (
+    ("tenant", int), ("starts", int), ("completions", int), ("failed", int),
+    ("cold_pulls", int), ("pulled_bytes", int), ("wait_sum_s", float),
+    ("wait_max_s", float), ("cpu_seconds", float),
+)
+
+
 def fleet_report_document(result: FleetResult) -> dict:
     """JSON-ready report (schema ``repro-fleet-report/2``)."""
     tenants = [
@@ -1297,7 +1308,7 @@ def fleet_report_document(result: FleetResult) -> dict:
         for gid, stats in sorted(result.tenants.items())
     ]
     return {
-        "schema": "repro-fleet-report/2",
+        "schema": FLEET_REPORT_SCHEMA,
         "config": json.loads(result.config.to_json()),
         "summary": {
             "shards": result.shards,
@@ -1344,11 +1355,93 @@ def fleet_report_document(result: FleetResult) -> dict:
             "counts": list(result.wait_hist),
         },
         "leaks": list(result.leaks),
-        "tenant_columns": ["tenant", "starts", "completions", "failed",
-                           "cold_pulls", "pulled_bytes", "wait_sum_s",
-                           "wait_max_s", "cpu_seconds"],
+        "tenant_columns": [name for name, _leaf in _TENANT_COLUMNS],
         "tenants": tenants,
     }
+
+
+#: the exact shape of ``repro-fleet-report/2`` (:mod:`repro.obs.shape`
+#: has the notation); tenant rows are checked column by column
+_FLEET_REPORT = {
+    "schema": str,
+    "config": dict,
+    "summary": {
+        "shards": int, "starts": int, "completions": int, "failed": int,
+        "warm_starts": int, "warm_rate": float, "cold_pulls": int,
+        "retry_attempts": int, "pulled_bytes": int, "demand_bytes": int,
+        "bytes_saved_ratio": float, "pending_peak": int, "live_peak": int,
+        "mean_wait_s": float, "max_wait_s": float, "makespan_s": float,
+        "crashes": int, "requeues": int,
+    },
+    "faults": {
+        "injected": MapOf(int), "first_injected_at": MapOf(float), "retries": MapOf(int),
+    },
+    "registry": {
+        "pushes": int, "pulls": int, "blob_uploads_skipped": int,
+        "stored_bytes": int, "quota_used_bytes": int,
+    },
+    "wait_histogram": {"bounds_s": [float], "counts": [int]},
+    "leaks": [str],
+    "tenant_columns": [str],
+    "tenants": [list],
+}
+
+
+def config_problems(config: dict) -> list[str]:
+    """Why a report's ``config`` block is not a :class:`FleetConfig`
+    that reads back to itself (empty when it is)."""
+    try:
+        parsed = FleetConfig.from_json(json.dumps(config))
+    except (TypeError, ValueError) as exc:
+        return [f"report.config: {exc}"]
+    if json.loads(parsed.to_json()) != config:
+        return ["report.config: does not round-trip through FleetConfig"]
+    return []
+
+
+def check_fleet_report(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-fleet-report/2`` document: exact
+    keys at every level, exact leaf types (tenant rows column by
+    column), the schema string, a ``config`` that
+    :meth:`FleetConfig.from_json` reads back to itself, and a ``faults``
+    section whose first-injection times cover exactly the injected
+    kinds.  Returns the problems found (empty when well formed), so a
+    writer that changes the document without bumping the schema version
+    fails here."""
+    problems = shape_problems(doc, _FLEET_REPORT, "report")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != FLEET_REPORT_SCHEMA:
+        problems.append(
+            f"report.schema: expected {FLEET_REPORT_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    problems += config_problems(doc["config"])
+    faults = doc["faults"]
+    if sorted(faults["first_injected_at"]) != sorted(faults["injected"]):
+        problems.append("report.faults: first_injected_at kinds differ from injected kinds")
+    problems += [
+        f"report.faults.injected.{kind}: expected a positive count, got {count}"
+        for kind, count in faults["injected"].items() if count < 1
+    ]
+    hist = doc["wait_histogram"]
+    if len(hist["counts"]) != len(hist["bounds_s"]) + 1:
+        problems.append("report.wait_histogram: expected one count per bound plus overflow")
+    columns = [name for name, _leaf in _TENANT_COLUMNS]
+    if doc["tenant_columns"] != columns:
+        problems.append(f"report.tenant_columns: expected {columns}")
+    for i, row in enumerate(doc["tenants"]):
+        if len(row) != len(_TENANT_COLUMNS):
+            problems.append(f"report.tenants[{i}]: expected {len(_TENANT_COLUMNS)} columns")
+            continue
+        for (name, leaf), value in zip(_TENANT_COLUMNS, row):
+            problems += shape_problems(value, leaf, f"report.tenants[{i}].{name}")
+    return problems
+
+
+def check_fleet_report_file(path: str) -> int:
+    """Check a fleet report file; print problems; return an exit code."""
+    return check_file(path, check_fleet_report)
 
 
 def _json_num(value):

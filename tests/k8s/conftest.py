@@ -18,6 +18,10 @@ def env():
 
 @pytest.fixture
 def registry():
+    return make_registry()
+
+
+def make_registry():
     reg = OCIDistributionRegistry(name="site")
     builder = Builder(BaseImageCatalog())
     img = builder.build_dockerfile("FROM alpine:3.18\nRUN write /srv/app 1000000")

@@ -1,0 +1,186 @@
+"""Property test: ``Kubelet``'s idle callback chain equals the generator
+idle loop it replaced (:class:`tests.oracles.kubelet.ReferenceKubelet`).
+
+Pods arrive bound to the node or through the scheduler, and the kubelet
+is stopped, crashed and restarted, on a random schedule aimed at the
+idle cycle's edges: exactly on a heartbeat tick, inside and at the end
+of the heartbeat RPC, and inside and at the end of the scheduler sleep
+that the heartbeat's Node write rings.  Every cost is a multiple of
+1/64 s, so those instants are exact.  Both kubelets must queue the same
+records under the same keys, start and end every pod at the same times,
+write the same heartbeats and count the same sync loops.  With a wakeup
+that never fires, pods wait in the inbox for the tick, where the chain
+hands them to ``_main``.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.k8s import APIServer, K8sScheduler, Kubelet, PodPhase
+from repro.scenarios import KubeletInAllocationScenario
+from repro.sim import Environment, Signal
+from repro.world import WorldState
+
+from tests.k8s.conftest import make_cri, make_registry
+from tests.k8s.test_kubelet_and_bridges import make_pod
+from tests.oracles.kubelet import ReferenceKubelet
+from tests.sim.test_signal import _LoggedEnvironment
+
+#: heartbeat RPC and scheduler pass latencies, exact in binary
+RPC = 1 / 16
+PASS = 1 / 32
+END = 70.0
+
+
+class _Scheduler(K8sScheduler):
+    pass_latency = PASS
+
+
+def _targets(last_write):
+    """Instants on the idle cycle that follows the heartbeat Node write
+    at ``last_write``: its tick (sequential grid additions, as the
+    kubelet computes it), inside and at the end of the heartbeat RPC,
+    and inside and at the end of the scheduler sleep the write rang."""
+    tick = last_write + Kubelet.sync_interval
+    while tick - last_write < Kubelet.heartbeat_interval:
+        tick += Kubelet.sync_interval
+    return {
+        "tick": tick,
+        "rpc": tick + RPC / 2,
+        "rpc_end": tick + RPC,
+        "sleep": last_write + PASS / 2,
+        "sleep_end": last_write + PASS,
+    }
+
+
+class _DeafSignal(Signal):
+    """A wakeup whose fires are lost: pods routed to the inbox wait for
+    the next tick, so the idle chain meets them there."""
+
+    def fire(self, value=None):
+        return 0
+
+
+def run_kubelet(kubelet_cls, script, deaf=False):
+    WorldState.pristine().install()
+    env = _LoggedEnvironment()
+    api = APIServer()
+    api.request_latency = RPC
+    _Scheduler(env, api)
+    cri, _host = make_cri(make_registry())
+    kubelet = kubelet_cls(env, api, "knode", cri)
+    if deaf:
+        kubelet._wakeup = _DeafSignal(env)
+    nodes = []  # (now, last_heartbeat, ready) per Node event
+    #: when each new last_heartbeat value was first written, from the
+    #: registration on
+    writes = [Kubelet.startup_cost + RPC]
+
+    def on_node(event):
+        cond = event.obj.condition
+        if nodes and nodes[-1][1] != cond.last_heartbeat:
+            writes.append(env.now)
+        nodes.append((env.now, cond.last_heartbeat, cond.ready))
+
+    api.watch("Node", on_node)
+    pods = []
+    started = [0.0]
+
+    def driver(env):
+        for anchor, action, duration in script:
+            if anchor == "free":
+                when = env.now + duration / 4
+            else:
+                when = _targets(writes[-1])[anchor]
+            if when > env.now:
+                yield env.timeout_until(when)
+            if action in ("bound", "pod"):
+                pod = make_pod(f"p{len(pods):02}", duration=duration, cpu=1.0)
+                if action == "bound":
+                    pod.node_name = "knode"
+                pods.append(pod)
+                api.create("Pod", pod)
+            elif action == "start":
+                if not kubelet._running:
+                    kubelet.start()
+                    started.append(env.now)
+            elif env.now > started[-1] + Kubelet.startup_cost + RPC:
+                # (an agent stopped before it registers fails its process)
+                if action == "stop":
+                    kubelet.stop()
+                else:
+                    kubelet.crash()
+
+    kubelet.start()
+    env.process(driver(env))
+    env.run(until=END)
+    return {
+        "pushes": env.pushes,
+        "reserves": env.reserves,
+        "steps": env.steps,
+        "pods": [(p.metadata.name, p.node_name, p.phase, p.start_time, p.end_time)
+                 for p in pods],
+        "nodes": nodes,
+        "stats": dict(kubelet.stats),
+        "running": kubelet._running,
+    }, kubelet
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    deaf=st.booleans(),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(("tick", "tick", "rpc", "rpc_end", "sleep", "sleep_end", "free")),
+            st.sampled_from(("bound", "bound", "pod", "pod", "stop", "crash", "start")),
+            st.sampled_from((1.0, 2.5, 12.0)),
+        ),
+        max_size=10,
+    ),
+)
+def test_idle_chain_matches_generator_idle_loop(deaf, script):
+    got, kubelet = run_kubelet(Kubelet, script, deaf)
+    want, _ = run_kubelet(ReferenceKubelet, script, deaf)
+    assert got == want
+    if not kubelet._running:
+        assert kubelet._wakeup.waiting == 0
+
+
+def test_idle_chain_runs_heartbeats_on_the_reference_keys():
+    """No pods: a kubelet's whole life is the idle cycle."""
+    got, kubelet = run_kubelet(Kubelet, [])
+    want, _ = run_kubelet(ReferenceKubelet, [])
+    assert got == want
+    heartbeats = {last for _now, last, _ready in got["nodes"]}
+    assert len(heartbeats) == 7  # registration + six 10 s heartbeats
+    assert kubelet._wakeup.waiting == 1  # the chain's park
+
+
+def _provisioned_pair():
+    env = Environment()
+    scenario = KubeletInAllocationScenario(env, n_nodes=2)
+    env.run(until=scenario.provision())
+    env.run(until=env.now + 25.0)  # past the first idle heartbeats
+    return env, scenario.kubelets
+
+
+def test_stop_and_crash_leave_no_park_registration():
+    env, (stopped, crashed) = _provisioned_pair()
+    assert stopped._wakeup.waiting == crashed._wakeup.waiting == 1
+    stopped.stop()
+    crashed.crash()
+    env.run(until=env.now + 15.0)
+    for kubelet in (stopped, crashed):
+        assert not kubelet._proc.is_alive
+        assert kubelet._wakeup.waiting == 0
+        assert kubelet.api.get("Node", kubelet.node_name).condition.ready is False
+
+
+def test_fire_after_stop_wakes_nothing():
+    env, (kubelet, _other) = _provisioned_pair()
+    kubelet.stop()
+    pod = make_pod("late")
+    pod.node_name = kubelet.node_name
+    kubelet.api.create("Pod", pod)  # the dropped watch no longer routes it
+    env.run(until=env.now + 15.0)
+    assert kubelet._wakeup.waiting == 0
+    assert pod.phase is PodPhase.PENDING

@@ -191,6 +191,33 @@ def test_install_sampler_ticks_and_self_terminates():
     assert all(t % 5.0 == 0.0 for t, _ in rec.points("busy.rate"))
 
 
+@pytest.mark.parametrize("bell_cls", ["Bell", "ReferenceBell"])
+def test_install_sampler_waits_for_a_reserved_record(bell_cls):
+    """An empty scheduler pass whose sleep straddles a sample boundary
+    keeps the sampler going, as the queued sleep record of the loop it
+    replaced did: same samples, same final clock."""
+    from repro.sim import Bell
+
+    from tests.oracles.k8s import ReferenceBell
+
+    cls = {"Bell": Bell, "ReferenceBell": ReferenceBell}[bell_cls]
+    with observing(ObsConfig(timeseries=1.0)) as sampled:
+        rec = sampled.recorder
+        env = Environment()
+        reg = _registry()
+        bell = cls(env, 0.5, lambda: None, idle=lambda: True)
+
+        def ring_late():
+            yield env.timeout(0.75)
+            reg.inc("busy", 1)
+            bell.ring()  # its empty pass is due at 1.25, past the 1.0 sample
+
+        env.process(ring_late())
+        install_sampler(env, reg)
+        env.run()
+    assert rec.samples == 2 and env.now == 2.0  # samples at 1 and 2
+
+
 def test_install_sampler_is_a_noop_when_disabled():
     assert not run.recorder.enabled
     env = Environment()

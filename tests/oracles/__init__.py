@@ -15,7 +15,9 @@ compare every decision, timing and report byte against them:
   ``LinearSlurmController``: whole-node-list feasibility scans and a
   shadow time sorted from the running jobs;
 - :mod:`tests.oracles.kubelet` — ``StoreScanKubelet``, which finds its
-  pods by scanning the apiserver store on every sync;
+  pods by scanning the apiserver store on every sync, and
+  ``ReferenceKubelet``, whose idle loop (park, tick, heartbeat RPC, Node
+  write) runs in the ``_main`` generator instead of a callback chain;
 - :mod:`tests.oracles.fleet` — ``OracleFleetShardEngine``, one simulator
   event per arrival, completion and fault edge, on the linear scan;
 - :mod:`tests.oracles.control_plane` — swaps the k8s, WLM and kubelet

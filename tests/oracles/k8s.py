@@ -50,9 +50,12 @@ class LatchingSignal:
 class ReferenceBell:
     """``repro.sim.Bell``'s constructor and ``ring`` over the loop it
     replaced: a process that waits on a :class:`LatchingSignal`, sleeps
-    ``latency`` and runs ``on_pass``, forever."""
+    ``latency`` and runs ``on_pass``, forever.  Every pass runs, so
+    ``idle`` is ignored."""
 
-    def __init__(self, env: Environment, latency: float, on_pass, name: str = "bell"):
+    def __init__(
+        self, env: Environment, latency: float, on_pass, name: str = "bell", idle=None
+    ):
         self._signal = LatchingSignal(env)
         env.process(self._loop(env, latency, on_pass), name=name)
 

@@ -141,5 +141,18 @@ def test_replay_retained_state_is_live_pods_not_starts():
             cgroups = kubelet.cri.engine.kernel.cgroups
             assert not cgroups.cgroup_at(kubelet.cgroup_path).children
     # teardown moves no virtual time: the event count is the one the
-    # replay had while finished pods still held their state
-    assert _replay_shard(200, sample=False)[2] == 8985
+    # replay had while finished pods still held their state, less the
+    # empty scheduler passes that no longer queue a record
+    assert _replay_shard(200, sample=False)[2] == 7189
+
+
+#: simulator events per replayed pod on the 8-node, 200-start shard, an
+#: exact count (7,189 events): 44.925 while every empty scheduler pass
+#: queued its sleep record
+REPLAY_EVENTS_PER_POD = 35.945
+
+
+def test_replay_events_per_pod_ceiling():
+    _scenario, result, events, _samples = _replay_shard(200, sample=False)
+    assert result.submitted == 200
+    assert events / result.submitted == REPLAY_EVENTS_PER_POD

@@ -100,6 +100,21 @@ def test_matrix_and_chaos_sweep_counters_are_placement_invariant(_obs_clean):
     assert serial["events_processed"] <= MATRIX_CHAOS_EVENT_CEILING
 
 
+#: simulator events of the kubelet-in-allocation chaos cells of seeds
+#: 0..3 at the default shape, an exact count: 16,734 while every empty
+#: scheduler pass queued its sleep record
+KIA_CHAOS_EVENTS_SEEDS_0_3 = 15_005
+
+
+def test_kubelet_in_allocation_chaos_cells_event_count(_obs_clean):
+    """The idle control plane's event cost, pinned: each heartbeat is
+    its tick and RPC records plus the scheduler wake its Node write
+    rings, and the empty pass after that wake queues no record."""
+    cells = chaos_seed_sweep("kubelet-in-allocation", range(4))
+    result = run_cells(cells, jobs=1, snapshot=WarmSnapshot.for_scenario_prefix())
+    assert result.profile["events_processed"] == KIA_CHAOS_EVENTS_SEEDS_0_3
+
+
 def _sweep_artifacts(jobs, seeds, snapshot):
     from repro.faults.chaos import chaos_report_document
     from repro.obs.export import to_chrome_json, validate_chrome_trace

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Bell, Environment, Signal, next_tick
+from repro.sim.environment import _Resume
 from repro.sim.events import SimulationError
 
 from tests.oracles.k8s import ReferenceBell
@@ -169,69 +170,284 @@ def test_bell_pass_runs_on_its_own_thread_row():
     assert env.active_process is None
 
 
-class _LoggedEnvironment(Environment):
-    """Logs every queue push as (now, due time, priority) and the clock
-    after every step: equal logs mean equal queue order."""
+# -- Bell: empty passes reserve their key ------------------------------------
 
-    def __init__(self):
-        super().__init__()
-        self.pushes = []
-        self.steps = []
+def _run_ghost_bell(bell_cls, script, until=None, then=None):
+    """Drive a 1.0 s bell whose pass has work only after an ``add`` ring.
 
-    def _schedule(self, event, delay=0.0, priority=Environment.NORMAL):
-        self.pushes.append((self._now, self._now + delay, priority))
-        super()._schedule(event, delay, priority)
-
-    def _schedule_at(self, event, when, priority=Environment.NORMAL):
-        self.pushes.append((self._now, when, priority))
-        super()._schedule_at(event, when, priority)
-
-    def _schedule_resume(self, process, value, exception, priority=Environment.NORMAL):
-        self.pushes.append((self._now, self._now, priority))
-        return super()._schedule_resume(process, value, exception, priority)
-
-    def step(self):
-        super().step()
-        self.steps.append(self._now)
-
-
-def _drive_bell(bell_cls, latency, early_rings, script, pass_rings):
-    env = _LoggedEnvironment()
-    passes = []
+    ``script`` is a list of (delay, op) steps for a producer process, op
+    one of ``"ring"`` (ring, nothing to do), ``"add"`` (work, then ring)
+    or ``"yield0"`` (a zero-delay yield).  With ``until`` the run stops
+    there, ``then`` runs outside the simulation, and a drain follows.
+    Returns the passes that had work (time, work), every pass time, and
+    the clock after the drain."""
+    env = Environment()
+    work, busy, passes = [], [], []
 
     def on_pass():
         passes.append(env.now)
-        if len(passes) < 40:  # a zero latency would otherwise never end
-            for _ in range(pass_rings[len(passes) % len(pass_rings)]):
+        if work:
+            busy.append((env.now, tuple(work)))
+            work.clear()
+
+    bell = bell_cls(env, 1.0, on_pass, idle=lambda: not work)
+
+    def producer(env):
+        for delay, op in script:
+            yield env.timeout(delay)
+            if op == "add":
+                work.append(env.now)
+            if op != "yield0":
                 bell.ring()
 
+    env.process(producer(env))
+    if until is not None:
+        env.run(until=until)
+        if then is not None:
+            then(env, bell, work)
+    env.run()
+    return busy, passes, env.now
+
+
+def _ghost_vs_reference(script, **kwargs):
+    got = _run_ghost_bell(Bell, script, **kwargs)
+    want = _run_ghost_bell(ReferenceBell, script, **kwargs)
+    # the passes that did something, and the clock, are the loop's
+    assert got[0] == want[0] and got[2] == want[2]
+    return got
+
+
+def test_bell_empty_pass_queues_nothing_and_a_drain_ends_at_its_time():
+    busy, passes, now = _ghost_vs_reference([(2.0, "ring")])
+    # the wake at 2 reserved the sleep record's key (3.0): no pass ran,
+    # and the drain still ends where that record would have
+    assert busy == [] and passes == [] and now == 3.0
+
+
+def test_bell_ring_before_reserved_key_runs_the_pass_there_and_latches():
+    busy, passes, now = _ghost_vs_reference([(2.0, "ring"), (0.5, "add")])
+    # the pass runs under the reserved key at 3.0; the latched ring's
+    # wake finds nothing to do and reserves 4.0
+    assert busy == [(3.0, (2.5,))] and passes == [3.0] and now == 4.0
+
+
+def test_bell_ring_on_reserved_time_tie_won_by_the_ring():
+    # the producer's 3.0 record was queued before the wake reserved 3.0:
+    # its ring sorts first, so the pass runs under the reserved key
+    busy, passes, _now = _ghost_vs_reference([(2.0, "ring"), (1.0, "add")])
+    assert busy == [(3.0, (3.0,))] and passes == [3.0]
+
+
+def test_bell_ring_on_reserved_time_tie_won_by_the_reservation():
+    # the zero-delay yield lets the wake reserve 3.0 before the producer
+    # queues its 3.0 record: the empty pass is over when it rings
+    busy, passes, _now = _ghost_vs_reference([(2.0, "ring"), (0.0, "yield0"), (1.0, "add")])
+    assert busy == [(4.0, (3.0,))] and passes == [4.0]
+
+
+def test_bell_ring_after_reserved_time_finds_the_bell_idle():
+    busy, passes, now = _ghost_vs_reference([(2.0, "ring"), (1.5, "add")])
+    assert busy == [(4.5, (3.5,))] and passes == [4.5] and now == 4.5
+
+
+def _add_and_ring(env, bell, work):
+    work.append(env.now)
+    bell.ring()
+
+
+def test_bell_ring_after_run_until_the_reserved_time_finds_it_passed():
+    busy, passes, _now = _ghost_vs_reference([(2.0, "ring")], until=3.0, then=_add_and_ring)
+    assert busy == [(4.0, (3.0,))] and passes == [4.0]
+
+
+def test_bell_ring_after_run_until_before_the_reserved_time_runs_it():
+    busy, passes, _now = _ghost_vs_reference([(2.0, "ring")], until=2.5, then=_add_and_ring)
+    assert busy == [(3.0, (2.5,))] and passes == [3.0]
+
+
+def test_reserved_key_passes_by_full_key_order():
+    env = Environment()
+    seen = []
+    first = env.timeout(1.0)  # drew its sequence number before the key
+    key = env.reserve(1.0)
+    last = env.timeout(1.0)  # ... and this one after it
+    first.callbacks.append(lambda _ev: seen.append(("first", env.passed(key))))
+    last.callbacks.append(lambda _ev: seen.append(("last", env.passed(key))))
+    assert key[:2] == (1.0, Environment.NORMAL)
+    assert not env.passed(key) and not env.drained()
+    env.run(until=0.5)
+    assert not env.passed(key) and not env.drained()
+    env.run()
+    assert seen == [("first", False), ("last", True)]
+    assert env.passed(key) and env.drained() and env.now == 1.0
+
+
+class _Record:
+    def __init__(self, order):
+        self.order = order
+
+    def _do_resume(self, _value, _exception):
+        self.order.append("reserved")
+
+
+def test_schedule_reserved_runs_the_record_under_its_key():
+    env = Environment()
+    order = []
+
+    def proc(env, tag):
+        yield env.timeout(1.0)
+        order.append(tag)
+
+    key = env.reserve(1.0)
+    env.process(proc(env, "a"))
+    env.process(proc(env, "b"))
+    env.run(until=0.5)  # both timeouts drew later sequence numbers
+    env.schedule_reserved(_Resume(_Record(order), None, None), key)
+    env.run()
+    assert order == ["reserved", "a", "b"]
+
+
+class _Count:
+    """``itertools.count()`` that remembers the last number it drew."""
+
+    def __init__(self):
+        self.last = -1
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.last += 1
+        return self.last
+
+
+class _LoggedEnvironment(Environment):
+    """Logs every queue push as (now, due time, priority, sequence),
+    every reservation as (now, key), and after every step the clock and
+    the sequence number of the record it ran: equal logs mean equal
+    queue order under equal keys."""
+
+    def __init__(self):
+        super().__init__()
+        self._counter = _Count()
+        self.pushes = []
+        self.reserves = []
+        self.steps = []
+
+    def _schedule(self, event, delay=0.0, priority=Environment.NORMAL):
+        super()._schedule(event, delay, priority)
+        self.pushes.append((self._now, self._now + delay, priority, self._counter.last))
+
+    def _schedule_at(self, event, when, priority=Environment.NORMAL):
+        super()._schedule_at(event, when, priority)
+        self.pushes.append((self._now, when, priority, self._counter.last))
+
+    def _schedule_resume(self, process, value, exception, priority=Environment.NORMAL):
+        resume = super()._schedule_resume(process, value, exception, priority)
+        self.pushes.append((self._now, self._now, priority, self._counter.last))
+        return resume
+
+    def reserve(self, delay=0.0):
+        key = super().reserve(delay)
+        self.reserves.append((self._now, key))
+        return key
+
+    def schedule_reserved(self, record, key):
+        super().schedule_reserved(record, key)
+        self.pushes.append((self._now, *key))
+
+    def step(self):
+        super().step()
+        self.steps.append((self._now, self._seq_now))
+
+
+def _drive_bell(bell_cls, latency, early_rings, script, pass_rings, idle=False):
+    """Ring a bell on ``script`` (delay, rings, adds work) and from its
+    passes; with ``idle`` a pass is empty unless work was added since
+    the last one, and only a pass that did work rings (an empty pass
+    has no effects).  Returns the passes (time, record sequence number,
+    work seen), pushes, steps and reservations."""
+    env = _LoggedEnvironment()
+    passes = []
+    work = []
+    effective = []  # the passes that may have effects
+
+    def on_pass():
+        passes.append((env.now, env._seq_now, len(work)))
+        if work or not idle:
+            effective.append(env.now)
+            # (the cap: a zero latency would otherwise never end)
+            if len(effective) < 40:
+                for _ in range(pass_rings[len(effective) % len(pass_rings)]):
+                    bell.ring()
+        work.clear()
+
     def driver(env):
-        for dt, rings in script:
+        for dt, rings, adds in script:
             if dt:
                 yield env.timeout(dt)
+            if adds:  # work comes with a ring, as a pending pod does
+                work.append(env.now)
+                rings = max(rings, 1)
             for _ in range(rings):
                 bell.ring()
 
     env.process(driver(env))  # its boot record runs before the bell's
-    bell = bell_cls(env, latency, on_pass)
+    bell = bell_cls(env, latency, on_pass, idle=(lambda: not work) if idle else None)
     for _ in range(early_rings):
         bell.ring()
     env.run(until=100)
-    return passes, env.pushes, env.steps
+    return passes, env.pushes, env.steps, env.reserves
 
 
-@given(
+def assert_skips_only_empty_passes(got, want):
+    """``got`` (a bell with ``idle``) against ``want`` (the loop), each
+    (passes, pushes, steps, reserves) with passes (time, sequence
+    number, *work done): the passes that did work are the loop's, every
+    pass that ran is the loop's under the same key, the only records
+    missing are the sleep records of passes that did nothing, and each
+    of those was reserved under the key the loop queued it with."""
+    passes, pushes, steps, reserves = got
+    want_passes, want_pushes, want_steps, _ = want
+
+    def busy(log):
+        return [p for p in log if any(p[2:])]
+
+    assert busy(passes) == busy(want_passes)
+    assert set(passes) <= set(want_passes)
+    ran = {p[1] for p in passes}
+    skipped = [p for p in want_passes if p[1] not in ran]
+    assert not busy(skipped)
+    skipped_seqs = {p[1] for p in skipped}
+    reserved = {key[2] for _now, key in reserves}
+    assert skipped_seqs <= reserved
+    assert all((now, *key) in set(want_pushes) for now, key in reserves)
+
+    # pushed at the loop's moment, unless a ring queued a reserved record
+    def by_seq(log):
+        return {e[3]: e[1:] if e[3] in reserved else e for e in log}
+
+    assert len(by_seq(pushes)) == len(pushes)
+    assert by_seq(pushes) == by_seq(e for e in want_pushes if e[3] not in skipped_seqs)
+    assert steps == [e for e in want_steps if e[1] not in skipped_seqs]
+
+
+_BELL_SCRIPTS = dict(
     latency=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
     early_rings=st.integers(min_value=0, max_value=2),
     script=st.lists(
         st.tuples(
             st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.5]),
             st.integers(min_value=0, max_value=3),
+            st.booleans(),
         ),
         max_size=25,
     ),
     pass_rings=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4),
 )
+
+
+@given(**_BELL_SCRIPTS)
 @settings(max_examples=300, deadline=None)
 def test_bell_matches_latching_signal_loop(latency, early_rings, script, pass_rings):
     """Rings before boot, in the same instant, during the sleep, during
@@ -241,6 +457,16 @@ def test_bell_matches_latching_signal_loop(latency, early_rings, script, pass_ri
     got = _drive_bell(Bell, latency, early_rings, script, pass_rings)
     want = _drive_bell(ReferenceBell, latency, early_rings, script, pass_rings)
     assert got == want
+
+
+@given(**_BELL_SCRIPTS)
+@settings(max_examples=300, deadline=None)
+def test_bell_with_idle_skips_only_empty_passes(latency, early_rings, script, pass_rings):
+    """The same ring schedules, with work added on some rings: a bell
+    told which passes would be empty skips only those."""
+    got = _drive_bell(Bell, latency, early_rings, script, pass_rings, idle=True)
+    want = _drive_bell(ReferenceBell, latency, early_rings, script, pass_rings, idle=True)
+    assert_skips_only_empty_passes(got, want)
 
 
 def test_cancel_deregisters_waiter():

@@ -15,6 +15,8 @@ from repro.sim import Environment
 from repro.workload.fleet import (
     FleetConfig,
     FleetShardEngine,
+    check_fleet_report,
+    check_fleet_report_file,
     fleet_cells,
     fleet_report_document,
     generate_fleet_plan,
@@ -325,6 +327,55 @@ def test_fleet_surfaces_queue_and_liveness_peaks(monkeypatch):
 
 
 # -- shard cells --------------------------------------------------------------
+
+# -- report reader -------------------------------------------------------------
+
+def _chaos_document():
+    """A chaos fleet run's ``--out`` document, read back from JSON."""
+    result = run_fleet(SMALL, plan=generate_fleet_plan(SMALL, seed=3))
+    return json.loads(json.dumps(fleet_report_document(result)))
+
+
+def test_fleet_report_passes_the_strict_shape_check(tmp_path):
+    doc = _chaos_document()
+    assert doc["faults"]["injected"]  # the check covers a live faults section
+    assert check_fleet_report(doc) == []
+    assert check_fleet_report(json.loads(json.dumps(fleet_report_document(run_fleet(SMALL))))) == []
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(doc))
+    assert check_fleet_report_file(str(path)) == 0
+
+
+def _first_kind(doc):
+    return sorted(doc["faults"]["injected"])[0]
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda d: d.update(extra=1), "unexpected key 'extra'"),
+        (lambda d: d["summary"].pop("requeues"), "missing key 'requeues'"),
+        (lambda d: d["summary"].update(starts=400.0), "summary.starts: expected int"),
+        (lambda d: d["summary"].update(warm_rate=1), "warm_rate: expected float"),
+        (lambda d: d["registry"].update(pulls=True), "registry.pulls: expected int"),
+        (lambda d: d["faults"]["retries"].update(x="1"), "retries.x: expected int"),
+        (lambda d: d["wait_histogram"]["counts"].pop(), "wait_histogram"),
+        (lambda d: d.update(schema="repro-fleet-report/1"), "report.schema"),
+        (lambda d: d["config"].update(tenants=0), "report.config"),
+        (lambda d: d["config"].update(colour="blue"), "report.config"),
+        (lambda d: d["faults"]["first_injected_at"].pop(_first_kind(d)), "report.faults"),
+        (lambda d: d["faults"]["injected"].update({_first_kind(d): 0}), "positive count"),
+        (lambda d: d["tenant_columns"].reverse(), "report.tenant_columns"),
+        (lambda d: d["tenants"][0].pop(), "report.tenants[0]: expected 9 columns"),
+        (lambda d: d["tenants"][1].__setitem__(6, 0), "tenants[1].wait_sum_s: expected float"),
+    ],
+)
+def test_fleet_report_shape_check_rejects_drift(tamper, expected):
+    doc = _chaos_document()
+    tamper(doc)
+    problems = check_fleet_report(doc)
+    assert any(expected in p for p in problems), problems
+
 
 def test_fleet_cells_pickle_and_label():
     cells = fleet_cells(SMALL)

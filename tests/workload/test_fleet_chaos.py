@@ -24,6 +24,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.run import ObsConfig, observing
 from repro.workload.fleet import (
     FleetConfig,
+    check_fleet_report,
     fleet_cells,
     fleet_node_name,
     fleet_node_names,
@@ -267,6 +268,7 @@ def test_hostile_inputs_finish_with_explicit_accounting(case):
     assert serial.completions + serial.failed == config.starts
     assert serial.leaks == []
     assert fleet_report_document(pooled) == fleet_report_document(serial)
+    assert check_fleet_report(json.loads(json.dumps(fleet_report_document(serial)))) == []
 
 
 # -- property: crash/restore leaves no residue ---------------------------------
