@@ -240,8 +240,13 @@ class Kubelet:
         return self.env.timeout(self._rpc_cost())
 
     def _main(self):
-        yield self.env.timeout(self.startup_cost)
-        yield self._rpc()
+        try:
+            yield self.env.timeout(self.startup_cost)
+            yield self._rpc()
+        except Interrupt:
+            # stopped or crashed before registering: no Node, no watch
+            run.faults.unregister("wlm.node", self._on_node_fault)
+            return
         node = K8sNode(
             metadata=ObjectMeta(name=self.node_name, labels=dict(self.labels)),
             capacity=self.capacity,

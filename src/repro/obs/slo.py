@@ -44,6 +44,7 @@ import json
 import typing as _t
 
 from repro.obs.metrics import MetricsRegistry, _LabelKey, format_series
+from repro.obs.shape import MapOf, check_file, shape_problems
 from repro.obs.timeseries import TimeSeriesRecorder
 
 #: schema tag for the scorecard document
@@ -672,3 +673,78 @@ class ScorecardReport:
                     f"  {label:<32} {row['breach_s']:>10.6g} {row['health']:>8.4f}"
                 )
         return "\n".join(lines)
+
+
+#: the exact shape of ``repro-slo-scorecard/1`` (:mod:`repro.obs.shape`
+#: has the notation).  A rule's ``breach_s`` is the integer ``0`` when
+#: the rule has no breach window (the sum of nothing, rounded).
+_SCORECARD = {
+    "schema": str,
+    "scenario": str,
+    "seed": (int, type(None)),
+    "interval": float,
+    "end_time": float,
+    "samples": int,
+    "rules": [{
+        "rule": str, "kind": str, "fires": int, "breach_s": (int, float),
+        "worst_series": (str, type(None)),
+    }],
+    "alerts": [{"rule": str, "series": str, "state": str, "at": float, "value": float}],
+    "breach_windows": [{
+        "rule": str, "series": str, "start": float, "end": (float, type(None)),
+        "duration": float,
+    }],
+    "entities": [{"label": str, "entity": str, "breach_s": float, "health": float}],
+    "worst": [{"series": str, "breach_s": float}],
+    "percentiles": [{
+        "series": str, "count": int, "mean": float, "p50": float, "p99": float,
+    }],
+    "detection": MapOf((float, type(None))),
+}
+
+
+def check_slo_scorecard(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-slo-scorecard/1`` document: exact
+    keys at every level, exact leaf types, the schema string, and per-
+    rule rows that agree with the alerts and breach windows (one window
+    per fire, one closed window per resolve, a worst series only for a
+    rule that breached).  Returns the problems found (empty when the
+    document is well formed)."""
+    problems = shape_problems(doc, _SCORECARD, "scorecard")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != SCORECARD_SCHEMA:
+        problems.append(
+            f"scorecard.schema: expected {SCORECARD_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    names = [row["rule"] for row in doc["rules"]]
+    if len(set(names)) != len(names):
+        problems.append("scorecard.rules: rule names repeat")
+    for section in ("alerts", "breach_windows"):
+        for i, row in enumerate(doc[section]):
+            if row["rule"] not in names:
+                problems.append(f"scorecard.{section}[{i}].rule: names no listed rule")
+    for i, alert in enumerate(doc["alerts"]):
+        if alert["state"] not in ("fire", "resolve"):
+            problems.append(f"scorecard.alerts[{i}].state: expected fire or resolve")
+    for i, row in enumerate(doc["rules"]):
+        where = f"scorecard.rules[{i}]"
+        if row["kind"] not in KINDS:
+            problems.append(f"{where}.kind: expected one of {', '.join(KINDS)}")
+        states = [a["state"] for a in doc["alerts"] if a["rule"] == row["rule"]]
+        windows = [w for w in doc["breach_windows"] if w["rule"] == row["rule"]]
+        if row["fires"] != states.count("fire"):
+            problems.append(f"{where}.fires: is not the rule's fire alert count")
+        if len(windows) != row["fires"]:
+            problems.append(f"{where}: expected one breach window per fire")
+        if states.count("resolve") != sum(w["end"] is not None for w in windows):
+            problems.append(f"{where}: expected one closed breach window per resolve")
+        if row["worst_series"] not in ({w["series"] for w in windows} or {None}):
+            problems.append(f"{where}.worst_series: is not one of the rule's breaches")
+    return problems
+
+
+def check_slo_scorecard_file(path: str) -> int:
+    """Check a scorecard file; print problems; return an exit code."""
+    return check_file(path, check_slo_scorecard)

@@ -130,11 +130,16 @@ class OCIDistributionRegistry:
         self._pull_cache: dict[str, OCIImage] = {}
         #: (manifest digest, which of its layers the client has) -> the
         #: pull's price before any slow-blob factor, its transferred
-        #: bytes and its layers.  Blobs are content-addressed, so a
-        #: price only goes stale when blobs leave the store, and
-        #: :meth:`garbage_collect` clears the memo when they do.
+        #: bytes and its layers
         self._prices: dict[tuple[str, tuple[bool, ...]],
                            tuple[float, int, list[Layer]]] = {}
+        #: image digest -> the blob-phase price and skipped-blob count of
+        #: a push that found its config and every layer already stored
+        self._repushes: dict[str, tuple[float, int]] = {}
+        #: ``store.removals`` when both memos were last valid.  Blobs are
+        #: content-addressed, so a memo only goes stale when a blob leaves
+        #: the store (a GC purge or a direct ``store.delete``).
+        self._removals = self.store.removals
         #: declared tenants (orgs/projects)
         self._tenants: set[str] = set()
         self.stats = {"pushes": 0, "pulls": 0, "blob_uploads_skipped": 0}
@@ -174,42 +179,29 @@ class OCIDistributionRegistry:
         token: str | None = None,
     ) -> float:
         """Push an image; returns the time cost.  Existing blobs are
-        skipped after a HEAD check (layer dedup)."""
+        skipped after a HEAD check (layer dedup).
+
+        A push that finds the config and every layer already stored (a
+        re-push) memoizes its blob-phase price and skipped-blob count
+        per image digest, so the next re-push of that image skips the
+        HEAD checks.  Tags, manifests, ``stats``, the ``registry.push``
+        span and the metrics stay per call.
+        """
         self._authorize(token, "push")
         project = self._project_of(repository)
-        cost = 0.0
+        self._check_memos()
+        digest = image.digest
         new_bytes = 0
-        for layer in image.layers:
-            if self.store.has(layer.digest):
-                cost += self.store.stat(layer.digest) + self.transport.request_cost()
-                self.stats["blob_uploads_skipped"] += 1
-            else:
-                cost += self.transport.request_cost(layer.compressed_size)
-                cost += self.store.put(
-                    layer.digest,
-                    layer.compressed_size,
-                    payload=layer,
-                    media_type="application/vnd.oci.image.layer.v1.tar+gzip",
-                )
-                new_bytes += layer.compressed_size
-        # the manifest already snapshotted the config digest at image
-        # construction; re-deriving it (JSON + sha256) per push is pure
-        # waste when tenants re-push a shared catalog
-        config_digest = image.manifest.config_digest
-        if not self.store.has(config_digest):
-            config_payload = image.config.to_json().encode()
-            cost += self.transport.request_cost(len(config_payload))
-            cost += self.store.put(
-                config_digest,
-                len(config_payload),
-                payload=image.config,
-                media_type="application/vnd.oci.image.config.v1+json",
-            )
-            new_bytes += len(config_payload)
+        repush = self._repushes.get(digest)
+        if repush is not None:
+            cost, skipped = repush
+            self.stats["blob_uploads_skipped"] += skipped
+        else:
+            cost, new_bytes = self._push_blobs(image)
         if project is not None and self.quotas is not None and new_bytes:
             self.quotas.charge(project, new_bytes)
-        self._manifests[image.digest] = (image.manifest, image.config)
-        self._tags.setdefault(repository, {})[tag] = image.digest
+        self._manifests[digest] = (image.manifest, image.config)
+        self._tags.setdefault(repository, {})[tag] = digest
         cost += self.transport.request_cost(1024)  # manifest PUT
         self.stats["pushes"] += 1
         if run.tracer.enabled:
@@ -220,6 +212,53 @@ class OCIDistributionRegistry:
             run.metrics.inc("registry.pushes", registry=self.name)
             run.metrics.inc("registry.bytes", new_bytes, registry=self.name, op="push")
         return cost
+
+    def _push_blobs(self, image: OCIImage) -> tuple[float, int]:
+        """Upload the image's missing layers and config; returns the
+        price and the bytes uploaded, and memoizes a re-push."""
+        store = self.store
+        cost = 0.0
+        new_bytes = 0
+        skipped = 0
+        for layer in image.layers:
+            if store.has(layer.digest):
+                cost += store.stat(layer.digest) + self.transport.request_cost()
+                self.stats["blob_uploads_skipped"] += 1
+                skipped += 1
+            else:
+                cost += self.transport.request_cost(layer.compressed_size)
+                cost += store.put(
+                    layer.digest,
+                    layer.compressed_size,
+                    payload=layer,
+                    media_type="application/vnd.oci.image.layer.v1.tar+gzip",
+                )
+                new_bytes += layer.compressed_size
+        # the manifest already snapshotted the config digest at image
+        # construction; re-deriving it (JSON + sha256) per push is pure
+        # waste when tenants re-push a shared catalog
+        config_digest = image.manifest.config_digest
+        if store.has(config_digest):
+            if skipped == len(image.layers):
+                self._repushes[image.digest] = (cost, skipped)
+        else:
+            config_payload = image.config.to_json().encode()
+            cost += self.transport.request_cost(len(config_payload))
+            cost += store.put(
+                config_digest,
+                len(config_payload),
+                payload=image.config,
+                media_type="application/vnd.oci.image.config.v1+json",
+            )
+            new_bytes += len(config_payload)
+        return cost, new_bytes
+
+    def _check_memos(self) -> None:
+        """Forget the push and pull memos once a blob has left the store."""
+        if self.store.removals != self._removals:
+            self._prices.clear()
+            self._repushes.clear()
+            self._removals = self.store.removals
 
     # -- pull ----------------------------------------------------------------------------
     def resolve(self, repository: str, tag: str) -> str:
@@ -263,8 +302,9 @@ class OCIDistributionRegistry:
         The price of a pull depends only on the manifest and on which of
         its layers the client already has, so it is computed once per
         such pair and memoized (the memo is checked after the auth, rate
-        and fault checks, which stay per call).  A memoized pull does not
-        read the blob store again; the slow-blob factor, ``stats``, the
+        and fault checks, which stay per call, and is forgotten once a
+        blob leaves the store).  A memoized pull does not read the blob
+        store again; the slow-blob factor, ``stats``, the
         ``registry.pull`` span and the metrics are still per call.
         """
         self._authorize(token, "pull")
@@ -291,6 +331,7 @@ class OCIDistributionRegistry:
         digest = self.resolve(repository, tag)
         manifest, config = self._manifests[digest]
         have = tuple(map(have_digests.__contains__, manifest.layer_digests))
+        self._check_memos()
         price = self._prices.get((digest, have))
         if price is None:
             cost = self.transport.request_cost(2048)  # manifest GET
@@ -335,8 +376,8 @@ class OCIDistributionRegistry:
     def garbage_collect(self) -> int:
         """Drop manifests and blobs no tag references anymore; returns the
         number of blobs purged (registry GC, run offline in real life).
-        Clears the pull-price memo, whose entries assume their blobs."""
-        self._prices.clear()
+        Each purge counts in ``store.removals``, so the next push or pull
+        forgets the memos, whose entries assume their blobs."""
         referenced_manifests = {
             digest for tags in self._tags.values() for digest in tags.values()
         }
@@ -354,7 +395,7 @@ class OCIDistributionRegistry:
                 blob_digest not in referenced_blobs
                 and blob.media_type.startswith("application/vnd.oci.image")
             ):
-                del self.store._blobs[blob_digest]
+                self.store.purge(blob_digest)
                 purged += 1
         return purged
 

@@ -38,6 +38,9 @@ class BlobStore:
         self._blobs: dict[str, StoredBlob] = {}
         self.capacity_bytes = capacity_bytes
         self.stats = {"puts": 0, "gets": 0, "dedup_hits": 0, "bytes_stored": 0}
+        #: blobs that have left the store so far; a memo priced over the
+        #: store's contents is stale once this moves
+        self.removals = 0
 
     # -- operations: each returns (result, cost_seconds) -------------------------
     def put(
@@ -78,7 +81,12 @@ class BlobStore:
             raise StorageError(f"blob not found: {digest[:19]}")
         blob.ref_count -= 1
         if blob.ref_count <= 0:
-            del self._blobs[digest]
+            self.purge(digest)
+
+    def purge(self, digest: str) -> None:
+        """Drop a blob whatever its reference count (registry GC)."""
+        del self._blobs[digest]
+        self.removals += 1
 
     @property
     def used_bytes(self) -> int:

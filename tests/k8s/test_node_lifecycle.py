@@ -2,11 +2,38 @@
 
 import pytest
 
-from repro.k8s import K3sServer, Kubelet, NodeLifecycleController, PodPhase
+from repro.faults.plan import FaultPlan
+from repro.k8s import APIServer, K3sServer, Kubelet, NodeLifecycleController, PodPhase
+from repro.run import ObsConfig, observing
 from repro.sim import Environment
 
 from tests.k8s.conftest import make_cri
 from tests.k8s.test_kubelet_and_bridges import make_pod
+
+
+@pytest.mark.parametrize("halt", ["stop", "crash"])
+def test_halt_before_registration_drains_cleanly(halt, registry):
+    """Stopped or crashed inside its start-up, before the registration
+    RPC returns: the run drains, no Node was written, no watch or fault
+    handler is left, and nothing is parked on the wakeup signal."""
+    env = Environment()
+    api = APIServer()
+    cri, _host = make_cri(registry)
+    kubelet = Kubelet(env, api, "knode", cri)
+    with observing(ObsConfig()) as run:
+        run.faults.arm(FaultPlan([]), env)
+        kubelet.start()
+        assert run.faults._handlers["wlm.node"] == [kubelet._on_node_fault]
+        env.run(until=1.0)
+        getattr(kubelet, halt)()
+        env.run()
+        assert run.faults._handlers["wlm.node"] == []
+    assert not kubelet._proc.is_alive
+    assert kubelet.k8s_node is None
+    assert api.get("Node", "knode") is None
+    pods = api._watchers.get("Pod")
+    assert pods is None or not (pods.unkeyed or pods.keyed)
+    assert kubelet._wakeup.waiting == 0
 
 
 def test_dead_kubelet_marks_node_not_ready_and_evicts_pods(env, registry):

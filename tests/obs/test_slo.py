@@ -10,6 +10,8 @@ from repro.obs.slo import (
     ScorecardReport,
     SloRule,
     SloRuleSet,
+    check_slo_scorecard,
+    check_slo_scorecard_file,
     default_chaos_rules,
     detection_latencies,
     evaluate,
@@ -258,3 +260,78 @@ def test_scorecard_render_lists_rules_and_detection():
     assert "SLO scorecard: unit" in text
     assert "r " in text or "r\n" in text or " r" in text
     assert "node_crash" in text and "2.5s" in text
+
+
+# -- scorecard reader -----------------------------------------------------------
+
+
+def _scorecard_document() -> dict:
+    """A scorecard with a resolved and a still-open breach, a rule that
+    never fired, an undetected fault kind and a percentile row, read
+    back from JSON."""
+    from repro.obs.metrics import MetricsRegistry
+
+    rec = _rec()
+    for t, v in ((5.0, 9.0), (10.0, 0.0), (15.0, 9.0), (20.0, 9.0)):
+        rec.record("s", t, v, node="n0")
+    rules = SloRuleSet([
+        SloRule(name="r", kind="threshold", series="s", value=1.0),
+        SloRule(name="quiet", kind="threshold", series="s", value=100.0),
+    ])
+    registry = MetricsRegistry()
+    registry.enabled = True
+    registry.observe("op_seconds", 0.5, op="x")
+    card = ScorecardReport.build(
+        scenario="unit", ruleset=rules, evaluation=evaluate(rules, rec, 20.0),
+        rec=rec, registry=registry, seed=None,
+        detection={"node_crash": 2.5, "hook_failure": None},
+    )
+    return json.loads(card.to_json())
+
+
+def test_scorecard_passes_the_strict_shape_check(tmp_path):
+    doc = _scorecard_document()
+    assert [row["fires"] for row in doc["rules"]] == [2, 0]
+    assert doc["rules"][1]["breach_s"] == 0 and doc["percentiles"]
+    assert [w["end"] for w in doc["breach_windows"]] == [10.0, None]
+    assert check_slo_scorecard(doc) == []
+    assert check_slo_scorecard(json.loads(_scorecard().to_json())) == []
+    path = tmp_path / "card.json"
+    path.write_text(json.dumps(doc))
+    assert check_slo_scorecard_file(str(path)) == 0
+    doc["samples"] = 1.5
+    path.write_text(json.dumps(doc))
+    assert check_slo_scorecard_file(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda d: d.update(extra=1), "unexpected key 'extra'"),
+        (lambda d: d.pop("detection"), "missing key 'detection'"),
+        (lambda d: d.update(schema="repro-slo-scorecard/2"), "scorecard.schema"),
+        (lambda d: d.update(seed="3"), "scorecard.seed: expected int or NoneType"),
+        (lambda d: d.update(interval=5), "scorecard.interval: expected float"),
+        (lambda d: d["rules"][0].update(fires=2.0), "rules[0].fires: expected int"),
+        (lambda d: d["rules"][0].pop("kind"), "missing key 'kind'"),
+        (lambda d: d["alerts"][0].update(at="5"), "alerts[0].at: expected float"),
+        (lambda d: d["breach_windows"][0].update(end=10), "breach_windows[0].end"),
+        (lambda d: d["entities"][0].update(health=1), "entities[0].health"),
+        (lambda d: d["percentiles"][0].update(count=1.0), "percentiles[0].count"),
+        (lambda d: d["detection"].update(x="2"), "detection.x: expected float"),
+        (lambda d: d["rules"][0].update(kind="ratio"), "rules[0].kind"),
+        (lambda d: d["rules"][0].update(fires=3), "rules[0].fires: is not"),
+        (lambda d: d["rules"].append(dict(d["rules"][1])), "rule names repeat"),
+        (lambda d: d["alerts"][0].update(rule="ghost"), "alerts[0].rule: names no"),
+        (lambda d: d["alerts"][0].update(state="pending"), "alerts[0].state"),
+        (lambda d: d["breach_windows"].pop(), "one breach window per fire"),
+        (lambda d: d["breach_windows"][1].update(end=25.0), "one closed breach window"),
+        (lambda d: d["rules"][1].update(worst_series="s"), "rules[1].worst_series"),
+    ],
+)
+def test_scorecard_shape_check_rejects_drift(tamper, expected):
+    doc = _scorecard_document()
+    tamper(doc)
+    problems = check_slo_scorecard(doc)
+    assert any(expected in p for p in problems), problems
+

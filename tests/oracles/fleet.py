@@ -7,11 +7,14 @@ arrival, placement, completion, drain and crash/restore bodies are the
 oracle's own: one method per occurrence, a slot object per running
 start, and a completion event that carries only the slot id and its
 generation.  From the production engine it takes only the setup (trace,
-catalog, registry, fault edges), the registry pull (``_cold_pull``) and
-the result fold in ``run``.  Tie order comes from the simulator itself:
-fault edges are URGENT and scheduled first, completions are URGENT and
-scheduled as they are placed, arrivals are NORMAL.  The epoch pump's
-three-stream merge must reproduce exactly that order.
+catalog, registry, fault edges), the registry pull's price
+(``_cold_pull``, called for every cold pull: the oracle never uses the
+engine's disarmed pull table, so the equivalence tests compare that
+table with the registry) and the result fold in ``run``.  Tie order
+comes from the simulator itself: fault edges are URGENT and scheduled
+first, completions are URGENT and scheduled as they are placed,
+arrivals are NORMAL.  The epoch pump's three-stream merge must
+reproduce exactly that order.
 """
 
 from __future__ import annotations
@@ -126,12 +129,17 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
             self._warm_starts += 1
         else:
             try:
-                startup = self._cold_pull(tenant, image, node, t, stats)
+                startup, missing = self._cold_pull(tenant, image, node, t)
             except RetryExhausted:
                 self.index.release(node, req)
                 stats.failed += 1
                 return
+            self.node_layers[node].update(self.catalog.layer_digests[image])
             self.node_images[node].add(digest)
+            stats.cold_pulls += 1
+            stats.pulled_bytes += missing
+            if run.metrics.enabled:
+                run.metrics.inc("fleet.cold_pulls", tenant=f"t{self.tenant_ids[tenant]:05}")
         busy = startup + self._durations[k]
         end = t + busy
         if self._free:

@@ -62,8 +62,12 @@ class ReferenceKubelet(Kubelet):
     chain under the same queue keys."""
 
     def _main(self):
-        yield self.env.timeout(self.startup_cost)
-        yield self._rpc()
+        try:
+            yield self.env.timeout(self.startup_cost)
+            yield self._rpc()
+        except Interrupt:
+            run.faults.unregister("wlm.node", self._on_node_fault)
+            return
         node = K8sNode(
             metadata=ObjectMeta(name=self.node_name, labels=dict(self.labels)),
             capacity=self.capacity,

@@ -19,6 +19,7 @@ from repro.registry import (
     RegistryTimeout,
 )
 from repro.registry.registries import COSIGN_MEDIA_TYPE
+from repro.registry.storage import StorageError
 from repro.run import ObsConfig, observing, run
 from repro.sim import Environment
 
@@ -253,3 +254,90 @@ def test_garbage_collect_forgets_memoized_prices():
     slow.push_image("hpc/app", "v1", image)
     assert repriced == slow.pull_image("hpc/app", "v1")[1]
     assert repriced > 3.0
+
+
+# -- re-push memo ---------------------------------------------------------------
+
+def _count_head_checks(registry, monkeypatch) -> list[str]:
+    """Record every blob existence check the registry's store answers."""
+    seen: list[str] = []
+    has = registry.store.has
+
+    def counted(digest):
+        seen.append(digest)
+        return has(digest)
+
+    monkeypatch.setattr(registry.store, "has", counted)
+    return seen
+
+
+def test_repush_is_priced_as_an_unmemoized_head_only_push(monkeypatch):
+    registry, image = _layered_registry()
+    registry.push_image("hpc/app", "v2", image)  # HEAD-only: memoizes
+    heads = _count_head_checks(registry, monkeypatch)
+    skipped = registry.stats["blob_uploads_skipped"]
+    memoized = registry.push_image("hpc/app", "v3", image)
+    assert heads == []
+    # the same re-push through a registry whose memo is still empty
+    fresh, _ = _layered_registry(image)
+    fresh_skipped = fresh.stats["blob_uploads_skipped"]
+    unmemoized = fresh.push_image("hpc/app", "v3", image)
+    assert memoized == unmemoized
+    assert (registry.stats["blob_uploads_skipped"] - skipped
+            == fresh.stats["blob_uploads_skipped"] - fresh_skipped
+            == len(image.layers))
+    assert registry.list_tags("hpc/app") == ["v1", "v2", "v3"]
+    assert registry.stats["pushes"] == 3
+
+
+def test_memoized_repushes_are_each_counted_and_observed():
+    image = _layered_registry()[1]
+    with observing(ObsConfig(metrics=True, trace=True)) as obs:
+        registry, _ = _layered_registry(image)
+        costs = [registry.push_image("hpc/app", tag, image) for tag in ("v2", "v3")]
+        spans = [args["ref"] for _ph, name, _ts, _tid, args, _dur in obs.tracer.events
+                 if name == "registry.push"]
+        snap = obs.metrics.snapshot(include_sim=False)
+    assert costs[0] == costs[1]
+    assert spans == ["hpc/app:v1", "hpc/app:v2", "hpc/app:v3"]
+    assert snap['registry.pushes{registry="memo"}'] == 3
+    assert snap['registry.bytes{op="push",registry="memo"}'] == registry.store.used_bytes
+
+
+def test_garbage_collect_makes_a_repush_upload_and_price_again():
+    registry, image = _layered_registry()
+    registry.push_image("hpc/app", "v2", image)  # memoized re-push
+    for tag in ("v1", "v2"):
+        registry.delete_tag("hpc/app", tag)
+    assert registry.garbage_collect() > 0
+    skipped = registry.stats["blob_uploads_skipped"]
+    cost = registry.push_image("hpc/app", "v1", image)
+    fresh = OCIDistributionRegistry(name="memo")
+    assert cost == fresh.push_image("hpc/app", "v1", image)
+    assert registry.stats["blob_uploads_skipped"] == skipped
+    assert registry.store.used_bytes == fresh.store.used_bytes
+
+
+def test_deleting_one_stored_layer_fails_a_memoized_pull():
+    registry, image = _layered_registry()
+    registry.pull_image("hpc/app", "v1")  # memoized pull price
+    registry.store.delete(image.layers[-1].digest)
+    # a stale memo would still price the deleted blob
+    with pytest.raises(StorageError, match="blob not found"):
+        registry.pull_image("hpc/app", "v1")
+
+
+def test_deleting_one_stored_layer_makes_a_repush_upload_it_again():
+    registry, image = _layered_registry()
+    registry.push_image("hpc/app", "v2", image)  # memoized re-push
+    gone = image.layers[-1]
+    registry.store.delete(gone.digest)
+    skipped = registry.stats["blob_uploads_skipped"]
+    cost = registry.push_image("hpc/app", "v3", image)
+    assert registry.store.has(gone.digest)
+    assert registry.stats["blob_uploads_skipped"] - skipped == len(image.layers) - 1
+    # the same push against a store that never held a memo
+    fresh, _ = _layered_registry(image)
+    fresh.store.delete(gone.digest)
+    assert cost == fresh.push_image("hpc/app", "v3", image)
+    assert cost > registry.push_image("hpc/app", "v4", image)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.faults.chaos import check_chaos_report
+from repro.obs.slo import check_slo_scorecard_file
 from repro.run import PARTS, ObsConfig, observing
 
 
@@ -201,6 +202,7 @@ def test_slo_writes_scorecard_and_timeseries(tmp_path, capsys, _obs_clean):
     out = capsys.readouterr().out
     assert "SLO scorecard: kubelet-in-allocation" in out
     assert "detection latency" in out
+    assert check_slo_scorecard_file(str(scorecard)) == 0
     doc = json.loads(scorecard.read_text())
     assert doc["schema"] == "repro-slo-scorecard/1"
     assert doc["interval"] == 5.0

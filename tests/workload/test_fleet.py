@@ -157,6 +157,45 @@ def test_pump_matches_oracle_at_any_epoch_length(epoch, chaos, monkeypatch):
     assert fleet_report_document(run_fleet(config, plan=plan)) == fast
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("config", [SMALL, CONTENDED], ids=["small", "contended"])
+def test_pull_table_matches_the_registry(config, jobs):
+    """With metrics off the pump answers repeated cold pulls from its
+    disarmed pull table; with metrics on it prices every cold pull
+    through the registry.  The reports are identical, registry pull
+    count, cold pulls and pulled bytes included."""
+    docs = []
+    for metrics in (False, True):
+        with observing(ObsConfig(metrics=metrics)):
+            docs.append(fleet_report_document(run_fleet(config, jobs=jobs)))
+    assert docs[0] == docs[1]
+    summary = docs[0]["summary"]
+    assert docs[0]["registry"]["pulls"] == summary["cold_pulls"] > 0
+    assert summary["pulled_bytes"] > 0
+
+
+def test_pull_table_prices_each_layer_pattern_once(monkeypatch):
+    """The table is filled through ``_cold_pull`` once per (image, layer
+    presence) pair and shard; observed runs call it for every pull."""
+    imgs = []
+    real = FleetShardEngine._cold_pull
+
+    def counted(self, tloc, img, node, t):
+        imgs.append((self.shard, img))
+        return real(self, tloc, img, node, t)
+
+    monkeypatch.setattr(FleetShardEngine, "_cold_pull", counted)
+    priced = {}
+    for metrics in (False, True):
+        imgs.clear()
+        with observing(ObsConfig(metrics=metrics)):
+            result = run_fleet(SMALL)
+        priced[metrics] = len(imgs)
+    assert priced[True] == result.cold_pulls
+    assert priced[False] < result.cold_pulls
+    assert priced[False] <= SMALL.shards * SMALL.images * 2 ** 3
+
+
 def _run_counted(config, jobs=1, plan=None, timeseries=None):
     """Run a fleet through the shard runner: (merged result, merged
     profile counters)."""

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.obs.slo import check_slo_scorecard, check_slo_scorecard_file
 from repro.run import ObsConfig, observing
 from repro.workload.fleet import (
     FleetConfig,
@@ -174,6 +175,7 @@ def test_fleet_scorecard_detects_seeded_crash():
     plan = generate_fleet_plan(SMALL, seed=SEED)
     result, card = _scored_run(SMALL, plan)
     doc = json.loads(card.to_json())
+    assert check_slo_scorecard(doc) == []
     assert doc["scenario"] == "fleet"
     # the nodes-down rule sees the crash on the very tick it lands
     assert doc["detection"]["node_crash"] >= 0.0
@@ -215,8 +217,7 @@ def test_cli_fleet_chaos_slo_roundtrip(capsys, tmp_path):
                  "--slo-out", str(card_b)]) == 0
     capsys.readouterr()
     assert card_a.read_text() == card_b.read_text()
-    doc = json.loads(card_a.read_text())
-    assert doc["schema"].startswith("repro-slo-scorecard/")
+    assert check_slo_scorecard_file(str(card_a)) == 0
 
 
 def test_cli_fleet_chaos_flag_validation(capsys, tmp_path):
