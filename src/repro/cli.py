@@ -186,6 +186,7 @@ def _write_obs(args: argparse.Namespace, row: str) -> None:
     """The shared ``--timeseries`` / ``--metrics`` / ``--metrics-out``
     tail, read off the current run; ``row`` formats each artifact's
     stdout line from (label, path)."""
+    from repro.obs.metrics import metrics_document
     from repro.run import run
 
     if getattr(args, "timeseries", None):
@@ -195,7 +196,7 @@ def _write_obs(args: argparse.Namespace, row: str) -> None:
         print()
         print(run.metrics.render_table())
     if args.metrics_out:
-        doc = {"schema": "repro-metrics/1", "series": run.metrics.snapshot()}
+        doc = metrics_document(run.metrics)
         _write(args.metrics_out, json.dumps(doc, indent=2, sort_keys=True),
                row.format("metrics:", args.metrics_out))
 

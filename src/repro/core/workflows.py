@@ -91,7 +91,7 @@ class Workflow:
                 # barrier: wait for the whole batch
                 for step, job in jobs:
                     while not job.state.is_terminal:
-                        yield env.timeout(1.0)
+                        yield env.sleep(1.0)
                     if job.exit_code != 0:
                         raise WorkflowError(f"step {step.name!r} failed ({job.state.value})")
                     step.finished_at = job.end_time
@@ -132,7 +132,7 @@ class Workflow:
                     pods.append((step, pod))
                 for step, pod in pods:
                     while pod.phase not in (PodPhase.SUCCEEDED, PodPhase.FAILED):
-                        yield env.timeout(1.0)
+                        yield env.sleep(1.0)
                     if pod.phase is PodPhase.FAILED:
                         raise WorkflowError(f"step {step.name!r} failed: {pod.message}")
                     step.started_at = pod.start_time

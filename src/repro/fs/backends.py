@@ -110,13 +110,13 @@ class StorageBackend:
 
     def proc_open(self, path: str) -> _t.Generator:
         env = self._require_env()
-        yield env.timeout(self.est_open(path))
+        yield env.sleep(self.est_open(path))
         return path
 
     def proc_read_file(self, path: str, random: bool = False) -> _t.Generator:
         env = self._require_env()
         cost = self.est_read_file(path, random=random)
-        yield env.timeout(cost)
+        yield env.sleep(cost)
         node = self.tree.get(path)
         assert isinstance(node, FileNode)
         return node.size
@@ -150,7 +150,7 @@ class StorageBackend:
                 if run.metrics.enabled:
                     self._io_metrics(n_files, n_bytes)
                     run.metrics.observe("fs.io.latency", cost, backend=self.name, op="read")
-                yield env.timeout(cost)
+                yield env.sleep(cost)
         return self.tree.total_size(top)
 
 
@@ -232,7 +232,7 @@ class SharedFS(StorageBackend):
         if run.metrics.enabled:
             run.metrics.inc("fs.mds.rpcs", depth, backend=self.name)
             run.metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
-        yield env.timeout(self.cost_model.open_cost() * depth * factor)
+        yield env.sleep(self.cost_model.open_cost() * depth * factor)
         self.mds.release(req)
         return path
 
@@ -247,7 +247,7 @@ class SharedFS(StorageBackend):
             cost = self.cost_model.random_read_cost(n_ops)
         else:
             cost = self.cost_model.sequential_read_cost(node.size)
-        yield env.timeout(cost)
+        yield env.sleep(cost)
         return node.size
 
     def proc_load_tree(self, top: str = "/") -> _t.Generator:
@@ -315,7 +315,7 @@ class SharedFS(StorageBackend):
                     run.metrics.inc("fs.mds.batches", backend=self.name)
                     run.metrics.observe("fs.mds.wait", env.now - queued_at, backend=self.name)
                 with run.tracer.span("fs.mds.batch", backend=self.name, files=n_files):
-                    yield env.timeout(meta * factor)
+                    yield env.sleep(meta * factor)
                 self.mds.release(req)
-                yield env.timeout(read)
+                yield env.sleep(read)
         return total

@@ -25,6 +25,10 @@ class WatchEvent(_t.NamedTuple):
 
 WatchCallback = _t.Callable[[WatchEvent], None]
 
+#: builds a WatchEvent from its field tuple, skipping the named tuple's
+#: Python-level ``__new__`` (one event per notify)
+_new_event = tuple.__new__
+
 
 class _KindWatchers:
     """Watch registrations for one kind, split by routing key.
@@ -113,7 +117,7 @@ class APIServer:
             # The tuple is a snapshot: a callback that watches or
             # unwatches replaces the cached tuples, not this one.
             self.stats["watch_events"] += len(targets)
-            event = WatchEvent(type_, kind, obj)
+            event = _new_event(WatchEvent, (type_, kind, obj))
             for callback in targets:
                 callback(event)
 

@@ -31,7 +31,7 @@ class _ControlPlane:
         self._proc = env.process(self._start(), name=f"{self.name}-server")
 
     def _start(self):
-        yield self.env.timeout(self.startup_cost)
+        yield self.env.sleep(self.startup_cost)
         self.scheduler = K8sScheduler(self.env, self.api)
         self.ready.succeed(self.env.now)
 

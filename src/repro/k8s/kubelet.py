@@ -40,7 +40,7 @@ from repro.k8s.objects import (
 from repro.kernel.errors import EBUSY
 from repro.kernel.process import SimProcess
 from repro.run import run
-from repro.sim import Environment, Event, Interrupt, Signal, SimulationError
+from repro.sim import Environment, Event, Interrupt, Signal
 from repro.sim.environment import _Resume
 from repro.sim.signal import count_skipped_ticks, next_tick
 
@@ -237,11 +237,12 @@ class Kubelet:
         return self.api.request_latency
 
     def _rpc(self):
-        return self.env.timeout(self._rpc_cost())
+        """The RPC's round trip, for the caller to yield."""
+        return self.env.sleep(self._rpc_cost())
 
     def _main(self):
         try:
-            yield self.env.timeout(self.startup_cost)
+            yield self.env.sleep(self.startup_cost)
             yield self._rpc()
         except Interrupt:
             # stopped or crashed before registering: no Node, no watch
@@ -287,7 +288,7 @@ class Kubelet:
             # matches the polling version bit for bit.
             while self._running:
                 if self._pending_pods():
-                    yield self.env.timeout(self.sync_interval)
+                    yield self.env.sleep(self.sync_interval)
                 else:
                     woke = yield self._idle(self.env.now)
                     if woke is _LOOP:
@@ -298,30 +299,23 @@ class Kubelet:
                         )
                         count_skipped_ticks(self.env, skipped)
                         yield self.env.timeout_until(tick)
-                self._count_sync()
+                self.stats["sync_loops"] += 1
+                if run.metrics.enabled:
+                    run.metrics.inc_series(self._series_keys()[0])
                 yield from self._sync()
                 if self.env.now - self._last_heartbeat >= self.heartbeat_interval:
                     node.condition.last_heartbeat = self.env.now
                     yield self._rpc()
-                    self._heartbeat_written()
+                    self.api.update("Node", node)
+                    self._last_heartbeat = self.env.now
+                    if run.tracer.enabled:
+                        run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
         except Interrupt:
             self._halt_idle()
         run.faults.unregister("wlm.node", self._on_node_fault)
         self.api.unwatch("Pod", watch_cb)
         node.condition.ready = False
         self.api.update("Node", node)
-
-    def _count_sync(self) -> None:
-        self.stats["sync_loops"] += 1
-        if run.metrics.enabled:
-            run.metrics.inc_series(self._series_keys()[0])
-
-    def _heartbeat_written(self) -> None:
-        """The heartbeat RPC returned: write the Node."""
-        self.api.update("Node", self.k8s_node)
-        self._last_heartbeat = self.env.now
-        if run.tracer.enabled:
-            run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
 
     # -- the idle chain ----------------------------------------------------------
     def _idle(self, epoch: float) -> Event:
@@ -342,6 +336,11 @@ class Kubelet:
         return self._idle_hold
 
     def _park(self, epoch: float) -> None:
+        """Park the chain until the first grid tick from ``epoch`` that
+        is due for a heartbeat.  The tick is summed one interval at a
+        time, as the polling loop's wake times were: ``epoch +
+        k*interval`` rounds differently where the sum crosses a power
+        of two."""
         interval = self.sync_interval
         heartbeat = self.heartbeat_interval
         last = self._last_heartbeat
@@ -353,39 +352,59 @@ class Kubelet:
         self._idle_epoch = epoch
         self._idle_skipped = skipped
         self._idle_phase = _PARKED
-        self._wakeup.park_callback(self._idle_fired)
-        self.env._schedule_at(self._idle_record, tick)  # type: ignore[arg-type]
+        env = self.env
+        # Signal.park_callback, inline
+        self._wakeup._callbacks.append(self._idle_fired)
+        if env._profile.enabled:
+            env._profile.parked_processes += 1
+        env._schedule_at(self._idle_record, tick)  # type: ignore[arg-type]
 
     def _do_resume(self, _value: object, _exception: object) -> None:
         """The idle chain's record ran: the park's tick, or the
-        heartbeat RPC's return (the environment's ``_Resume`` dispatch)."""
+        heartbeat RPC's return (the environment's ``_Resume`` dispatch).
+
+        Runs once per idle record, so it reads the inbox, the clock and
+        the wakeup's callback list itself rather than through
+        ``_pending_pods``, ``_sync`` and the signal's methods; an idle
+        sync with an empty inbox has nothing to drain."""
         env = self.env
         proc = self._proc
         env._active_process = proc
         try:
             if self._idle_phase == _PARKED:
-                self._wakeup.unpark_callback(self._idle_fired)
-                count_skipped_ticks(env, self._idle_skipped)
-                if self._pending_pods():
+                self._wakeup._callbacks.remove(self._idle_fired)
+                prof = env._profile
+                if prof.enabled and self._idle_skipped:
+                    prof.poll_ticks_skipped += self._idle_skipped
+                if self._inbox:
                     # pods reached the inbox without a fire: _main syncs
                     self._idle_phase = _OFF
                     proc._do_resume(_TICK, None)
                     return
-                self._count_sync()
-                for _event in self._sync():
-                    raise SimulationError("an idle sync found pods to start")
-                if env.now - self._last_heartbeat >= self.heartbeat_interval:
-                    self.k8s_node.condition.last_heartbeat = env.now
+                self.stats["sync_loops"] += 1
+                if run.metrics.enabled:
+                    run.metrics.inc_series(self._series_keys()[0])
+                now = env._now
+                if now - self._last_heartbeat >= self.heartbeat_interval:
+                    self.k8s_node.condition.last_heartbeat = now
                     self._idle_phase = _RPC
-                    env._schedule(self._idle_record, self._rpc_cost())
+                    network = self.network
+                    cost = (
+                        network.rpc_cost() if network is not None
+                        else self.api.request_latency
+                    )
+                    env._schedule(self._idle_record, cost)  # type: ignore[arg-type]
                     return
             else:
-                self._heartbeat_written()
-            if not self._running or self._pending_pods():
+                self.api.update("Node", self.k8s_node)
+                self._last_heartbeat = env._now
+                if run.tracer.enabled:
+                    run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
+            if not self._running or self._inbox:
                 self._idle_phase = _OFF
                 proc._do_resume(_LOOP, None)
                 return
-            self._park(env.now)
+            self._park(env._now)
         finally:
             env._active_process = None
 
@@ -484,17 +503,17 @@ class Kubelet:
                     pulled = self.cri.pull_image(cspec.image, now=self.env.now)
                     deadline = self.pull_deadline
                     if deadline is not None and pulled.pull_cost > deadline:
-                        yield self.env.timeout(deadline)
+                        yield self.env.sleep(deadline)
                         raise KubeletError(
                             f"pull of {cspec.image!r} exceeded deadline"
                             f" ({pulled.pull_cost:.1f}s > {deadline:.1f}s)"
                         )
-                    yield self.env.timeout(pulled.pull_cost)
+                    yield self.env.sleep(pulled.pull_cost)
                     result = self.cri.run_container(
                         pulled, user, command=cspec.command,
                         cgroup_path=self._pod_cgroup(pod),
                     )
-                    yield self.env.timeout(result.startup_seconds - pulled.pull_cost)
+                    yield self.env.sleep(result.startup_seconds - pulled.pull_cost)
                     results.append(result)
             except Interrupt:
                 raise  # kubelet stop/crash, not a pod failure
@@ -507,7 +526,7 @@ class Kubelet:
                     wait = elapsed if self.pull_deadline is None else min(
                         elapsed, self.pull_deadline
                     )
-                    yield self.env.timeout(wait)
+                    yield self.env.sleep(wait)
                 self._fail_pod(pod, results, reason=str(exc))
                 return
             pod.phase = PodPhase.RUNNING
@@ -580,7 +599,7 @@ class Kubelet:
 
     def _finish_pod_later(self, pod: Pod, results: list):
         assert pod.spec.duration is not None
-        yield self.env.timeout(pod.spec.duration)
+        yield self.env.sleep(pod.spec.duration)
         if pod.phase is not PodPhase.RUNNING or pod.metadata.uid not in self._active_pods:
             return  # failed or evicted while the payload "ran"
         self._teardown_pod(pod, results, exit_code=0)

@@ -55,12 +55,13 @@ class K8sScheduler:
         #: interned per-node metric keys for the bind counter
         self._bind_keys: dict[str, tuple] = {}
         self._unsched_key = None
-        # Index maintenance rides its own watcher so replaying the
-        # existing nodes does not ring the bell (an extra empty pass
-        # would shift every trace).
-        apiserver.watch("Node", self._on_node_index_event, replay_existing=True)
-        apiserver.watch("Pod", self._on_pod_event, replay_existing=True)
+        # One Node watcher indexes and rings.  The existing nodes are
+        # indexed without a ring: an extra empty pass would shift every
+        # trace.
         apiserver.watch("Node", self._on_node_event, replay_existing=False)
+        for node in apiserver.peek("Node"):
+            self._index_node(node, WatchEventType.ADDED)
+        apiserver.watch("Pod", self._on_pod_event, replay_existing=True)
 
     def _on_pod_event(self, event: WatchEvent) -> None:
         if event.type in (WatchEventType.ADDED, WatchEventType.MODIFIED):
@@ -79,14 +80,15 @@ class K8sScheduler:
             self._bell.ring()
 
     def _on_node_event(self, event: WatchEvent) -> None:
+        self._index_node(event.obj, event.type)
         self._bell.ring()
 
-    def _on_node_index_event(self, event: WatchEvent) -> None:
-        node = event.obj
+    def _index_node(self, node: object, type_: WatchEventType) -> None:
+        """Keep ``node``'s pick-index entry exact after a Node event."""
         if not isinstance(node, K8sNode):
             return
         name = node.metadata.name
-        if event.type is WatchEventType.DELETED:
+        if type_ is WatchEventType.DELETED:
             self._node_seq.pop(name, None)
             self._nodes.pop(name, None)
             self._node_ratio.pop(name, None)
@@ -228,7 +230,7 @@ class K8sScheduler:
         for entry in rejected:
             heapq.heappush(heap, entry)
         # The winner's entry is not pushed back: the caller's claim +
-        # Node update re-enters _on_node_index_event, which pushes the
+        # Node update re-enters _on_node_event, which pushes the
         # fresh (ratio, name, seq+1) entry.
         counters = run.counters
         if counters.enabled:

@@ -58,7 +58,7 @@ class VirtualKubelet:
         return self.env.process(self._main(), name=f"vk-{self.node_name}")
 
     def _main(self):
-        yield self.env.timeout(self.startup_cost)
+        yield self.env.sleep(self.startup_cost)
         total_cores = sum(n.total_cores for n in self.wlm.nodes)
         total_gpus = sum(n.gpu_count for n in self.wlm.nodes)
         node = K8sNode(

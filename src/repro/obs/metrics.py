@@ -29,7 +29,13 @@ passed explicitly), so merged snapshots are always bucket-compatible.
 
 from __future__ import annotations
 
+import re
 import typing as _t
+
+from repro.obs.shape import check_file, shape_problems
+
+#: schema tag of the ``--metrics-out`` document
+METRICS_SCHEMA = "repro-metrics/1"
 
 #: default latency buckets (seconds) — spans sub-100µs metadata ops to
 #: multi-minute transfers; +inf is implicit
@@ -51,6 +57,21 @@ def format_series(name: str, labels: _LabelKey) -> str:
         return name
     inner = ",".join(f'{k}="{v}"' for k, v in labels)
     return f"{name}{{{inner}}}"
+
+
+#: what :func:`format_series` writes: a dotted name, then optionally
+#: ``{k="v",...}``
+_SERIES_NAME = re.compile(r'[A-Za-z_][\w.:]*(\{[A-Za-z_]\w*="[^"]*"(,[A-Za-z_]\w*="[^"]*")*\})?')
+
+
+def series_name_problems(names: _t.Iterable[str], where: str) -> list[str]:
+    """The series names under ``where`` that :func:`format_series`
+    could not have written."""
+    return [
+        f"{where}: {name!r} is not a series name"
+        for name in names
+        if not _SERIES_NAME.fullmatch(name)
+    ]
 
 
 class Histogram:
@@ -390,3 +411,65 @@ def to_openmetrics(reg: MetricsRegistry | None = None, include_sim: bool = True)
             lines.append(f"{om}_total {_om_value(float(cvalue))}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
+
+
+def metrics_document(reg: MetricsRegistry) -> dict[str, object]:
+    """The ``--metrics-out`` document: every series of ``reg`` plus the
+    ``sim.<counter>`` bridge."""
+    return {"schema": METRICS_SCHEMA, "series": reg.snapshot()}
+
+
+#: the exact shape of one histogram in a ``repro-metrics/1`` document
+_HISTOGRAM = {"buckets": [float], "counts": [int], "sum": float, "count": int}
+
+
+def check_metrics(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-metrics/1`` document: exactly the
+    ``schema`` and ``series`` keys, the schema string, well-formed
+    series names, and per series a float (counter or gauge), a
+    histogram of exact keys and leaf types whose bucket counts (one
+    more than its ascending bounds, the last for +inf) sum to its
+    count, or, under ``sim.``, an int for each profile counter, all of
+    them present.  Returns the problems found (empty when the document
+    is well formed)."""
+    from repro.run import run
+
+    problems = shape_problems(doc, {"schema": str, "series": dict}, "metrics")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != METRICS_SCHEMA:
+        problems.append(f"metrics.schema: expected {METRICS_SCHEMA!r}, got {doc['schema']!r}")
+    series = doc["series"]
+    problems += series_name_problems(series, "metrics.series")
+    sim = {f"sim.{field}" for field in run.counters.snapshot()}
+    problems += [
+        f"metrics.series: missing key {name!r}" for name in sorted(sim - set(series))
+    ]
+    for name, value in sorted(series.items()):
+        where = f"metrics.series.{name}"
+        if name.startswith("sim."):
+            if name not in sim:
+                problems.append(f"{where}: names no profile counter")
+            else:
+                problems += shape_problems(value, int, where)
+        elif isinstance(value, dict):
+            found = shape_problems(value, _HISTOGRAM, where)
+            problems += found
+            if found:
+                continue
+            bounds = value["buckets"]
+            if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+                problems.append(f"{where}.buckets: expected ascending bounds")
+            if len(value["counts"]) != len(bounds) + 1:
+                problems.append(f"{where}.counts: expected one count per bucket and +inf")
+            if sum(value["counts"]) != value["count"]:
+                problems.append(f"{where}.count: is not the sum of the bucket counts")
+        else:
+            problems += shape_problems(value, float, where)
+    return problems
+
+
+def check_metrics_file(path: str) -> int:
+    """Check a ``--metrics-out`` file; print problems; return an exit code."""
+    return check_file(path, check_metrics)

@@ -51,7 +51,9 @@ from repro.obs.metrics import (
     _om_value,
     _SeriesKey,
     format_series,
+    series_name_problems,
 )
+from repro.obs.shape import MapOf, check_file, shape_problems
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.environment import Environment
@@ -282,6 +284,51 @@ class TimeSeriesRecorder:
             f"interval={self.interval} series={len(self._points)} "
             f"samples={self.samples}>"
         )
+
+
+#: the exact shape of ``repro-timeseries/1`` (:mod:`repro.obs.shape` has
+#: the notation): each series is a list of ``[t, value]`` points
+_TIMESERIES = {
+    "schema": str,
+    "interval": float,
+    "samples": int,
+    "series": MapOf([[float]]),
+}
+
+
+def check_timeseries(doc: object) -> list[str]:
+    """Strict shape check of a ``repro-timeseries/1`` document: exact
+    keys and leaf types, the schema string, a positive interval, a
+    sample count that is not negative, well-formed series names and
+    two-element points.  Points are not checked for order: a sharded
+    run appends each cell's points in cell order, and every cell starts
+    its own virtual clock.  Returns the problems found (empty when the
+    document is well formed)."""
+    problems = shape_problems(doc, _TIMESERIES, "timeseries")
+    if problems:
+        return problems
+    assert isinstance(doc, dict)
+    if doc["schema"] != TIMESERIES_SCHEMA:
+        problems.append(
+            f"timeseries.schema: expected {TIMESERIES_SCHEMA!r}, got {doc['schema']!r}"
+        )
+    if not doc["interval"] > 0:
+        problems.append("timeseries.interval: expected a positive interval")
+    if doc["samples"] < 0:
+        problems.append("timeseries.samples: expected a count")
+    problems += series_name_problems(doc["series"], "timeseries.series")
+    for name, points in sorted(doc["series"].items()):
+        problems += [
+            f"timeseries.series.{name}[{i}]: expected a [t, value] pair"
+            for i, point in enumerate(points)
+            if len(point) != 2
+        ]
+    return problems
+
+
+def check_timeseries_file(path: str) -> int:
+    """Check a ``--timeseries`` file; print problems; return an exit code."""
+    return check_file(path, check_timeseries)
 
 
 def __getattr__(name: str):

@@ -189,7 +189,7 @@ class FleetReplayScenario:
         for k in range(self.n_starts):
             at = base + self.trace.times[k]
             if at > self.env.now:
-                yield self.env.timeout(at - self.env.now)
+                yield self.env.sleep(at - self.env.now)
             self._submit_one(k)
 
     def _next_pod(self) -> Pod:

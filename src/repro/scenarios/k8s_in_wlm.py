@@ -89,7 +89,7 @@ class KubernetesInWLMScenario(IntegrationScenario):
         assert self.k3s is not None
         if restart:
             # the server restarts on the new head node over its datastore
-            yield self.env.timeout(K3sServer.startup_cost)
+            yield self.env.sleep(K3sServer.startup_cost)
         if not self.k3s.is_ready:
             yield self.k3s.ready
         if incarnation != self._incarnation:
@@ -107,7 +107,7 @@ class KubernetesInWLMScenario(IntegrationScenario):
             )
             kubelet.start()
             self.kubelets.append(kubelet)
-        yield self.env.timeout(Kubelet.startup_cost + 1.0)
+        yield self.env.sleep(Kubelet.startup_cost + 1.0)
         if incarnation == self._incarnation and not self._cluster_ready.triggered:
             self._cluster_ready.succeed(self.env.now)
 

@@ -119,7 +119,7 @@ class KubeletInAllocationScenario(IntegrationScenario):
         self._joined = 0
 
     def _count_join(self):
-        yield self.env.timeout(Kubelet.startup_cost + 0.5)
+        yield self.env.sleep(Kubelet.startup_cost + 0.5)
         self._joined += 1
         if self._joined == self.n_nodes and not self._agents_ready.triggered:
             self._agents_ready.succeed(self.env.now)

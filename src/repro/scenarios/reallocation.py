@@ -72,7 +72,7 @@ class OnDemandReallocationScenario(IntegrationScenario):
         names = [n.name for n in victims]
         self.wlm.drain_nodes(names, reason="kubernetes reallocation")
         # Reconfiguration is the expensive part (per node, parallel).
-        yield self.env.timeout(self.reconfigure_cost)
+        yield self.env.sleep(self.reconfigure_cost)
         for node in victims:
             cri = CRIRuntime(self.engines[node.name], self.registry)
             kubelet = Kubelet(
@@ -110,13 +110,13 @@ class OnDemandReallocationScenario(IntegrationScenario):
             skipped += 1
         count_skipped_ticks(self.env, skipped)
         yield self.env.timeout_until(tick)
-        yield self.env.timeout(self.return_after_idle)
+        yield self.env.sleep(self.return_after_idle)
         for name in names:
             kubelet = self.kubelets.pop(name, None)
             if kubelet is not None:
                 kubelet.stop()
         # Reconfigure back into the WLM (same churn in reverse).
-        yield self.env.timeout(self.reconfigure_cost)
+        yield self.env.sleep(self.reconfigure_cost)
         self.wlm.resume_nodes(names)
         self.notes.append(
             f"{len(names)} nodes spent 2x{self.reconfigure_cost:.0f}s reconfiguring "

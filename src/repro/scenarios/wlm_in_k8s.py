@@ -61,7 +61,7 @@ class WLMInKubernetesScenario(IntegrationScenario):
             )
             kubelet.start()
             self.kubelets[host.name] = kubelet
-        yield self.env.timeout(Kubelet.startup_cost + 1.0)
+        yield self.env.sleep(Kubelet.startup_cost + 1.0)
         # Slurm daemons as privileged pods (one slurmd per node + slurmctld).
         for i, host in enumerate(self.hosts):
             pod = Pod(
@@ -78,7 +78,7 @@ class WLMInKubernetesScenario(IntegrationScenario):
             )
             self.wlm_pods.append(pod)
             self.k8s.api.create("Pod", pod)
-        yield self.env.timeout(5.0)
+        yield self.env.sleep(5.0)
         # The WLM is now functional over the same hardware (privileged pods).
         self.wlm = SlurmController(self.env, self.hosts)
         self.notes.append(

@@ -18,7 +18,10 @@ bit-identical to a single-heap implementation.
 
 Process resumes additionally bypass event allocation: instead of a
 throwaway carrier :class:`Event` per resume, the queue carries a slotted
-:class:`_Resume` record that invokes the generator directly.
+:class:`_Resume` record that invokes the generator directly.  A process
+that only sleeps (``yield env.sleep(d)``) queues such a record too,
+under the key ``timeout(d)`` would have drawn, instead of a
+:class:`Timeout` with its callback list.
 
 Reserved keys
 -------------
@@ -51,6 +54,19 @@ ProcessGenerator = _t.Generator[Event, object, object]
 #: ``Environment._seq_now`` once ``run(until=...)`` returns: every key at
 #: or before the clock has passed
 _ALL = float("inf")
+
+
+class _Slept:
+    """What :meth:`Environment.sleep` returns for the process to yield:
+    its resume is already queued."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<sleep>"
+
+
+_SLEPT = _Slept()
 
 
 class _Resume:
@@ -122,6 +138,36 @@ class Environment:
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def sleep(self, delay: float, value: object = None) -> _Slept:
+        """Resume the active process ``delay`` from now with ``value``.
+
+        A yielded ``env.sleep(d)`` runs key for key as a yielded
+        ``env.timeout(d)`` does: one ``_Resume`` record is queued under
+        the key the timeout would have drawn (the immediate FIFO for a
+        zero delay, the heap otherwise) and counted as the timeout's
+        push was, but no Event or callback list is built.  The returned sentinel must
+        be yielded at once.  An interrupt cancels the record in place;
+        it still pops, as an abandoned timeout did.  Use ``timeout`` for
+        an event that is stored, combined or waited on by others.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        process = self._active_process
+        if process is None:
+            raise SimulationError("sleep() must be called from a running process")
+        resume = _Resume(process, value, None)
+        if delay == 0.0:
+            immediate = True
+            self._immediate.append((next(self._counter), resume))
+        else:
+            immediate = False
+            heappush(self._queue, (self._now + delay, 1, next(self._counter), resume))
+        process._pending_resume = resume
+        prof = self._profile
+        if prof.enabled:
+            self._count_push(prof, immediate)
+        return _SLEPT
 
     def timeout_until(self, when: float, value: object = None) -> Event:
         """An event at the **absolute** virtual time ``when``.
@@ -412,6 +458,8 @@ class Process(Event):
             return
         env._active_process = None
 
+        if target is _SLEPT:
+            return  # sleep() queued the resume (and set _pending_resume)
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"

@@ -246,7 +246,7 @@ class Bell:
 
         while True:
             yield latching_signal.wait()
-            yield env.timeout(latency)
+            yield env.sleep(latency)
             on_pass()
 
     started as a process at construction.  Its rules:

@@ -182,7 +182,7 @@ class SlurmController:
 
         # Per-node setup: cgroup, user process, device grants, delegation.
         with run.tracer.span("wlm.allocation_setup", job=job.job_id, nodes=len(placement)):
-            yield self.env.timeout(self.node_setup_cost)
+            yield self.env.sleep(self.node_setup_cost)
         for node in placement:
             kernel = node.host.kernel
             cg_path = f"/slurm/uid_{spec.user_uid}/job_{job.job_id}"
@@ -215,11 +215,11 @@ class SlurmController:
                 # before the payload could be interrupted.
                 raise Interrupt(cause="node_fail")
             if spec.duration is None:
-                yield self.env.timeout(spec.time_limit)
+                yield self.env.sleep(spec.time_limit)
                 final_state = JobState.TIMEOUT
             else:
                 run_for = min(spec.duration, spec.time_limit)
-                yield self.env.timeout(run_for)
+                yield self.env.sleep(run_for)
                 if spec.duration > spec.time_limit:
                     final_state = JobState.TIMEOUT
         except Interrupt as intr:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.k8s import APIServer, K8sScheduler, Kubelet, PodPhase
 from repro.scenarios import KubeletInAllocationScenario
-from repro.sim import Environment, Signal
+from repro.sim import Environment, Signal, next_tick
 from repro.world import WorldState
 
 from tests.k8s.conftest import make_cri, make_registry
@@ -184,3 +184,23 @@ def test_fire_after_stop_wakes_nothing():
     env.run(until=env.now + 15.0)
     assert kubelet._wakeup.waiting == 0
     assert pod.phase is PodPhase.PENDING
+
+
+def test_park_sums_its_ticks_across_a_power_of_two():
+    """The tick a park waits for is summed one interval at a time, as
+    the polling loop's wake times were.  Just below 4096 the sum of 20
+    half-second intervals lands short of ``epoch + 10``, so a heartbeat
+    due 10 s after ``epoch`` waits for the 21st tick; the closed form
+    ``epoch + 20*interval`` names the 20th, which is not yet due."""
+    epoch = 4091.822505609353
+    env = Environment(initial_time=epoch)
+    kubelet = Kubelet(env, APIServer(), "knode", cri=None)
+    kubelet._last_heartbeat = epoch
+    kubelet._park(epoch)
+    ((when, _priority, _seq, record),) = env._queue
+    assert record is kubelet._idle_record
+    assert (when, kubelet._idle_skipped) == (4102.322505609352, 20)
+    closed_form = epoch + 20 * Kubelet.sync_interval
+    assert closed_form == 4101.822505609352
+    assert closed_form - epoch < Kubelet.heartbeat_interval
+    assert next_tick(epoch, Kubelet.sync_interval, closed_form) == (4102.322505609352, 20)

@@ -1,11 +1,18 @@
 """Labeled metrics registry (repro.obs.metrics) and the sim.profile
 compatibility bridge."""
 
+import json
+
+import pytest
+
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
+    check_metrics,
+    check_metrics_file,
     format_series,
+    metrics_document,
 )
 from repro.run import ObsConfig, Run, observing
 from repro.sim import Environment
@@ -274,3 +281,64 @@ def test_merge_property_counter_sums_match_any_split():
             assert merged.get_gauge("last") == last_gauge
 
     run()
+
+
+# -- the repro-metrics/1 reader ----------------------------------------------
+
+
+def _metrics_document() -> dict:
+    """A ``--metrics-out`` document with a counter, a gauge, a histogram
+    and the sim bridge, after a JSON round trip."""
+    with observing(ObsConfig(metrics=True)) as run:
+        run.metrics.inc("engine.pulls", engine="sarus")
+        run.metrics.set_gauge("monitor.background_cpu_fraction", 0.002)
+        run.metrics.observe("fs.io.latency", 0.5, op="read")
+        run.metrics.observe("fs.io.latency", 250.0, op="read")
+        return json.loads(json.dumps(metrics_document(run.metrics)))
+
+
+def test_metrics_document_passes_the_strict_check(tmp_path):
+    doc = _metrics_document()
+    assert check_metrics(doc) == []
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(doc))
+    assert check_metrics_file(str(path)) == 0
+    doc["series"]["engine.pulls{engine=\"sarus\"}"] = 1
+    path.write_text(json.dumps(doc))
+    assert check_metrics_file(str(path)) == 1
+
+
+_HIST = 'fs.io.latency{op="read"}'
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda d: d.update(extra=1), "unexpected key 'extra'"),
+        (lambda d: d.pop("series"), "missing key 'series'"),
+        (lambda d: d.update(schema="repro-metrics/2"), "metrics.schema"),
+        (lambda d: d.update(series=[]), "metrics.series: expected dict"),
+        (lambda d: d["series"].update({"bad name": 1.0}), "is not a series name"),
+        (lambda d: d["series"].update({'x{a=1}': 1.0}), "is not a series name"),
+        (lambda d: d["series"].update({"engine.pulls{engine=\"sarus\"}": 1}),
+         "expected float, got int"),
+        (lambda d: d["series"].update({"g": "1.0"}), "series.g: expected float"),
+        (lambda d: d["series"].update({"g": None}), "series.g: expected float"),
+        (lambda d: d["series"].pop("sim.events_processed"),
+         "missing key 'sim.events_processed'"),
+        (lambda d: d["series"].update({"sim.ghost": 0}), "names no profile counter"),
+        (lambda d: d["series"].update({"sim.heap_pops": 1.0}), "expected int, got float"),
+        (lambda d: d["series"][_HIST].pop("sum"), "missing key 'sum'"),
+        (lambda d: d["series"][_HIST].update(p50=1.0), "unexpected key 'p50'"),
+        (lambda d: d["series"][_HIST].update(count=2.0), ".count: expected int"),
+        (lambda d: d["series"][_HIST]["buckets"].append(5), ".buckets[7]: expected float"),
+        (lambda d: d["series"][_HIST]["counts"].pop(), "one count per bucket"),
+        (lambda d: d["series"][_HIST]["counts"].__setitem__(0, 3), "sum of the bucket"),
+        (lambda d: d["series"][_HIST]["buckets"].reverse(), "ascending bounds"),
+    ],
+)
+def test_metrics_check_rejects_drift(tamper, expected):
+    doc = _metrics_document()
+    tamper(doc)
+    problems = check_metrics(doc)
+    assert any(expected in p for p in problems), problems

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TimeSeriesRecorder, install_sampler
+from repro.obs.timeseries import (
+    TimeSeriesRecorder,
+    check_timeseries,
+    check_timeseries_file,
+    install_sampler,
+)
 from repro.run import ObsConfig, observing, run
 from repro.sim import Environment
 
@@ -115,7 +120,7 @@ def test_document_and_json_are_deterministic():
     rec.record("b", 5.0, 1.0, node="n1")
     rec.record("a", 5.0, 2.0)
     doc = rec.document()
-    assert doc["schema"] == "repro-timeseries/1"
+    assert check_timeseries(json.loads(rec.to_json())) == []
     assert list(doc["series"]) == ["a", 'b{node="n1"}']
     assert rec.to_json() == rec.to_json()
 
@@ -252,3 +257,55 @@ def test_merge_order_is_concatenation(shards):
             direct.record("s", t, v, shard="x")
         merged.absorb(cell.capture_state())
     assert merged.points("s", shard="x") == direct.points("s", shard="x")
+
+
+# -- the repro-timeseries/1 reader -------------------------------------------
+
+
+def _timeseries_document() -> dict:
+    rec = TimeSeriesRecorder().enable(interval=5.0)
+    rec.record("fleet.pending", 5.0, 3.0, shard="s0")
+    rec.record("fleet.pending", 10.0, 4.0, shard="s0")
+    rec.record("sim.rate", 5.0, 0.5)
+    rec.samples = 2
+    return json.loads(rec.to_json())
+
+
+def test_timeseries_document_passes_the_strict_check(tmp_path):
+    doc = _timeseries_document()
+    assert check_timeseries(doc) == []
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    assert check_timeseries_file(str(path)) == 0
+    doc["samples"] = 2.0
+    path.write_text(json.dumps(doc))
+    assert check_timeseries_file(str(path)) == 1
+
+
+_PENDING = 'fleet.pending{shard="s0"}'
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (lambda d: d.update(extra=1), "unexpected key 'extra'"),
+        (lambda d: d.pop("samples"), "missing key 'samples'"),
+        (lambda d: d.update(schema="repro-timeseries/2"), "timeseries.schema"),
+        (lambda d: d.update(interval=5), "timeseries.interval: expected float"),
+        (lambda d: d.update(interval=0.0), "positive interval"),
+        (lambda d: d.update(samples=-1), "timeseries.samples: expected a count"),
+        (lambda d: d.update(samples=True), "timeseries.samples: expected int"),
+        (lambda d: d.update(series=[]), "timeseries.series: expected an object"),
+        (lambda d: d["series"].update({"x{shard=s0}": []}), "is not a series name"),
+        (lambda d: d["series"].update({"x": {}}), "series.x: expected a list"),
+        (lambda d: d["series"][_PENDING].append([15.0]), "[2]: expected a [t, value] pair"),
+        (lambda d: d["series"][_PENDING].append([15.0, 1.0, 2.0]), "a [t, value] pair"),
+        (lambda d: d["series"][_PENDING][0].__setitem__(1, 3), "[0][1]: expected float"),
+        (lambda d: d["series"][_PENDING][1].__setitem__(0, None), "[1][0]: expected float"),
+    ],
+)
+def test_timeseries_check_rejects_drift(tamper, expected):
+    doc = _timeseries_document()
+    tamper(doc)
+    problems = check_timeseries(doc)
+    assert any(expected in p for p in problems), problems

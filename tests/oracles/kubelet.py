@@ -45,8 +45,15 @@ class StoreScanKubelet(Kubelet):
             and pod.metadata.uid not in self._active_pods
         )
 
-    def _pending_pods(self) -> bool:
-        return any(self._mine(pod) for pod in self.api.peek("Pod"))
+    @property
+    def _inbox(self) -> list:
+        """The store scan stands in for the inbox wherever the kubelet
+        reads it (its idle chain reads it directly); writes are dropped."""
+        return [pod for pod in self.api.peek("Pod") if self._mine(pod)]
+
+    @_inbox.setter
+    def _inbox(self, _value) -> None:
+        pass
 
     def _sync(self):
         for pod in self.api.pods():
@@ -59,7 +66,11 @@ class ReferenceKubelet(Kubelet):
     parks the process on a :meth:`Signal.park` token, resumes it at the
     tick, yields an RPC ``Timeout`` for the heartbeat and writes the
     Node from the generator.  ``Kubelet`` runs that cycle as a callback
-    chain under the same queue keys."""
+    chain under the same queue keys.  Its sleeps are ``Timeout`` events,
+    the keys ``Environment.sleep`` is held to."""
+
+    def _rpc(self):
+        return self.env.timeout(self._rpc_cost())
 
     def _main(self):
         try:

@@ -347,6 +347,11 @@ class _LoggedEnvironment(Environment):
         self.pushes.append((self._now, self._now, priority, self._counter.last))
         return resume
 
+    def sleep(self, delay, value=None):
+        slept = super().sleep(delay, value)
+        self.pushes.append((self._now, self._now + delay, Environment.NORMAL, self._counter.last))
+        return slept
+
     def reserve(self, delay=0.0):
         key = super().reserve(delay)
         self.reserves.append((self._now, key))

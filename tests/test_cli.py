@@ -6,7 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.faults.chaos import check_chaos_report
+from repro.obs.metrics import check_metrics_file
 from repro.obs.slo import check_slo_scorecard_file
+from repro.obs.timeseries import check_timeseries_file
 from repro.run import PARTS, ObsConfig, observing
 
 
@@ -207,8 +209,8 @@ def test_slo_writes_scorecard_and_timeseries(tmp_path, capsys, _obs_clean):
     assert doc["schema"] == "repro-slo-scorecard/1"
     assert doc["interval"] == 5.0
     assert doc["detection"].get("node_crash") is not None
+    assert check_timeseries_file(str(series)) == 0
     ts = json.loads(series.read_text())
-    assert ts["schema"] == "repro-timeseries/1"
     assert ts["samples"] > 0
     assert any(name.startswith("wlm.") for name in ts["series"])
 
@@ -270,6 +272,7 @@ def test_chaos_sweep_timeseries_jobs_identical(tmp_path, capsys, _obs_clean):
             "--timeseries", str(series),
         ]) == 0
         capsys.readouterr()
+        assert check_timeseries_file(str(series)) == 0
         return series.read_bytes()
 
     serial = run(1)
@@ -283,8 +286,8 @@ def test_metrics_out_roundtrip(tmp_path, _obs_clean):
     argv = ["scenarios", "--nodes", "2", "--pods", "2"]
     assert main([*argv, "--metrics-out", str(first)]) == 0
     assert main([*argv, "--metrics-out", str(second)]) == 0
+    assert check_metrics_file(str(first)) == 0
     doc = json.loads(first.read_text())
-    assert doc["schema"] == "repro-metrics/1"
     assert any(k.startswith("k8s.pods_started") for k in doc["series"])
     assert first.read_bytes() == second.read_bytes()
 
@@ -293,6 +296,7 @@ def test_startup_metrics_out(tmp_path, capsys, _obs_clean):
     path = tmp_path / "metrics.json"
     assert main(["startup", "--metrics-out", str(path)]) == 0
     capsys.readouterr()
+    assert check_metrics_file(str(path)) == 0
     doc = json.loads(path.read_text())
     assert any(k.startswith("engine.pulls") for k in doc["series"])
 
@@ -303,6 +307,7 @@ def test_fleet_timeseries_includes_tenant_series(tmp_path, capsys, _obs_clean):
                  "--shards", "2", "--day", "300",
                  "--sample-interval", "10", "--timeseries", str(path)]) == 0
     capsys.readouterr()
+    assert check_timeseries_file(str(path)) == 0
     doc = json.loads(path.read_text())
     names = list(doc["series"])
     assert any(n.startswith("fleet.pending{shard=") for n in names)
@@ -316,6 +321,7 @@ def test_replay_timeseries_out(tmp_path, capsys, _obs_clean):
                  "--shards", "2", "--day", "300",
                  "--timeseries", str(path)]) == 0
     capsys.readouterr()
+    assert check_timeseries_file(str(path)) == 0
     doc = json.loads(path.read_text())
     assert any(n.startswith("replay.inflight{shard=") for n in doc["series"])
 
@@ -344,6 +350,10 @@ def test_verbs_leave_every_sink_disabled_and_empty(argv, tmp_path, capsys, idle_
     parts = tuple(getattr(idle_run, name) for name in PARTS)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 0
     capsys.readouterr()
+    if (tmp_path / "m.json").exists():
+        assert check_metrics_file(str(tmp_path / "m.json")) == 0
+    if (tmp_path / "ts.json").exists():
+        assert check_timeseries_file(str(tmp_path / "ts.json")) == 0
     assert all(getattr(idle_run, name) is part for name, part in zip(PARTS, parts))
     assert not any(part.enabled for part in parts)
     assert not any(idle_run.counters.snapshot().values())
@@ -368,6 +378,7 @@ def test_sharded_timeseries_document_names_its_interval(argv, interval, tmp_path
     assert main([*argv, "--timeseries", str(path),
                  *(["--trace", str(tmp_path / "t.json")] if argv[0] == "chaos" else [])]) == 0
     capsys.readouterr()
+    assert check_timeseries_file(str(path)) == 0
     doc = json.loads(path.read_text())
     assert doc["interval"] == interval
     # merged cells append their rings one after another, so time resets
