@@ -181,13 +181,10 @@ class SharedFS(StorageBackend):
         env: Environment | None = None,
         name: str = "sharedfs",
         mds_capacity: int = 32,
-        aggregate_bandwidth: float = 40e9,
     ):
         super().__init__(name, PROFILES["sharedfs_client"], env=env)
         self.mds_capacity = mds_capacity
-        self.aggregate_bandwidth = aggregate_bandwidth
         self.mds: Resource | None = Resource(env, capacity=mds_capacity) if env else None
-        self._bw: Resource | None = None
 
     def attach_env(self, env: Environment) -> None:
         self.env = env

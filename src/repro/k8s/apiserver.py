@@ -88,7 +88,6 @@ class APIServer:
         self._store: dict[str, dict[tuple[str, str], object]] = {}
         self._watchers: dict[str, _KindWatchers] = {}
         self._resource_version = itertools.count(1)
-        self.stats = {"requests": 0, "watch_events": 0}
 
     # -- helpers -----------------------------------------------------------------
     @staticmethod
@@ -116,14 +115,12 @@ class APIServer:
         if targets:
             # The tuple is a snapshot: a callback that watches or
             # unwatches replaces the cached tuples, not this one.
-            self.stats["watch_events"] += len(targets)
             event = _new_event(WatchEvent, (type_, kind, obj))
             for callback in targets:
                 callback(event)
 
     # -- CRUD ---------------------------------------------------------------------
     def create(self, kind: str, obj: object) -> object:
-        self.stats["requests"] += 1
         meta = self._meta(obj)
         bucket = self._store.setdefault(kind, {})
         if meta.key in bucket:
@@ -134,18 +131,15 @@ class APIServer:
         return obj
 
     def get(self, kind: str, name: str, namespace: str = "default") -> object | None:
-        self.stats["requests"] += 1
         return self._store.get(kind, {}).get((namespace, name))
 
     def list(self, kind: str, namespace: str | None = None) -> list[object]:
-        self.stats["requests"] += 1
         objs = list(self._store.get(kind, {}).values())
         if namespace is None:
             return objs
         return [o for o in objs if self._meta(o).namespace == namespace]
 
     def update(self, kind: str, obj: object) -> object:
-        self.stats["requests"] += 1
         meta = self._meta(obj)
         key = (meta.namespace, meta.name)
         bucket = self._store.get(kind)
@@ -157,7 +151,6 @@ class APIServer:
         return obj
 
     def delete(self, kind: str, name: str, namespace: str = "default") -> object | None:
-        self.stats["requests"] += 1
         bucket = self._store.get(kind, {})
         obj = bucket.pop((namespace, name), None)
         if obj is not None:
@@ -229,18 +222,18 @@ class APIServer:
 
         def callback(event: WatchEvent) -> None:
             if predicate is None or predicate(event):
-                signal.fire(event)
+                signal.fire()
 
         self.watch(kind, callback, replay_existing=replay_existing, key=key)
         return callback
 
     # -- typed conveniences ------------------------------------------------------------
     def peek(self, kind: str) -> list[object]:
-        """List objects without billing a request.
+        """List objects as a read of an informer cache, not a request.
 
         Simulation-internal: tickless loops use this to decide whether to
         park, a check the real system gets for free from its informer
-        caches — it must not distort the modelled request load.
+        caches.
         """
         return list(self._store.get(kind, {}).values())
 

@@ -14,10 +14,11 @@ An idle kubelet spends its life heartbeating: park until the grid tick
 that is due for a heartbeat, sync nothing, send the heartbeat RPC, write
 the Node, park again.  That cycle runs as a callback chain on one
 reused queue record (:meth:`Kubelet._idle`), under the keys the ``_main``
-generator's park token and RPC timeout had, with no generator resume,
-``Event`` or ``Timeout`` per cycle.  The chain hands the loop back to
-``_main`` when pods need syncing, when the wakeup signal fires while it
-is parked, and when the kubelet stops or crashes.
+generator's park and RPC sleep had, with no generator resume per cycle.
+The record is ``_main``'s pending resume and is parked on the wakeup
+signal against ``_main``, so a fire while it is parked resumes ``_main``
+and a stop or crash cancels it in place, as for a parked process.  The
+chain also hands the loop back to ``_main`` when pods need syncing.
 ``tests/oracles/kubelet.py`` keeps the generator loop
 (``ReferenceKubelet``) as the chain's reference.
 """
@@ -40,7 +41,7 @@ from repro.k8s.objects import (
 from repro.kernel.errors import EBUSY
 from repro.kernel.process import SimProcess
 from repro.run import run
-from repro.sim import Environment, Event, Interrupt, Signal
+from repro.sim import Environment, Interrupt, Signal
 from repro.sim.environment import _Resume
 from repro.sim.signal import count_skipped_ticks, next_tick
 
@@ -49,9 +50,6 @@ class KubeletError(RuntimeError):
     pass
 
 
-#: idle chain phases: the ``_main`` generator has control, the chain is
-#: parked until its tick, or the heartbeat RPC is in flight
-_OFF, _PARKED, _RPC = range(3)
 #: what the idle chain hands ``_main``: the tick came with pods to sync,
 #: or the loop top has work the chain does not do
 _TICK, _LOOP = object(), object()
@@ -106,12 +104,11 @@ class Kubelet:
         self.stats = {"pods_started": 0, "pods_finished": 0, "sync_loops": 0}
         self._last_heartbeat = 0.0
         # -- the idle chain (see _idle) --
-        self._idle_phase = _OFF
-        #: its one queue record, reused until a fire or stop cancels it
+        #: its one queue record, reused until a fire or an interrupt
+        #: cancels it
         self._idle_record = _Resume(self, None, None)  # type: ignore[arg-type]
-        #: what _main yields while the chain runs: never triggered
-        self._idle_hold = Event(env)
-        self._idle_fired = self._on_idle_fire
+        #: whether the record is the heartbeat RPC's return, not the tick
+        self._idle_rpc = False
         #: the current park's loop epoch and skipped grid ticks
         self._idle_epoch = 0.0
         self._idle_skipped = 0
@@ -311,29 +308,29 @@ class Kubelet:
                     if run.tracer.enabled:
                         run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
         except Interrupt:
-            self._halt_idle()
+            # the interrupt cancelled the chain's record if it was queued
+            self._wakeup.unpark(self._idle_record)
         run.faults.unregister("wlm.node", self._on_node_fault)
         self.api.unwatch("Pod", watch_cb)
         node.condition.ready = False
         self.api.update("Node", node)
 
     # -- the idle chain ----------------------------------------------------------
-    def _idle(self, epoch: float) -> Event:
-        """Hand the idle loop to the callback chain; returns the event
+    def _idle(self, epoch: float) -> _Resume:
+        """Hand the idle loop to the callback chain; returns the record
         ``_main`` yields until the chain hands control back.
 
         The chain runs park → tick → heartbeat RPC → Node write → park
         on one reused ``_Resume`` record under the keys the generator
-        loop's park token and RPC timeout had, with no generator resume.
-        It gives ``_main`` back the loop when the tick finds pods to
-        sync (``_TICK``, inline), when the loop top after a heartbeat
-        does (``_LOOP``, inline), or when the signal fires while parked
-        (:data:`Signal.FIRED`, queued as a parked process's resume is).
-        A fire during the RPC finds nothing parked and is lost, as it
-        is for a process; a stop or crash cancels the chain's record in
-        place (:meth:`_halt_idle`)."""
+        loop's park and RPC sleep had, with no generator resume.  It
+        gives ``_main`` back the loop when the tick finds pods to sync
+        (``_TICK``, inline), when the loop top after a heartbeat does
+        (``_LOOP``, inline), or when the signal fires while parked
+        (:data:`Signal.FIRED`, queued by :meth:`Signal.fire`).  A fire
+        during the RPC finds nothing parked and is lost, as it is for a
+        process; a stop or crash cancels the record in place."""
         self._park(epoch)
-        return self._idle_hold
+        return self._idle_record
 
     def _park(self, epoch: float) -> None:
         """Park the chain until the first grid tick from ``epoch`` that
@@ -351,34 +348,38 @@ class Kubelet:
             skipped += 1
         self._idle_epoch = epoch
         self._idle_skipped = skipped
-        self._idle_phase = _PARKED
+        self._idle_rpc = False
+        record = self._idle_record
+        if record.process is None:  # a fire or an interrupt cancelled it
+            record = self._idle_record = _Resume(self, None, None)  # type: ignore[arg-type]
+        proc = self._proc
         env = self.env
-        # Signal.park_callback, inline
-        self._wakeup._callbacks.append(self._idle_fired)
+        # Signal.park for the chain's record, inline
+        proc._pending_resume = record
+        self._wakeup._parked[record] = proc
         if env._profile.enabled:
             env._profile.parked_processes += 1
-        env._schedule_at(self._idle_record, tick)  # type: ignore[arg-type]
+        env._schedule_at(record, tick)
 
     def _do_resume(self, _value: object, _exception: object) -> None:
         """The idle chain's record ran: the park's tick, or the
         heartbeat RPC's return (the environment's ``_Resume`` dispatch).
 
         Runs once per idle record, so it reads the inbox, the clock and
-        the wakeup's callback list itself rather than through
+        the wakeup's registry itself rather than through
         ``_pending_pods``, ``_sync`` and the signal's methods; an idle
         sync with an empty inbox has nothing to drain."""
         env = self.env
         proc = self._proc
         env._active_process = proc
         try:
-            if self._idle_phase == _PARKED:
-                self._wakeup._callbacks.remove(self._idle_fired)
+            if not self._idle_rpc:
+                del self._wakeup._parked[self._idle_record]
                 prof = env._profile
                 if prof.enabled and self._idle_skipped:
                     prof.poll_ticks_skipped += self._idle_skipped
                 if self._inbox:
                     # pods reached the inbox without a fire: _main syncs
-                    self._idle_phase = _OFF
                     proc._do_resume(_TICK, None)
                     return
                 self.stats["sync_loops"] += 1
@@ -387,13 +388,14 @@ class Kubelet:
                 now = env._now
                 if now - self._last_heartbeat >= self.heartbeat_interval:
                     self.k8s_node.condition.last_heartbeat = now
-                    self._idle_phase = _RPC
+                    self._idle_rpc = True
                     network = self.network
                     cost = (
                         network.rpc_cost() if network is not None
                         else self.api.request_latency
                     )
-                    env._schedule(self._idle_record, cost)  # type: ignore[arg-type]
+                    # still _main's pending resume: an interrupt cancels it
+                    env._schedule(self._idle_record, cost)
                     return
             else:
                 self.api.update("Node", self.k8s_node)
@@ -401,36 +403,11 @@ class Kubelet:
                 if run.tracer.enabled:
                     run.tracer.instant("k8s.kubelet.heartbeat", node=self.node_name)
             if not self._running or self._inbox:
-                self._idle_phase = _OFF
                 proc._do_resume(_LOOP, None)
                 return
             self._park(env._now)
         finally:
             env._active_process = None
-
-    def _on_idle_fire(self) -> bool:
-        """The wakeup fired while the chain was parked: ``_main`` takes
-        the loop back through a queued resume, as a parked process."""
-        proc = self._proc
-        if proc._target is not self._idle_hold:
-            return False  # interrupted: its Interrupt resume is queued
-        self._drop_idle_record()
-        proc._pending_resume = self.env._schedule_resume(proc, Signal.FIRED, None)
-        return True
-
-    def _halt_idle(self) -> None:
-        """Stop or crash: cancel the chain and drop its park."""
-        if self._idle_phase == _PARKED:
-            self._wakeup.unpark_callback(self._idle_fired)
-        if self._idle_phase != _OFF:
-            self._drop_idle_record()
-
-    def _drop_idle_record(self) -> None:
-        # Cancelled in place, the record still pops at its key, as the
-        # generator loop's abandoned token or timeout did.
-        self._idle_record.process = None  # type: ignore[assignment]
-        self._idle_record = _Resume(self, None, None)  # type: ignore[arg-type]
-        self._idle_phase = _OFF
 
     def _wants_pod_event(self, event) -> bool:
         obj = event.obj
@@ -449,7 +426,7 @@ class Kubelet:
         if uid not in self._inbox_uids and uid not in self._active_pods:
             self._inbox_uids.add(uid)
             self._inbox.append(event.obj)
-        self._wakeup.fire(event)
+        self._wakeup.fire()
 
     def _pending_pods(self) -> bool:
         return bool(self._inbox)

@@ -81,7 +81,7 @@ class BridgeOperator:
             request.status = job.state.value.capitalize()
             self.api.update(self.KIND, request)
             self.stats["completed"] += 1
-            self.request_events.fire(request)
+            self.request_events.fire()
 
         job = self.wlm.submit(
             JobSpec(
@@ -100,4 +100,4 @@ class BridgeOperator:
         request.wlm_job_id = job.job_id
         request.status = "Submitted"
         self.stats["submitted"] += 1
-        self.request_events.fire(request)
+        self.request_events.fire()

@@ -105,7 +105,7 @@ class VirtualKubelet:
             pod.end_time = self.env.now
             self.api.update("Pod", pod)
             self.stats["pods_finished"] += 1
-            self.activity.fire(pod)
+            self.activity.fire()
 
         spec = JobSpec(
             name=f"k8s-pod-{pod.metadata.name}",
@@ -121,4 +121,4 @@ class VirtualKubelet:
         job = self.wlm.submit(spec)
         job.comment = f"kubernetes-pod:{pod.metadata.namespace}/{pod.metadata.name}"
         self.stats["pods_translated"] += 1
-        self.activity.fire(pod)
+        self.activity.fire()

@@ -7,22 +7,27 @@ process-interaction style (as popularized by SimPy): simulation processes
 are Python generators that ``yield`` events; the :class:`Environment`
 advances virtual time and resumes processes when their events trigger.
 
+A process waits in one of three ways: it yields an :class:`Event` (a
+:class:`Timeout`, a :class:`Resource` request, another
+:class:`Process`); it sleeps (``yield env.sleep(d)``); or it parks on a
+:class:`Signal` until a producer fires it or a deadline passes.  A
+sleep and a park are each one queue record that an interrupt (or, for
+a park, a fire) cancels in place.  A :class:`Bell` runs a scheduler's
+coalescing pass loop on records of its own.
+
 The simulator is deterministic: given the same seed and the same process
 creation order, a simulation produces bit-identical timelines, which the
 benchmark harness relies on for reproducible "shape" comparisons.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+from repro.sim.events import Event, Interrupt, SimulationError, Timeout
 from repro.sim.environment import Environment, Process
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import DeterministicRNG
 from repro.sim.signal import Bell, Signal, next_tick
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Bell",
-    "Container",
     "DeterministicRNG",
     "Environment",
     "Event",
@@ -31,7 +36,6 @@ __all__ = [
     "Resource",
     "Signal",
     "SimulationError",
-    "Store",
     "Timeout",
     "next_tick",
 ]

@@ -56,19 +56,6 @@ ProcessGenerator = _t.Generator[Event, object, object]
 _ALL = float("inf")
 
 
-class _Slept:
-    """What :meth:`Environment.sleep` returns for the process to yield:
-    its resume is already queued."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<sleep>"
-
-
-_SLEPT = _Slept()
-
-
 class _Resume:
     """A queued process resume: cheaper than a carrier Event.
 
@@ -77,7 +64,12 @@ class _Resume:
     :class:`~repro.sim.signal.Bell` that reuses one record for its whole
     life.  It is set to ``None`` to cancel the resume in place (used by
     :meth:`Process.interrupt` so a stale resume cannot fire after the
-    interrupt already restarted the generator).
+    interrupt already restarted the generator, and by
+    :meth:`~repro.sim.signal.Signal.fire` for a park it wakes).
+
+    A process waits on a record by yielding it: :meth:`Environment.sleep`
+    and :meth:`~repro.sim.signal.Signal.park` return the record they
+    queued or registered as the process's pending resume.
     """
 
     __slots__ = ("process", "value", "exception")
@@ -139,17 +131,17 @@ class Environment:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float, value: object = None) -> _Slept:
+    def sleep(self, delay: float, value: object = None) -> _Resume:
         """Resume the active process ``delay`` from now with ``value``.
 
         A yielded ``env.sleep(d)`` runs key for key as a yielded
         ``env.timeout(d)`` does: one ``_Resume`` record is queued under
         the key the timeout would have drawn (the immediate FIFO for a
         zero delay, the heap otherwise) and counted as the timeout's
-        push was, but no Event or callback list is built.  The returned sentinel must
-        be yielded at once.  An interrupt cancels the record in place;
-        it still pops, as an abandoned timeout did.  Use ``timeout`` for
-        an event that is stored, combined or waited on by others.
+        push was, but no Event or callback list is built.  The returned
+        record must be yielded at once.  An interrupt cancels the record
+        in place; it still pops, as an abandoned timeout did.  Use
+        ``timeout`` for an event that is stored or waited on by others.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
@@ -167,7 +159,7 @@ class Environment:
         prof = self._profile
         if prof.enabled:
             self._count_push(prof, immediate)
-        return _SLEPT
+        return resume
 
     def timeout_until(self, when: float, value: object = None) -> Event:
         """An event at the **absolute** virtual time ``when``.
@@ -211,7 +203,9 @@ class Environment:
             if depth > prof.peak_queue_depth:
                 prof.peak_queue_depth = depth
 
-    def _schedule_at(self, event: Event, when: float, priority: int = NORMAL) -> None:
+    def _schedule_at(
+        self, event: "Event | _Resume", when: float, priority: int = NORMAL
+    ) -> None:
         """Schedule ``event`` at the absolute virtual time ``when``."""
         if when == self._now and priority == 1:
             immediate = True
@@ -458,8 +452,8 @@ class Process(Event):
             return
         env._active_process = None
 
-        if target is _SLEPT:
-            return  # sleep() queued the resume (and set _pending_resume)
+        if target.__class__ is _Resume:
+            return  # sleep() or Signal.park() set _pending_resume
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"

@@ -117,65 +117,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
-
-
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
-
-    __slots__ = ("events", "_outstanding")
-
-    def __init__(self, env: "Environment", events: _t.Sequence[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        for ev in self.events:
-            if ev.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        self._outstanding = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            if ev.processed:
-                self._check(ev)
-            elif ev.callbacks is not None:
-                ev.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, object]:
-        # Only *processed* events count: a pre-scheduled Timeout carries its
-        # value from construction, so ``ok`` alone would over-collect.
-        return {ev: ev._value for ev in self.events if ev.processed and ev.ok}
-
-
-class AllOf(_Condition):
-    """Triggers once every constituent event has triggered successfully."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any constituent event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exception is not None:
-            event.defused = True
-            self.fail(event._exception)
-            return
-        self.succeed(self._collect())

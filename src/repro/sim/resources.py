@@ -1,11 +1,6 @@
-"""Shared resources for simulation processes.
-
-- :class:`Resource` — a fixed-capacity resource with a FIFO wait queue
-  (models e.g. a metadata server's request slots or a NIC).
-- :class:`Container` — a continuous-level resource (models e.g. disk
-  space or a download quota).
-- :class:`Store` — a FIFO object store (models e.g. a work queue).
-"""
+"""Shared resources for simulation processes: :class:`Resource`, a
+fixed-capacity resource with a FIFO wait queue (models e.g. a metadata
+server's request slots)."""
 
 from __future__ import annotations
 
@@ -46,27 +41,13 @@ class Resource:
         self.capacity = capacity
         self._users: set[Request] = set()
         self._waiting: collections.deque[Request] = collections.deque()
-        #: total virtual time integrated over queue length — used by
-        #: benchmarks to report average queueing (contention) delay.
-        self._queue_time_integral = 0.0
-        self._last_change = env.now
 
     @property
     def count(self) -> int:
         """Number of slots currently held."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    def _account(self) -> None:
-        now = self.env.now
-        self._queue_time_integral += len(self._waiting) * (now - self._last_change)
-        self._last_change = now
-
     def request(self) -> Request:
-        self._account()
         req = Request(self.env, self)
         if len(self._users) < self.capacity:
             self._users.add(req)
@@ -78,104 +59,8 @@ class Resource:
     def release(self, request: Request) -> None:
         if request not in self._users:
             raise SimulationError("release of a request that does not hold the resource")
-        self._account()
         self._users.discard(request)
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
             nxt.succeed()
-
-    def mean_queue_length(self) -> float:
-        """Time-averaged queue length since environment start."""
-        self._account()
-        elapsed = self.env.now
-        return self._queue_time_integral / elapsed if elapsed > 0 else 0.0
-
-
-class Container:
-    """A continuous-level resource (``get``/``put`` of amounts)."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"), init: float = 0.0):
-        if init < 0 or init > capacity:
-            raise ValueError("init must satisfy 0 <= init <= capacity")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: collections.deque[tuple[float, Event]] = collections.deque()
-        self._putters: collections.deque[tuple[float, Event]] = collections.deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = Event(self.env)
-        self._putters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        ev = Event(self.env)
-        self._getters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, ev = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.popleft()
-                    ev.succeed()
-                    progressed = True
-            if self._getters:
-                amount, ev = self._getters[0]
-                if amount <= self._level:
-                    self._level -= amount
-                    self._getters.popleft()
-                    ev.succeed()
-                    progressed = True
-
-
-class Store:
-    """Unbounded-or-bounded FIFO store of Python objects."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")):
-        self.env = env
-        self.capacity = capacity
-        self.items: collections.deque[object] = collections.deque()
-        self._getters: collections.deque[Event] = collections.deque()
-        self._putters: collections.deque[tuple[object, Event]] = collections.deque()
-
-    def put(self, item: object) -> Event:
-        ev = Event(self.env)
-        self._putters.append((item, ev))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self.items) < self.capacity:
-                item, ev = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed()
-                progressed = True
-            if self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progressed = True

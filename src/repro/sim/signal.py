@@ -10,31 +10,24 @@ go **tickless**: when it observes no pending work it parks, and the
 producers that create work (pod binds, API object writes, job state
 changes) fire the signal to wake it.
 
-Two waiting styles are supported:
+There is one way to wait on a signal, ``park(deadline)``.  It registers
+the *active process* against a slotted ``_Resume`` queue record, the
+kind ``Environment.sleep`` queues: with a deadline (an **absolute**
+virtual time, scheduled exactly, without float re-derivation) the
+record is queued there, with ``None`` it is only registered.  The
+returned record must be yielded at once.  ``fire()`` cancels each live
+registration's record in place and queues the process's resume with
+:data:`Signal.FIRED`, so a signal-woken process resumes in exactly the
+queue slot a hand-rolled wakeup event would have used; a deadline that
+passes first resumes it with ``None``.  An interrupt cancels the record
+in place, through the process's pending resume, and a later fire skips
+it.  A cancelled deadline record still pops at its key.  A fire that
+finds nobody parked is lost.
 
-``wait()``
-    Returns a fresh :class:`~repro.sim.events.Event` that the next
-    :meth:`fire` succeeds through the environment's zero-delay FIFO fast
-    path.  A fire that finds no waiter is lost.
-
-``park(deadline)``
-    Registers the *active process* for a **direct resume**: ``fire()``
-    detaches the process from its pending deadline event and queues a
-    slotted ``_Resume`` record — no carrier event, no extra queue hop —
-    so a signal-woken process resumes in exactly the queue slot a
-    hand-rolled wakeup event would have used.  The returned token must be
-    yielded immediately; it delivers :data:`Signal.FIRED` when the signal
-    woke the process and the deadline event's value (``None``) when the
-    deadline passed first.  ``deadline`` is an **absolute** virtual time
-    (scheduled exactly, without float re-derivation) or ``None`` to park
-    until fired.
-
-``park_callback(callback)``
-    Parks a **callback chain**, a loop that runs on its own queue
-    records instead of a generator (the kubelet's idle heartbeat cycle):
-    the next ``fire()`` calls ``callback()`` once, and the chain queues
-    whatever its wakeup costs, under the keys a parked process would
-    have got.  ``unpark_callback`` drops the registration.
+The kubelet's idle heartbeat chain (``repro.k8s.kubelet``) parks its own
+record, which runs the chain instead of resuming a generator, in the
+same registry against its ``_main`` process: a fire resumes ``_main``
+as it would a parked process.
 
 Tick alignment
 --------------
@@ -69,7 +62,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.sim.environment import Environment, Process, _Resume
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import SimulationError
 
 
 class _Fired:
@@ -114,123 +107,71 @@ def count_skipped_ticks(env: Environment, n: int) -> None:
 
 
 class Signal:
-    """A cancellable, multi-waiter wakeup for tickless control loops."""
+    """A multi-waiter wakeup for tickless control loops."""
 
     #: value delivered to a parked process woken by :meth:`fire`
     FIRED: _t.ClassVar[_Fired] = _Fired()
 
-    __slots__ = ("env", "_waiters", "_parked", "_callbacks")
+    __slots__ = ("env", "_parked")
 
     def __init__(self, env: Environment):
         self.env = env
-        self._waiters: list[Event] = []
-        #: token event -> parked process, for direct resumes
-        self._parked: dict[Event, Process] = {}
-        #: parked callback chains, called by the next fire
-        self._callbacks: list[_t.Callable[[], bool]] = []
+        #: park record -> parked process
+        self._parked: dict[_Resume, Process] = {}
 
     @property
     def waiting(self) -> int:
-        """Number of registered waiters (events, parked processes and
-        parked callbacks)."""
-        return len(self._waiters) + len(self._parked) + len(self._callbacks)
+        """Number of park registrations."""
+        return len(self._parked)
 
-    # -- event-style waiting ------------------------------------------------
-    def wait(self) -> Event:
-        """An event the next :meth:`fire` triggers."""
-        event = Event(self.env)
-        self._waiters.append(event)
-        return event
-
-    def cancel(self, event: Event) -> bool:
-        """Deregister a :meth:`wait` event; returns False if it already
-        fired (or was never a waiter)."""
-        try:
-            self._waiters.remove(event)
-            return True
-        except ValueError:
-            return False
-
-    # -- direct-resume parking ----------------------------------------------
-    def park(self, deadline: float | None = None) -> Event:
+    def park(self, deadline: float | None = None) -> _Resume:
         """Park the active process until :meth:`fire` or ``deadline``.
 
-        The caller **must immediately yield the returned token**.  The
+        The caller **must immediately yield the returned record**.  The
         yield delivers :data:`Signal.FIRED` if the signal woke the
         process and ``None`` if the (absolute virtual time) deadline
-        passed.  Call :meth:`unpark` with the token after waking.
+        passed.  Call :meth:`unpark` with the record after waking.
         """
-        process = self.env.active_process
+        env = self.env
+        process = env._active_process
         if process is None:
             raise SimulationError("park() must be called from a running process")
-        if deadline is None:
-            token = Event(self.env)
-        else:
-            token = self.env.timeout_until(deadline)
-        self._parked[token] = process
-        prof = self.env._profile
+        record = _Resume(process, None, None)
+        if deadline is not None:
+            deadline = float(deadline)
+            if deadline < env._now:
+                raise ValueError(f"until={deadline} is in the past (now={env._now})")
+            env._schedule_at(record, deadline)
+        process._pending_resume = record
+        self._parked[record] = process
+        prof = env._profile
         if prof.enabled:
             prof.parked_processes += 1
-        return token
+        return record
 
-    def unpark(self, token: Event) -> bool:
+    def unpark(self, token: _Resume) -> bool:
         """Drop a park registration (idempotent); call after waking."""
         return self._parked.pop(token, None) is not None
 
-    def park_callback(self, callback: _t.Callable[[], bool]) -> None:
-        """Park a callback chain: the next :meth:`fire` calls
-        ``callback()`` once, which returns whether it woke anything.
-        The chain queues its own records, so a fire costs what it
-        makes the callback queue."""
-        self._callbacks.append(callback)
-        prof = self.env._profile
-        if prof.enabled:
-            prof.parked_processes += 1
-
-    def unpark_callback(self, callback: _t.Callable[[], bool]) -> bool:
-        """Drop a :meth:`park_callback` registration (idempotent)."""
-        try:
-            self._callbacks.remove(callback)
-            return True
-        except ValueError:
-            return False
-
-    # -- producers ----------------------------------------------------------
-    def fire(self, value: object = None) -> int:
-        """Wake every current waiter; returns how many were woken.
-
-        ``wait()`` waiters are succeeded with ``value`` through the
-        zero-delay FIFO; parked processes are resumed directly with
-        :data:`Signal.FIRED`; parked callbacks are called.
-        """
+    def fire(self) -> int:
+        """Resume every parked process with :data:`Signal.FIRED`;
+        returns how many were woken."""
+        if not self._parked:
+            return 0
+        parked, self._parked = self._parked, {}
+        env = self.env
         woken = 0
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for event in waiters:
-                if not event.triggered:
-                    event.succeed(value)
-                    woken += 1
-        if self._parked:
-            parked, self._parked = self._parked, {}
-            env = self.env
-            for token, process in parked.items():
-                # Stale registrations (deadline already fired, process
-                # interrupted away) no longer target their token.
-                if process._target is not token or token.callbacks is None:
-                    continue
-                try:
-                    token.callbacks.remove(process._resume)
-                except ValueError:
-                    continue
-                process._pending_resume = env._schedule_resume(process, Signal.FIRED, None)
-                woken += 1
-        if self._callbacks:
-            callbacks, self._callbacks = self._callbacks, []
-            for callback in callbacks:
-                if callback():
-                    woken += 1
+        for record, process in parked.items():
+            # A registration is stale once its record is no longer the
+            # process's pending resume: the deadline passed, the process
+            # moved on, or an interrupt cancelled the record.
+            if process._pending_resume is not record:
+                continue
+            record.process = None  # type: ignore[assignment]
+            process._pending_resume = env._schedule_resume(process, Signal.FIRED, None)
+            woken += 1
         if woken:
-            prof = self.env._profile
+            prof = env._profile
             if prof.enabled:
                 prof.wakeups_fired += woken
         return woken

@@ -90,7 +90,7 @@ class SlurmController:
         self._jobs[job.job_id] = job
         self.queue.append(job)
         self._bell.ring()
-        self.job_state.fire(job)
+        self.job_state.fire()
         return job
 
     def cancel(self, job: Job) -> None:
@@ -103,7 +103,7 @@ class SlurmController:
         if job.state is JobState.PENDING:
             self.queue.remove(job)
             job.set_state(JobState.CANCELLED, self.env.now)
-            self.job_state.fire(job)
+            self.job_state.fire()
         elif job.state is JobState.RUNNING:
             proc = getattr(job, "_sim_process", None)
             if proc is not None and proc.is_alive:
@@ -204,7 +204,7 @@ class SlurmController:
         if spec.on_start is not None:
             for node in placement:
                 spec.on_start(node, job, job.node_procs[node.name])
-        self.job_state.fire(job)
+        self.job_state.fire()
 
         # Payload.
         final_state = JobState.COMPLETED
@@ -258,7 +258,7 @@ class SlurmController:
             job.set_state(JobState.PENDING, self.env.now)
             self.queue.append(job)
             self._bell.ring()
-            self.job_state.fire(job)
+            self.job_state.fire()
             return
 
         # Teardown.
@@ -279,7 +279,7 @@ class SlurmController:
         if spec.on_end is not None:
             spec.on_end(job)
         self._bell.ring()
-        self.job_state.fire(job)
+        self.job_state.fire()
 
     # ------------------------------------------------------------- job steps
     def srun(self, job: Job, argv: tuple[str, ...], options: dict[str, str] | None = None) -> JobStep:

@@ -13,9 +13,11 @@ that never fires, pods wait in the inbox for the tick, where the chain
 hands them to ``_main``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.k8s import APIServer, K8sScheduler, Kubelet, PodPhase
+from repro.run import ObsConfig, observing
 from repro.scenarios import KubeletInAllocationScenario
 from repro.sim import Environment, Signal, next_tick
 from repro.world import WorldState
@@ -56,7 +58,7 @@ class _DeafSignal(Signal):
     """A wakeup whose fires are lost: pods routed to the inbox wait for
     the next tick, so the idle chain meets them there."""
 
-    def fire(self, value=None):
+    def fire(self):
         return 0
 
 
@@ -186,6 +188,67 @@ def test_fire_after_stop_wakes_nothing():
     assert pod.phase is PodPhase.PENDING
 
 
+def _race_a_pod_against_the_interrupt(kubelet_cls, halt):
+    """Two kubelets, ``a`` started at 0 and ``b`` at 1.  In the middle
+    of ``b``'s first heartbeat RPC, ``a`` is parked for its next tick.
+    There both are halted (``stop`` or ``crash``) and a pod bound to
+    each lands, before either Interrupt is delivered."""
+    WorldState.pristine().install()
+    with observing(ObsConfig()) as run:
+        env = Environment()
+        api = APIServer()
+        api.request_latency = RPC
+        kubelets = [
+            kubelet_cls(env, api, name, make_cri(make_registry(), name)[0])
+            for name in ("a", "b")
+        ]
+        # b registers at 1 + startup + RPC; its first heartbeat tick
+        # comes 10 s later, and a is parked from a's tick + RPC
+        race = _targets(1.0 + Kubelet.startup_cost + RPC)["rpc"]
+        pods = []
+
+        def race_them(env):
+            kubelets[0].start()
+            yield env.timeout(1.0)
+            kubelets[1].start()
+            yield env.timeout_until(race)
+            parked = [kubelet._wakeup.waiting for kubelet in kubelets]
+            for kubelet in kubelets:
+                getattr(kubelet, halt)()
+            for kubelet in kubelets:
+                pod = make_pod(f"late-{kubelet.node_name}")
+                pod.node_name = kubelet.node_name
+                pods.append(pod)
+                api.create("Pod", pod)  # the watch still routes it here
+            return parked
+
+        parked = env.run(until=env.process(race_them(env)))
+        env.run(until=END)
+        counters = run.counters.snapshot()
+    return {
+        "parked": parked,
+        "counters": {
+            name: counters[name]
+            for name in ("wakeups_fired", "direct_resumes", "events_processed")
+        },
+        "waiting": [kubelet._wakeup.waiting for kubelet in kubelets],
+        "alive": [kubelet._proc.is_alive for kubelet in kubelets],
+        "pods": [pod.phase for pod in pods],
+    }
+
+
+@pytest.mark.parametrize("halt", ["stop", "crash"])
+def test_pod_landing_between_halt_and_interrupt_wakes_nothing(halt):
+    got = _race_a_pod_against_the_interrupt(Kubelet, halt)
+    want = _race_a_pod_against_the_interrupt(ReferenceKubelet, halt)
+    assert got == want
+    assert got["parked"] == [1, 0]  # a parked, b's heartbeat RPC in flight
+    assert got["counters"]["wakeups_fired"] == 0
+    assert got["waiting"] == [0, 0]
+    assert got["alive"] == [False, False]
+    assert got["pods"] == [PodPhase.PENDING, PodPhase.PENDING]
+
+
 def test_park_sums_its_ticks_across_a_power_of_two():
     """The tick a park waits for is summed one interval at a time, as
     the polling loop's wake times were.  Just below 4096 the sum of 20
@@ -195,6 +258,7 @@ def test_park_sums_its_ticks_across_a_power_of_two():
     epoch = 4091.822505609353
     env = Environment(initial_time=epoch)
     kubelet = Kubelet(env, APIServer(), "knode", cri=None)
+    kubelet.start()  # the chain parks against its _main process
     kubelet._last_heartbeat = epoch
     kubelet._park(epoch)
     ((when, _priority, _seq, record),) = env._queue

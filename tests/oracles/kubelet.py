@@ -9,6 +9,8 @@ from repro.run import run
 from repro.sim import Interrupt, Signal
 from repro.sim.signal import count_skipped_ticks, next_tick
 
+from tests.oracles.signal import ReferenceSignal
+
 
 class _UnkeyedWatch:
     """The apiserver, except that ``watch`` drops its ``key``: the
@@ -35,7 +37,7 @@ class StoreScanKubelet(Kubelet):
 
     def _on_pod_watch(self, event) -> None:
         if self._wants_pod_event(event):
-            self._wakeup.fire(event)
+            self._wakeup.fire()
 
     def _mine(self, pod) -> bool:
         return (
@@ -63,11 +65,15 @@ class StoreScanKubelet(Kubelet):
 
 class ReferenceKubelet(Kubelet):
     """Runs its idle loop in the ``_main`` generator: each idle cycle
-    parks the process on a :meth:`Signal.park` token, resumes it at the
-    tick, yields an RPC ``Timeout`` for the heartbeat and writes the
+    parks the process on a :class:`ReferenceSignal` token, resumes it at
+    the tick, yields an RPC ``Timeout`` for the heartbeat and writes the
     Node from the generator.  ``Kubelet`` runs that cycle as a callback
     chain under the same queue keys.  Its sleeps are ``Timeout`` events,
     the keys ``Environment.sleep`` is held to."""
+
+    def __init__(self, env, *args, **kwargs):
+        super().__init__(env, *args, **kwargs)
+        self._wakeup = ReferenceSignal(env)
 
     def _rpc(self):
         return self.env.timeout(self._rpc_cost())

@@ -4,7 +4,7 @@ composite conditions."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import Environment, Interrupt
 
 
 # -- falsy-but-not-None event values ------------------------------------------
@@ -179,38 +179,6 @@ def test_multiple_interrupts_same_time():
     env.process(interrupter(env, victim))
     env.run()
     assert causes == ["first", "second"]
-
-
-# -- empty composite conditions -----------------------------------------------
-
-def test_empty_allof_succeeds_immediately_with_empty_dict():
-    env = Environment()
-    cond = AllOf(env, [])
-    assert cond.triggered
-    results = []
-
-    def proc(env, cond):
-        got = yield cond
-        results.append((env.now, got))
-
-    env.process(proc(env, cond))
-    env.run()
-    assert results == [(0.0, {})]
-
-
-def test_empty_anyof_succeeds_immediately_with_empty_dict():
-    env = Environment()
-    cond = AnyOf(env, [])
-    assert cond.triggered
-    results = []
-
-    def proc(env, cond):
-        got = yield cond
-        results.append((env.now, got))
-
-    env.process(proc(env, cond))
-    env.run()
-    assert results == [(0.0, {})]
 
 
 def test_interrupt_detaches_from_waited_event():

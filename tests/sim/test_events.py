@@ -1,81 +1,8 @@
-"""Tests for composite events (AllOf/AnyOf) and event state machine."""
+"""Tests for the event state machine."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, SimulationError
-
-
-def test_allof_waits_for_all():
-    env = Environment()
-    t1, t2, t3 = env.timeout(1, "a"), env.timeout(5, "b"), env.timeout(3, "c")
-    done = []
-
-    def proc(env):
-        results = yield AllOf(env, [t1, t2, t3])
-        done.append((env.now, sorted(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert done == [(5.0, ["a", "b", "c"])]
-
-
-def test_anyof_fires_on_first():
-    env = Environment()
-    t1, t2 = env.timeout(4, "slow"), env.timeout(2, "fast")
-    done = []
-
-    def proc(env):
-        results = yield AnyOf(env, [t1, t2])
-        done.append((env.now, list(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert done == [(2.0, ["fast"])]
-
-
-def test_allof_empty_triggers_immediately():
-    env = Environment()
-    cond = AllOf(env, [])
-    assert cond.triggered
-
-
-def test_allof_propagates_failure():
-    env = Environment()
-    good = env.timeout(1)
-    bad = env.event()
-    caught = []
-
-    def proc(env):
-        try:
-            yield AllOf(env, [good, bad])
-        except KeyError as exc:
-            caught.append(env.now)
-
-    env.process(proc(env))
-
-    def failer(env):
-        yield env.timeout(0.5)
-        bad.fail(KeyError("broken"))
-
-    env.process(failer(env))
-    env.run()
-    assert caught == [0.5]
-
-
-def test_allof_with_already_processed_events():
-    env = Environment()
-    t1 = env.timeout(1, "x")
-    env.run(until=2)
-    t2 = env.timeout(1, "y")
-    done = []
-
-    def proc(env):
-        results = yield AllOf(env, [t1, t2])
-        done.append(len(results))
-
-    env.process(proc(env))
-    env.run()
-    assert done == [2]
+from repro.sim import Environment, SimulationError
 
 
 def test_value_before_trigger_raises():
@@ -95,5 +22,10 @@ def test_fail_requires_exception_instance():
 def test_cross_environment_events_rejected():
     env1, env2 = Environment(), Environment()
     t = env2.timeout(1)
-    with pytest.raises(SimulationError):
-        AllOf(env1, [t])
+
+    def proc(env):
+        yield t
+
+    env1.process(proc(env1))
+    with pytest.raises(SimulationError, match="different environment"):
+        env1.run()

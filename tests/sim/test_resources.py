@@ -1,8 +1,8 @@
-"""Tests for Resource, Container, and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, SimulationError, Store
+from repro.sim import Environment, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity():
@@ -56,116 +56,3 @@ def test_resource_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-def test_resource_mean_queue_length_under_contention():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker(env, res):
-        req = res.request()
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-
-    for _ in range(3):
-        env.process(worker(env, res))
-    env.run()
-    # Queue holds 2 waiters for 10s, 1 waiter for 10s, 0 for 10s = 30
-    # waiter-seconds over 30s -> mean 1.0.
-    assert res.mean_queue_length() == pytest.approx(1.0)
-
-
-def test_container_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    tank.put(25)
-    assert tank.level == 75
-    tank.get(70)
-    assert tank.level == 5
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    tank = Container(env, capacity=10, init=0)
-    log = []
-
-    def consumer(env, tank):
-        yield tank.get(5)
-        log.append(env.now)
-
-    def producer(env, tank):
-        yield env.timeout(3)
-        tank.put(5)
-
-    env.process(consumer(env, tank))
-    env.process(producer(env, tank))
-    env.run()
-    assert log == [3.0]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer(env, tank):
-        yield tank.put(5)
-        log.append(env.now)
-
-    def consumer(env, tank):
-        yield env.timeout(2)
-        tank.get(5)
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert log == [2.0]
-
-
-def test_container_init_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=10)
-
-
-def test_store_fifo():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    def producer(env, store):
-        for i in range(3):
-            yield env.timeout(1)
-            store.put(i)
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_bounded_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer(env, store):
-        yield store.put("a")
-        log.append(("a", env.now))
-        yield store.put("b")
-        log.append(("b", env.now))
-
-    def consumer(env, store):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert log == [("a", 0.0), ("b", 5.0)]

@@ -18,7 +18,7 @@ from repro.sim.events import SimulationError
 from tests.oracles.k8s import ReferenceBell
 
 
-# -- wait(): event-style waiters ----------------------------------------------
+# -- fan-out and lost fires ----------------------------------------------------
 
 def test_fire_wakes_multiple_waiters_in_order():
     env = Environment()
@@ -26,13 +26,15 @@ def test_fire_wakes_multiple_waiters_in_order():
     log = []
 
     def waiter(env, tag):
-        got = yield sig.wait()
-        log.append((tag, got, env.now))
+        token = sig.park()
+        got = yield token
+        sig.unpark(token)
+        log.append((tag, got is Signal.FIRED, env.now))
 
     def producer(env):
         yield env.timeout(3)
         assert sig.waiting == 3
-        woken = sig.fire("go")
+        woken = sig.fire()
         assert woken == 3
 
     for tag in ("a", "b", "c"):
@@ -40,17 +42,18 @@ def test_fire_wakes_multiple_waiters_in_order():
     env.process(producer(env))
     env.run()
     # all three wake at the fire time, in registration order
-    assert log == [("a", "go", 3.0), ("b", "go", 3.0), ("c", "go", 3.0)]
+    assert log == [("a", True, 3.0), ("b", True, 3.0), ("c", True, 3.0)]
 
 
 def test_fire_with_no_waiters_is_lost_without_latch():
     env = Environment()
     sig = Signal(env)
-    assert sig.fire("nobody-home") == 0
+    assert sig.fire() == 0
     log = []
 
     def late_waiter(env):
-        got = yield sig.wait()
+        token = sig.park()
+        got = yield token
         log.append(got)
 
     env.process(late_waiter(env))
@@ -472,18 +475,6 @@ def test_bell_with_idle_skips_only_empty_passes(latency, early_rings, script, pa
     got = _drive_bell(Bell, latency, early_rings, script, pass_rings, idle=True)
     want = _drive_bell(ReferenceBell, latency, early_rings, script, pass_rings, idle=True)
     assert_skips_only_empty_passes(got, want)
-
-
-def test_cancel_deregisters_waiter():
-    env = Environment()
-    sig = Signal(env)
-    event = sig.wait()
-    assert sig.waiting == 1
-    assert sig.cancel(event) is True
-    assert sig.waiting == 0
-    assert sig.cancel(event) is False  # idempotent
-    sig.fire()
-    assert not event.triggered
 
 
 # -- park(): direct-resume waiting --------------------------------------------
