@@ -33,7 +33,7 @@ of any node.  A failed alloc of ``req`` proves every node has less, so
 the bound drops to ``req - 1``; a release raises it to the released
 node's new level, a restore to ``cap``; allocs and removals only lower
 free capacity, so they leave it a valid bound.  A request above the
-bound is refused in O(1) without touching a bucket.
+bound (``max_free``, public so callers may test it first) is refused in O(1).
 
 ``tests/oracles/capacity.py`` keeps an O(nodes) linear scan with the
 identical policy; property tests hold every placement decision of the
@@ -48,7 +48,7 @@ from heapq import heappop, heappush
 class CapacityIndex:
     """Bucketed lazy-deletion best-fit index over per-node free cores."""
 
-    __slots__ = ("free", "cap", "_buckets", "down", "_max_free")
+    __slots__ = ("free", "cap", "_buckets", "down", "max_free")
 
     def __init__(self, n_nodes: int, node_cpus: int):
         self.cap = int(node_cpus)
@@ -60,13 +60,13 @@ class CapacityIndex:
         self._buckets[self.cap].extend(range(int(n_nodes)))
         #: node ids currently crashed (zero free capacity, never picked)
         self.down: set[int] = set()
-        #: no node has more free cores than this (see the module notes)
-        self._max_free = self.cap
+        #: upper bound on any node's free cores: ``alloc(req > max_free)`` is None
+        self.max_free = self.cap
 
     def alloc(self, req: int) -> int | None:
         """Claim ``req`` cores on the best-fitting node (lowest id on
         ties); returns the node id, or None when nothing fits."""
-        if req > self._max_free:
+        if req > self.max_free:
             return None
         free = self.free
         buckets = self._buckets
@@ -83,15 +83,15 @@ class CapacityIndex:
                 if remaining:
                     heappush(buckets[remaining], node)
                 return node
-        self._max_free = req - 1
+        self.max_free = req - 1
         return None
 
     def release(self, node: int, req: int) -> None:
         remaining = self.free[node] + req
         self.free[node] = remaining
         heappush(self._buckets[remaining], node)
-        if remaining > self._max_free:
-            self._max_free = remaining
+        if remaining > self.max_free:
+            self.max_free = remaining
 
     def remove_node(self, node: int) -> int:
         """Crash ``node``: setting its free capacity to zero invalidates
@@ -112,7 +112,7 @@ class CapacityIndex:
         self.down.discard(node)
         self.free[node] = self.cap
         heappush(self._buckets[self.cap], node)
-        self._max_free = self.cap
+        self.max_free = self.cap
 
     @property
     def total_free(self) -> int:

@@ -304,8 +304,8 @@ class OCIDistributionRegistry:
         such pair and memoized (the memo is checked after the auth, rate
         and fault checks, which stay per call, and is forgotten once a
         blob leaves the store).  A memoized pull does not read the blob
-        store again; the slow-blob factor, ``stats``, the
-        ``registry.pull`` span and the metrics are still per call.
+        store again; the slow-blob factor and :meth:`note_pull` (``stats``,
+        the ``registry.pull`` span and the metrics) are still per call.
         """
         self._authorize(token, "pull")
         self._rate_check(ip, now)
@@ -348,6 +348,15 @@ class OCIDistributionRegistry:
             price = self._prices[digest, have] = (cost, transferred, layers)
         cost, transferred, layers = price
         cost *= slow_factor
+        self.note_pull(repository, tag, cost, transferred)
+        image = self._pull_cache.get(digest)
+        if image is None:
+            image = self._pull_cache[digest] = OCIImage(config, layers)
+        return image, cost
+
+    def note_pull(self, repository: str, tag: str, cost: float, transferred: int) -> None:
+        """Account one served pull (``stats``, span, metrics): the tail of
+        :meth:`pull_image`, for callers that already know its price."""
         self.stats["pulls"] += 1
         if run.tracer.enabled:
             run.tracer.complete(
@@ -361,10 +370,6 @@ class OCIDistributionRegistry:
             run.metrics.inc("registry.pulls", registry=self.name)
             run.metrics.inc("registry.bytes", transferred, registry=self.name, op="pull")
             run.metrics.observe("registry.pull_seconds", cost, registry=self.name)
-        image = self._pull_cache.get(digest)
-        if image is None:
-            image = self._pull_cache[digest] = OCIImage(config, layers)
-        return image, cost
 
     def delete_tag(self, repository: str, tag: str, token: str | None = None) -> None:
         self._authorize(token, "push")

@@ -53,14 +53,15 @@ therefore
   (bucketed best-fit, O(log nodes)) instead of a linear scan;
 - pays the registry once per cold-pull shape: a pull's price depends
   only on the image and which of its layers the node already holds, so
-  while nothing can observe a single pull (checked once per shard, see
-  :meth:`FleetShardEngine._pull_table`) the first pull of each shape is
-  priced through ``_cold_pull`` and the real
+  outside the plan's registry fault windows the first pull of each
+  shape is priced through ``_cold_pull`` and the real
   :meth:`~repro.registry.distribution.OCIDistributionRegistry.pull_image`
-  and every later one is a lookup in the shard's pull table; armed or
-  observed runs price every cold pull through ``_cold_pull``.  One
-  accounting step follows either way (node layers, the tenant's
-  ``cold_pulls``/``pulled_bytes``, the cold-pull metric);
+  and every later one is a lookup in the shard's pull table (see
+  :meth:`FleetShardEngine._pull_table`); a pull inside a window goes
+  through ``_cold_pull`` alone.  One accounting step follows either way
+  (node layers, the tenant's ``cold_pulls``/``pulled_bytes``, the
+  cold-pull metric); a request above the index's free-core bound
+  (``max_free``) queues without probing the index;
 - streams per-tenant results into :class:`TenantStats` accumulators and
   fixed-bucket histograms;
 - feeds labeled metrics through interned series keys
@@ -76,8 +77,8 @@ chaos.
 **Chaos.**  A :class:`~repro.faults.plan.FaultPlan` can be delivered
 into a fleet run (``python -m repro fleet --chaos`` / ``--faults``).
 Pull-style registry windows (429, timeout, slow-blob) are polled by the
-real pull path the engine already uses — cold pulls retry with
-jitter-free backoff and charge :class:`TenantStats.failed` when the
+real pull path: a cold pull placed inside one retries with jitter-free
+backoff and charges :class:`TenantStats.failed` when the
 :class:`~repro.faults.retry.RetryPolicy` gives up.  Push-style
 ``NODE_CRASH`` events target synthetic ``fleet-node-NNNNN`` ids (see
 :func:`fleet_node_name`): the engine merges the plan's crash/restore
@@ -88,9 +89,9 @@ holds under chaos too).  A crash kills every slot on the node (their starts
 requeue through placement, the capacity ledger forgets the node), a
 restore returns the node fully free; slots are generation-counted so a
 killed slot's stale completion is skipped wherever it surfaces.  Only
-armed runs keep each slot's node, trace index and occupancy for the
-crash scan; disarmed runs pay one integer compare per epoch and per
-merge step.
+runs with crash edges keep each slot's node (-1 once free) and trace
+index for the crash scan; the others pay one integer compare per epoch
+and per merge step.
 """
 
 from __future__ import annotations
@@ -133,6 +134,17 @@ WAIT_BUCKETS: tuple[float, ...] = (0.0, 1.0, 5.0, 15.0, 60.0, 300.0)
 #: many tenants — smoke-scale runs get full tenant detail, the 2000-tenant
 #: flagship keeps its per-tick sampling cost at O(shard aggregates)
 TENANT_SERIES_MAX = 16
+
+#: one sampler tick's shard series, in order (the last three are per-tick
+#: deltas: probe-recorded series get no automatic ``.rate``), then per tenant
+_SHARD_SERIES = (
+    "fleet.pending", "fleet.live", "fleet.starts_total", "fleet.cold_pulls_total",
+    "fleet.warm_rate", "fleet.pulled_bytes_total", "fleet.wait_mean",
+    "fleet.wait_max", "fleet.quota_used", "fleet.failed_total", "fleet.nodes_down",
+    "fleet.requeues", "fleet.failures", "fleet.retries",
+)
+_TENANT_SERIES = ("fleet.tenant.starts", "fleet.tenant.cold_pulls",
+                  "fleet.tenant.warm_rate", "fleet.tenant.wait_mean")
 
 
 def _latest_first(record: tuple) -> tuple:
@@ -656,11 +668,10 @@ class FleetShardEngine:
         #: completion records carry the old generation and are skipped
         self._slot_gen: list[int] = []
         self._free_slots: list[int] = []
-        #: node, trace index and occupancy per slot, kept only while armed
-        #: (the crash kill-scan and its requeues read them)
+        #: node (-1 once the slot is free) and trace index per slot, kept
+        #: only while armed (the crash kill-scan and its requeues read them)
         self._slot_node: list[int] = []
         self._slot_k: list[int] = []
-        self._slot_live: list[bool] = []
         # -- completion calendar (per-epoch buckets of completion records
         # ``(end, seq, slot, gen, node, req, tenant, busy)``) ---------------
         self._calendar: dict[int, list[tuple]] = {}
@@ -672,7 +683,13 @@ class FleetShardEngine:
         self._live = 0
         # -- chaos: the plan's crash/restore edges as a third merge stream --
         self._fault_edges = self._index_plan(plan)
-        #: crash bookkeeping (slot node/k/live writes, generation reads)
+        #: the plan's ``registry.pull`` windows on this shard's registry: a
+        #: cold pull placed inside one goes through the registry on its own
+        self._pull_windows = [
+            e for e in (plan or ())
+            if e.point == "registry.pull" and e.matches(self.registry.name)
+        ]
+        #: crash bookkeeping (slot node/k writes, generation reads)
         #: is skipped wholesale on the disarmed hot path — with no crash
         #: edges every generation stays 0, so the records are identical
         self._armed = bool(self._fault_edges)
@@ -695,7 +712,14 @@ class FleetShardEngine:
         self.result.demand_bytes = int(
             np.asarray(self.catalog.compressed_sizes)[self._image_arr].sum()
         ) if self.n_starts else 0
-        self._rec = run.recorder
+        self._rec = rec = run.recorder
+        #: the sampled series keys, interned once: per shard, then per tenant
+        tenants = self.tenant_ids if len(self.tenant_ids) <= TENANT_SERIES_MAX else []
+        self._sample_keys = (
+            [rec.series_key(name, shard=str(shard)) for name in _SHARD_SERIES],
+            [[rec.series_key(name, tenant=f"t{gid:05}") for name in _TENANT_SERIES]
+             for gid in tenants],
+        )
         self._metric_keys = None
         if run.metrics.enabled:
             reg = run.metrics
@@ -791,15 +815,14 @@ class FleetShardEngine:
         if node in index.down:
             return  # overlapping crash windows: first one owns the node
         slot_node = self._slot_node
-        slot_live = self._slot_live
         slot_gen = self._slot_gen
         slot_k = self._slot_k
         free_slots = self._free_slots
         pending = self._pending
         killed = 0
-        for slot in range(len(slot_node)):
-            if slot_live[slot] and slot_node[slot] == node:
-                slot_live[slot] = False
+        for slot, on in enumerate(slot_node):
+            if on == node:
+                slot_node[slot] = -1
                 slot_gen[slot] += 1
                 free_slots.append(slot)
                 pending.append((slot_k[slot], t))
@@ -899,13 +922,16 @@ class FleetShardEngine:
         digests, node_images, stats = self.catalog.digests, self.node_images, self.stats
         layer_digests, node_layers = self.catalog.layer_digests, self.node_layers
         warm_start_s, cold_pull = self._warm_start_s, self._cold_pull
-        pull_table, registry_stats = self._pull_table(), self.registry.stats
-        alloc, release = self.index.alloc, self.index.release
+        index, registry, repos = self.index, self.registry, self._repos
+        pull_table, windows = self._pull_table(), self._pull_windows
+        registry_stats = registry.stats
+        note_pull = registry.note_pull if run.tracer.enabled or run.metrics.enabled else None
+        alloc, release = index.alloc, index.release
         calendar, cal_heap, pending = self._calendar, self._cal_heap, self._pending
         edges = self._fault_edges
         ne = len(edges)
         armed, slot_gen, free_slots = self._armed, self._slot_gen, self._free_slots
-        slot_node, slot_k, slot_live = self._slot_node, self._slot_k, self._slot_live
+        slot_node, slot_k = self._slot_node, self._slot_k
         hist = self._wait_hist
         metric_keys, inc_series = self._metric_keys, run.metrics.inc_series
         prof = run.counters
@@ -943,9 +969,7 @@ class FleetShardEngine:
                 bucket.sort(reverse=True)
             self._bucket = bucket
             # arrivals that fall inside this epoch
-            j = i
-            while j < n and times[j] < boundary:
-                j += 1
+            j = bisect_left(times, boundary, i)
             k = i
             while True:
                 if (e < ne and edges[e][0] < boundary
@@ -967,7 +991,7 @@ class FleetShardEngine:
                     if armed:
                         if slot_gen[slot] != gen:
                             continue  # slot killed by a crash; counted there
-                        slot_live[slot] = False
+                        slot_node[slot] = -1
                     release(node, req)
                     st = stats[tloc]
                     st.completions += 1
@@ -982,7 +1006,8 @@ class FleetShardEngine:
                     k += 1
                     arrival_t = place_t = times[kk]
                     req = cpus[kk]
-                    node = alloc(req)
+                    # a request above the free-core bound cannot place
+                    node = alloc(req) if req <= index.max_free else None
                     if node is None:
                         pending.append((kk, arrival_t))
                         if len(pending) > pending_peak:
@@ -999,7 +1024,7 @@ class FleetShardEngine:
                             break
                         kk, arrival_t = pending[0]
                         req = cpus[kk]
-                        node = alloc(req)
+                        node = alloc(req) if req <= index.max_free else None
                         if node is None:
                             break
                         pending.popleft()
@@ -1014,26 +1039,30 @@ class FleetShardEngine:
                     else:
                         held = node_layers[node]
                         layers = layer_digests[img]
-                        if pull_table is None:
+                        have = 0
+                        for layer in layers:
+                            have = have + have + (layer in held)
+                        # a pull in a registry window is priced alone, never tabled
+                        known = pull_table[img]
+                        for window in windows:
+                            if window.active_at(place_t):
+                                known = {}
+                                break
+                        price = known.get(have)
+                        if price is None:
                             try:
-                                startup, missing = cold_pull(tloc, img, node, place_t)
+                                price = known[have] = cold_pull(tloc, img, node, place_t)
                             except RetryExhausted:
                                 release(node, req)
                                 st.failed += 1
                                 if drain:
                                     continue
                                 break
+                        elif note_pull is None:
+                            registry_stats["pulls"] += 1
                         else:
-                            known = pull_table[img]
-                            have = 0
-                            for layer in layers:
-                                have = have + have + (layer in held)
-                            price = known.get(have)
-                            if price is None:
-                                price = known[have] = cold_pull(tloc, img, node, place_t)
-                            else:
-                                registry_stats["pulls"] += 1
-                            startup, missing = price
+                            note_pull(repos[tloc][img], "v1", price[2], price[1])
+                        startup, missing, _cost = price
                         held.update(layers)
                         st.cold_pulls += 1
                         st.pulled_bytes += missing
@@ -1047,14 +1076,12 @@ class FleetShardEngine:
                         if armed:
                             slot_node[slot] = node
                             slot_k[slot] = kk
-                            slot_live[slot] = True
                     else:
                         slot = len(slot_gen)
                         slot_gen.append(0)
                         if armed:
                             slot_node.append(node)
                             slot_k.append(kk)
-                            slot_live.append(True)
                     live += 1
                     if live > live_peak:
                         live_peak = live
@@ -1107,97 +1134,64 @@ class FleetShardEngine:
         The fleet pump is its own clock — one simulator event per epoch —
         so instead of a sampler process it ticks the recorder directly
         whenever an epoch crosses the sampling grid.  Costs one predicate
-        and one float compare per epoch while sampling is off.
+        and one float compare per epoch while sampling is off.  The
+        tenant aggregates fold in one pass, in tenant order.
         """
         reg = run.metrics
         t = rec.sample(self.env.now, reg if reg.enabled else None)
-        shard = str(self.shard)
+        shard_keys, tenant_keys = self._sample_keys
         stats = self.stats
-        starts = sum(s.starts for s in stats)
-        cold = sum(s.cold_pulls for s in stats)
-        wait_sum = sum(s.wait_sum for s in stats)
-        rec.record("fleet.pending", t, len(self._pending), shard=shard)
-        rec.record("fleet.live", t, self._live, shard=shard)
-        rec.record("fleet.starts_total", t, starts, shard=shard)
-        rec.record("fleet.cold_pulls_total", t, cold, shard=shard)
-        rec.record(
-            "fleet.warm_rate", t,
-            (self._warm_starts / starts) if starts else 0.0, shard=shard,
-        )
-        rec.record(
-            "fleet.pulled_bytes_total", t,
-            sum(s.pulled_bytes for s in stats), shard=shard,
-        )
-        rec.record(
-            "fleet.wait_mean", t, (wait_sum / starts) if starts else 0.0,
-            shard=shard,
-        )
-        rec.record(
-            "fleet.wait_max", t,
-            max((s.wait_max for s in stats), default=0.0), shard=shard,
-        )
-        rec.record("fleet.quota_used", t, self._quota_total, shard=shard)
-        # chaos-facing series: absolute gauges plus per-tick deltas (the
-        # SLO rules threshold the deltas — probe-recorded series get no
-        # automatic .rate derivation)
-        failed = sum(s.failed for s in stats)
-        rec.record("fleet.failed_total", t, failed, shard=shard)
-        rec.record("fleet.nodes_down", t, len(self.index.down), shard=shard)
-        rec.record(
-            "fleet.requeues", t, self._requeues - self._last_requeues,
-            shard=shard,
+        starts = cold = pulled = failed = 0
+        wait_sum = wait_max = 0.0
+        for st in stats:
+            starts += st.starts
+            cold += st.cold_pulls
+            pulled += st.pulled_bytes
+            failed += st.failed
+            wait_sum += st.wait_sum
+            if st.wait_max > wait_max:
+                wait_max = st.wait_max
+        retries = self.result.retry_attempts
+        values = (
+            len(self._pending), self._live, starts, cold,
+            (self._warm_starts / starts) if starts else 0.0, pulled,
+            (wait_sum / starts) if starts else 0.0, wait_max, self._quota_total,
+            failed, len(self.index.down), self._requeues - self._last_requeues,
+            failed - self._last_failed, retries - self._last_retries,
         )
         self._last_requeues = self._requeues
-        rec.record("fleet.failures", t, failed - self._last_failed, shard=shard)
         self._last_failed = failed
-        retries = self.result.retry_attempts
-        rec.record(
-            "fleet.retries", t, retries - self._last_retries, shard=shard
-        )
         self._last_retries = retries
-        if len(self.tenant_ids) <= TENANT_SERIES_MAX:
-            for gid, st in zip(self.tenant_ids, stats):
-                tenant = f"t{gid:05}"
-                rec.record("fleet.tenant.starts", t, st.starts, tenant=tenant)
-                rec.record("fleet.tenant.cold_pulls", t, st.cold_pulls, tenant=tenant)
-                rec.record(
-                    "fleet.tenant.warm_rate", t,
-                    ((st.starts - st.cold_pulls) / st.starts) if st.starts else 0.0,
-                    tenant=tenant,
-                )
-                rec.record(
-                    "fleet.tenant.wait_mean", t,
-                    (st.wait_sum / st.starts) if st.starts else 0.0,
-                    tenant=tenant,
-                )
+        record = rec.record_series
+        for key, value in zip(shard_keys, values):
+            record(key, t, value)
+        for (k_starts, k_cold, k_warm, k_wait), st in zip(tenant_keys, stats):
+            n = st.starts
+            record(k_starts, t, n)
+            record(k_cold, t, st.cold_pulls)
+            record(k_warm, t, ((n - st.cold_pulls) / n) if n else 0.0)
+            record(k_wait, t, (st.wait_sum / n) if n else 0.0)
 
-    def _pull_table(self) -> list[dict[int, tuple[float, int]]] | None:
-        """The shard's disarmed pull table, or None when single pulls
-        are observable.
+    def _pull_table(self) -> list[dict[int, tuple[float, int, float]]]:
+        """The shard's pull table: per catalog image, a dict from the
+        node's layer-presence bits to the pull's ``(startup seconds,
+        transferred bytes, registry price)``.
 
-        A cold pull's price is a pure function of the image and of which
-        of its layers the node already holds: the registry's content-
-        addressed blobs never leave the store during a run, and with the
-        injector disarmed no fault window can raise or slow a pull.  So
-        while neither the injector, the tracer nor the metrics registry
-        would see an individual pull, and the registry has no auth or
-        rate limiter, the pump prices each (image, layer-presence bits)
-        pair once through :meth:`_cold_pull` and answers every later
-        such pull from this table: one dict per catalog image, keyed by
-        the bits, holding ``(startup seconds, transferred bytes)``.  A
-        table answer still counts in the registry's ``stats["pulls"]``.
+        Blobs never leave the store during a run and the fleet registry
+        has no auth or rate limiter, so only a registry fault window can
+        change a pull's price.  The pump prices each (image, bits) pair
+        once through :meth:`_cold_pull` outside every window and answers
+        later such pulls here, counting each in ``stats["pulls"]`` or,
+        while traced or metered, through ``registry.note_pull``.
         """
-        registry = self.registry
-        if (run.faults.enabled or run.tracer.enabled or run.metrics.enabled
-                or registry.auth is not None or registry.rate_limiter is not None):
-            return None
         return [{} for _ in range(len(self.catalog))]
 
-    def _cold_pull(self, tloc: int, img: int, node: int, t: float) -> tuple[float, int]:
+    def _cold_pull(self, tloc: int, img: int, node: int, t: float) -> tuple:
         """Price a cold pull through the real registry, retrying while a
-        fault window refuses it: returns the start-up seconds and the
-        bytes transferred.  The caller does the accounting (node layers,
-        tenant counters, the cold-pull metric)."""
+        fault window refuses it: returns the start-up seconds, the bytes
+        transferred and the registry's price of the pull that succeeded.
+        The caller does the accounting (node layers, tenant counters,
+        the cold-pull metric)."""
         catalog = self.catalog
         node_layers = self.node_layers[node]
         missing = 0
@@ -1225,7 +1219,8 @@ class FleetShardEngine:
                 if exc.retry_after is not None and exc.retry_after > delay:
                     delay = exc.retry_after
                 elapsed += delay
-        return elapsed + cost + missing * self._inv_unpack + self._warm_start_s, missing
+        return (elapsed + cost + missing * self._inv_unpack + self._warm_start_s,
+                missing, cost)
 
 
 def run_fleet_shard(

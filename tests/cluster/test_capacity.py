@@ -185,7 +185,7 @@ def test_max_free_bound_stays_sound_and_oracle_exact(n_nodes, ops):
             oracle.restore_node(node)
         assert index.free == oracle.free
         assert index.down == oracle.down
-        assert index._max_free >= max(index.free)
+        assert index.max_free >= max(index.free)
 
 
 def test_refusal_above_the_bound_touches_no_bucket():

@@ -8,9 +8,10 @@ oracle's own: one method per occurrence, a slot object per running
 start, and a completion event that carries only the slot id and its
 generation.  From the production engine it takes only the setup (trace,
 catalog, registry, fault edges), the registry pull's price
-(``_cold_pull``, called for every cold pull: the oracle never uses the
-engine's disarmed pull table, so the equivalence tests compare that
-table with the registry) and the result fold in ``run``.  Tie order
+(``_cold_pull``, called for every cold pull: the oracle keeps no pull
+table and knows no fault windows of its own, so the equivalence tests
+compare the engine's table, and the windows that bypass it, with the
+registry and the armed injector) and the result fold in ``run``.  Tie order
 comes from the simulator itself: fault edges are URGENT and scheduled
 first, completions are URGENT and scheduled as they are placed,
 arrivals are NORMAL.  The epoch pump's three-stream merge must
@@ -129,7 +130,7 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
             self._warm_starts += 1
         else:
             try:
-                startup, missing = self._cold_pull(tenant, image, node, t)
+                startup, missing, _cost = self._cold_pull(tenant, image, node, t)
             except RetryExhausted:
                 self.index.release(node, req)
                 stats.failed += 1

@@ -197,6 +197,27 @@ def test_repeated_pulls_share_a_price_but_each_is_counted_and_observed():
     assert snap['registry.bytes{op="pull",registry="memo"}'] == 3 * bytes_per_pull
 
 
+def test_note_pull_accounts_as_pull_image_does():
+    """A caller that knows a pull's price (the fleet pull table) calls
+    ``note_pull``; stats, spans and metrics equal those of pulling."""
+    seen = []
+    for via_note in (False, True):
+        registry, image = _layered_registry()
+        have = {image.layers[0].digest}
+        _, cost = registry.pull_image("hpc/app", "v1", have_digests=have)
+        transferred = sum(layer.compressed_size for layer in image.layers[1:])
+        with observing(ObsConfig(metrics=True, trace=True)) as obs:
+            for _ in range(2):
+                if via_note:
+                    registry.note_pull("hpc/app", "v1", cost, transferred)
+                else:
+                    registry.pull_image("hpc/app", "v1", have_digests=have)
+            seen.append((registry.stats, obs.tracer.events,
+                         obs.metrics.snapshot(include_sim=False)))
+    assert seen[0] == seen[1]
+    assert seen[0][0]["pulls"] == 3 and len(seen[0][1]) == 2
+
+
 def test_each_layer_presence_pattern_is_priced_on_its_own():
     registry, image = _layered_registry()
     digests = [layer.digest for layer in image.layers]

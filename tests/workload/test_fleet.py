@@ -160,10 +160,9 @@ def test_pump_matches_oracle_at_any_epoch_length(epoch, chaos, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("config", [SMALL, CONTENDED], ids=["small", "contended"])
 def test_pull_table_matches_the_registry(config, jobs):
-    """With metrics off the pump answers repeated cold pulls from its
-    disarmed pull table; with metrics on it prices every cold pull
-    through the registry.  The reports are identical, registry pull
-    count, cold pulls and pulled bytes included."""
+    """Metered or not, the pump answers repeated cold pulls from its
+    pull table.  The reports are identical, registry pull count, cold
+    pulls and pulled bytes included."""
     docs = []
     for metrics in (False, True):
         with observing(ObsConfig(metrics=metrics)):
@@ -174,26 +173,61 @@ def test_pull_table_matches_the_registry(config, jobs):
     assert summary["pulled_bytes"] > 0
 
 
+def _traced_pulls(config, plan):
+    """A traced, metered run: (report, the ``registry.pull`` spans
+    without their timestamps and thread ids, the metrics snapshot)."""
+    with observing(ObsConfig(trace=True, metrics=True)) as traced:
+        doc = fleet_report_document(run_fleet(config, plan=plan))
+        spans = [(args, dur) for _ph, name, _ts, _tid, args, dur
+                 in traced.tracer.events if name == "registry.pull"]
+        return doc, spans, traced.metrics.snapshot(include_sim=False)
+
+
+@pytest.mark.parametrize("config", [SMALL, CONTENDED], ids=["small", "contended"])
+def test_pull_table_emits_what_the_registry_would(config, monkeypatch):
+    """Under chaos, with the tracer and the metrics on, a table answer
+    emits the ``registry.pull`` span and the registry metrics a priced
+    pull would: the engine's spans and snapshot equal the oracle's,
+    which prices every cold pull through the registry."""
+    plan = generate_fleet_plan(config, seed=3)
+    fast = _traced_pulls(config, plan)
+    doc, spans, snapshot = fast
+    metered = sum(value for series, value in snapshot.items()
+                  if series.startswith("registry.pulls{"))
+    assert len(spans) == metered == doc["registry"]["pulls"] > 0
+    use_fleet_oracle(monkeypatch)
+    assert _traced_pulls(config, plan) == fast
+
+
 def test_pull_table_prices_each_layer_pattern_once(monkeypatch):
-    """The table is filled through ``_cold_pull`` once per (image, layer
-    presence) pair and shard; observed runs call it for every pull."""
-    imgs = []
+    """Plain, metered, traced and armed runs alike fill the table through
+    ``_cold_pull`` once per (shard, image, layer presence) outside the
+    plan's registry windows; a pull inside a window is priced on its own."""
+    plan = generate_fleet_plan(SMALL, seed=3)
+    windows = [e for e in plan if e.point == "registry.pull"]
+    priced = []
     real = FleetShardEngine._cold_pull
 
     def counted(self, tloc, img, node, t):
-        imgs.append((self.shard, img))
+        held = self.node_layers[node]
+        bits = tuple(layer in held for layer in self.catalog.layer_digests[img])
+        in_window = any(e.active_at(t) for e in windows) if self._pull_windows else False
+        priced.append((in_window, (self.shard, img, bits)))
         return real(self, tloc, img, node, t)
 
     monkeypatch.setattr(FleetShardEngine, "_cold_pull", counted)
-    priced = {}
-    for metrics in (False, True):
-        imgs.clear()
-        with observing(ObsConfig(metrics=metrics)):
-            result = run_fleet(SMALL)
-        priced[metrics] = len(imgs)
-    assert priced[True] == result.cold_pulls
-    assert priced[False] < result.cold_pulls
-    assert priced[False] <= SMALL.shards * SMALL.images * 2 ** 3
+    runs = [(ObsConfig(), None), (ObsConfig(metrics=True), None),
+            (ObsConfig(trace=True, metrics=True), plan), (ObsConfig(), plan)]
+    for obs, armed in runs:
+        priced.clear()
+        with observing(obs):
+            result = run_fleet(SMALL, plan=armed)
+        outside = [key for in_window, key in priced if not in_window]
+        assert len(outside) == len(set(outside))
+        assert len(outside) <= SMALL.shards * SMALL.images * 2 ** 3
+        assert len(priced) < result.cold_pulls
+        if armed is not None:
+            assert len(outside) < len(priced)  # some pulls fell in a window
 
 
 def _run_counted(config, jobs=1, plan=None, timeseries=None):

@@ -25,6 +25,7 @@ from repro.obs.slo import check_slo_scorecard, check_slo_scorecard_file
 from repro.run import ObsConfig, observing
 from repro.workload.fleet import (
     FleetConfig,
+    FleetShardEngine,
     check_fleet_report,
     fleet_cells,
     fleet_node_name,
@@ -126,6 +127,113 @@ def test_fast_matches_naive_through_an_outage_under_load(monkeypatch):
     assert fast["summary"]["failed"] > 0 and fast["summary"]["pending_peak"] > 100
     use_fleet_oracle(monkeypatch)
     assert fleet_report_document(run_fleet(CONTENDED, plan=plan)) == fast
+
+
+# -- registry windows: the pull table answers every pull outside them ---------
+
+#: a contended shard with enough images that the pull table has work
+WINDOWED = FleetConfig(tenants=8, nodes=4, starts=1200, images=24, shards=2,
+                       day=1200.0)
+
+
+def _fault_fields(result):
+    return result.injected, result.injected_at, result.fault_retries
+
+
+def test_registry_window_edges_match_the_oracle(monkeypatch):
+    """Hand-written windows at the edges: a timeout from t=0 that fails
+    the earliest cold pulls, a 429 window nested in it (the timeout,
+    first in the plan, answers there), a slow-blob window overlapping
+    it, a duration-0 429 at a node's restore instant (whose drain pulls
+    at exactly that time) and a 429 at the horizon.  Pulls inside a
+    window go through the registry one by one; every other cold pull
+    is a table answer.  A metered, pooled run reports and scores the
+    same, and the report and fault accounting equal the oracle's,
+    which prices every cold pull through the registry (the oracle
+    samples no time series in flight, so it has no scorecard)."""
+    plan = FaultPlan([
+        FaultEvent(kind=FaultKind.REGISTRY_TIMEOUT, at=0.0, duration=150.0),
+        FaultEvent(kind=FaultKind.REGISTRY_429, at=20.0, duration=10.0),
+        FaultEvent(kind=FaultKind.REGISTRY_SLOW_BLOB, at=100.0, duration=100.0,
+                   factor=3.0),
+        FaultEvent(kind=FaultKind.NODE_CRASH, at=250.0, duration=50.0,
+                   target=fleet_node_name(0)),
+        FaultEvent(kind=FaultKind.REGISTRY_429, at=300.0),
+        FaultEvent(kind=FaultKind.REGISTRY_429, at=WINDOWED.day, duration=10.0),
+    ], seed=0)
+    priced = []
+    real = FleetShardEngine._cold_pull
+
+    def counted(self, tloc, img, node, t):
+        priced.append(t)
+        return real(self, tloc, img, node, t)
+
+    monkeypatch.setattr(FleetShardEngine, "_cold_pull", counted)
+    fast, card = _scored_run(WINDOWED, plan)
+    assert 0 < len(priced) < fast.cold_pulls
+    with observing(ObsConfig(metrics=True, timeseries=5.0)):
+        metered = run_fleet(WINDOWED, jobs=2, plan=plan)
+        assert score_fleet_slo(metered).to_json() == card.to_json()
+    assert fleet_report_document(metered) == fleet_report_document(fast)
+    assert fast.failed > 0 and fast.requeues > 0
+    assert fast.injected_at["registry_429"] == 300.0  # the duration-0 window
+    assert fast.completions + fast.failed == WINDOWED.starts
+    assert fast.leaks == []
+    use_fleet_oracle(monkeypatch)
+    oracle = run_fleet(WINDOWED, plan=plan)
+    assert fleet_report_document(oracle) == fleet_report_document(fast)
+    assert _fault_fields(oracle) == _fault_fields(fast)
+
+
+#: small enough that hypothesis can run the engine and the oracle often
+WINDOWED_TINY = FleetConfig(tenants=4, nodes=4, starts=200, images=8, shards=2,
+                            day=600.0)
+REGISTRY_KINDS = [FaultKind.REGISTRY_429, FaultKind.REGISTRY_TIMEOUT,
+                  FaultKind.REGISTRY_SLOW_BLOB]
+_times = st.floats(min_value=0.0, max_value=WINDOWED_TINY.day,
+                   allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_registry_windows_match_the_oracle(data):
+    """Registry windows of every kind, overlapping or not, of duration
+    0, opening at t=0, at the horizon or at a crash or restore edge
+    (whose drain pulls at exactly that instant), mixed with node
+    crashes: the fast engine, metered or not, reports what the oracle
+    does and accounts for every start."""
+    crashes = data.draw(st.lists(st.tuples(
+        _times, st.one_of(st.just(0.0), _times),
+        st.integers(min_value=0, max_value=WINDOWED_TINY.nodes - 1),
+    ), max_size=2))
+    edges = [0.0, WINDOWED_TINY.day]
+    for at, duration, _node in crashes:
+        edges += (at, at + duration)
+    windows = data.draw(st.lists(st.tuples(
+        st.sampled_from(REGISTRY_KINDS),
+        st.one_of(st.sampled_from(edges), _times),
+        st.one_of(st.just(0.0), _times),
+        st.floats(min_value=1.0, max_value=5.0),
+    ), min_size=1, max_size=4))
+    plan = FaultPlan(
+        [FaultEvent(kind=FaultKind.NODE_CRASH, at=at, duration=duration,
+                    target=fleet_node_name(node))
+         for at, duration, node in crashes]
+        + [FaultEvent(kind=kind, at=at, duration=duration, factor=factor)
+           for kind, at, duration, factor in windows],
+        seed=0,
+    )
+    fast = run_fleet(WINDOWED_TINY, plan=plan)
+    assert fast.completions + fast.failed == WINDOWED_TINY.starts
+    assert fast.leaks == []
+    doc = fleet_report_document(fast)
+    with observing(ObsConfig(metrics=True)):
+        assert fleet_report_document(run_fleet(WINDOWED_TINY, plan=plan)) == doc
+    with pytest.MonkeyPatch.context() as patch:
+        use_fleet_oracle(patch)
+        oracle = run_fleet(WINDOWED_TINY, plan=plan)
+    assert fleet_report_document(oracle) == doc
+    assert _fault_fields(oracle) == _fault_fields(fast)
 
 
 def test_chaos_double_run_and_jobs_byte_identical():
