@@ -35,6 +35,18 @@ node's new level, a restore to ``cap``; allocs and removals only lower
 free capacity, so they leave it a valid bound.  A request above the
 bound (``max_free``, public so callers may test it first) is refused in O(1).
 
+A saturated fleet also frees cores far more often than it can use them:
+most completions find a queue whose head fits nowhere.  A caller that
+can guarantee that no other up node has ``head`` free cores (the fleet
+pump's queue head: every drain ends on a refusal, and arrivals and
+crashes only take cores away) passes the head's request to
+:meth:`~CapacityIndex.release`.  The released node is then the head's
+only possible fit, so best-fit would pick it: the release claims the
+head's cores there when they fit (the hand-off), and otherwise nothing
+fits anywhere, so the bound drops to ``head - 1`` unless it was already
+lower, as the failed scan it replaces would have dropped it.  Either
+way no other bucket is touched.
+
 ``tests/oracles/capacity.py`` keeps an O(nodes) linear scan with the
 identical policy; property tests hold every placement decision of the
 index equal to it.
@@ -86,12 +98,29 @@ class CapacityIndex:
         self.max_free = req - 1
         return None
 
-    def release(self, node: int, req: int) -> None:
+    def release(self, node: int, req: int, head: int = 0) -> bool:
+        """Return ``req`` cores to ``node``.
+
+        A nonzero ``head`` is the queue head's request, under the
+        precondition that no other up node has ``head`` free cores.
+        Then ``node`` is the only possible fit: the head's cores are
+        claimed there when they fit (returns True, the node ``alloc``
+        would pick), and otherwise nothing fits anywhere, so the bound
+        drops below ``head`` as a failed ``alloc`` would drop it."""
         remaining = self.free[node] + req
+        handed = False
+        if head:
+            if remaining >= head:
+                remaining -= head
+                handed = True
+            elif self.max_free >= head:
+                self.max_free = head - 1
         self.free[node] = remaining
-        heappush(self._buckets[remaining], node)
-        if remaining > self.max_free:
-            self.max_free = remaining
+        if remaining:
+            heappush(self._buckets[remaining], node)
+            if remaining > self.max_free:
+                self.max_free = remaining
+        return handed
 
     def remove_node(self, node: int) -> int:
         """Crash ``node``: setting its free capacity to zero invalidates

@@ -51,6 +51,13 @@ therefore
   retained per-container history);
 - places starts through :class:`~repro.cluster.capacity.CapacityIndex`
   (bucketed best-fit, O(log nodes)) instead of a linear scan;
+- hands a completion's cores to the queue head without a scan: while
+  starts are queued no up node fits the head (every drain ends on a
+  refusal, arrivals and crashes only take cores away, an arrival whose
+  pull fails returns just what it took, and completions and restores
+  drain), so the completed node is the head's only possible fit, and
+  ``CapacityIndex.release`` given the head's request either places it
+  there or proves nothing fits;
 - pays the registry once per cold-pull shape: a pull's price depends
   only on the image and which of its layers the node already holds, so
   outside the plan's registry fault windows the first pull of each
@@ -703,6 +710,9 @@ class FleetShardEngine:
         self._inv_unpack = 1.0 / config.unpack_bandwidth
         # -- streaming results (peaks/sums folded into the result at end) ---
         self._warm_starts = 0
+        #: placements so far (the pump's record ``seq``): every placement
+        #: is a warm start or a cold pull, so the sampler folds neither
+        self._placements = 0
         self._makespan = 0.0
         self._pending_peak = 0
         self._live_peak = 0
@@ -911,8 +921,12 @@ class FleetShardEngine:
         arrivals NORMAL.  Each step feeds the one placement block below:
         an arrival places itself (or queues when nothing fits), a
         completion or a state-changing edge drains the queue head-first
-        at its own time.  Counters live in locals and are written back
-        at each epoch end and around an edge delivery.
+        at its own time.  No up node fits the queue head between drains,
+        so a completion offers its cores to the head in its release: the
+        head is placed on that node (the hand-off) or waits, with no
+        scan; later heads of the same drain go through ``alloc``.
+        Counters live in locals and are written back at each epoch end
+        and around an edge delivery.
         """
         env = self.env
         epoch_len = self.config.epoch
@@ -986,20 +1000,28 @@ class FleetShardEngine:
                         continue
                     place_t = edge[0]
                     drain = True
+                    node = None
                 elif bucket and (k >= j or bucket[-1][0] <= times[k]):
                     place_t, _seq, slot, gen, node, req, tloc, busy = bucket.pop()
                     if armed:
                         if slot_gen[slot] != gen:
                             continue  # slot killed by a crash; counted there
                         slot_node[slot] = -1
-                    release(node, req)
                     st = stats[tloc]
                     st.completions += 1
                     st.cpu_seconds += busy * req
                     live -= 1
                     free_slots.append(slot)
                     if not pending:
+                        release(node, req)
                         continue
+                    # no other up node fits the head: it takes these
+                    # cores, or nothing fits it anywhere
+                    kk, arrival_t = pending[0]
+                    if not release(node, req, cpus[kk]):
+                        continue
+                    pending.popleft()
+                    req = cpus[kk]
                     drain = True
                 elif k < j:
                     kk = k
@@ -1018,8 +1040,9 @@ class FleetShardEngine:
                     break
                 # the placement block: the arrival just allocated, or
                 # queued starts head-first until the head no longer fits
+                # (a completion's hand-off arrives with its node set)
                 while True:
-                    if drain:
+                    if node is None:
                         if not pending:
                             break
                         kk, arrival_t = pending[0]
@@ -1056,6 +1079,7 @@ class FleetShardEngine:
                                 release(node, req)
                                 st.failed += 1
                                 if drain:
+                                    node = None
                                     continue
                                 break
                         elif note_pull is None:
@@ -1105,16 +1129,20 @@ class FleetShardEngine:
                         st.wait_sum += wait
                         if wait > st.wait_max:
                             st.wait_max = wait
-                    hist[bisect_left(WAIT_BUCKETS, wait)] += 1
+                        hist[bisect_left(WAIT_BUCKETS, wait)] += 1
+                    else:
+                        hist[0] += 1
                     if metric_keys is not None:
                         inc_series(metric_keys[tloc][0])
                     if not drain:
                         break
+                    node = None
             i = j
             self._live = live
             self._live_peak = live_peak
             self._pending_peak = pending_peak
             self._warm_starts = warm_starts
+            self._placements = seq
             self._makespan = makespan
             self.result.epochs += 1
             rec = self._rec
@@ -1134,18 +1162,21 @@ class FleetShardEngine:
         The fleet pump is its own clock — one simulator event per epoch —
         so instead of a sampler process it ticks the recorder directly
         whenever an epoch crosses the sampling grid.  Costs one predicate
-        and one float compare per epoch while sampling is off.  The
-        tenant aggregates fold in one pass, in tenant order.
+        and one float compare per epoch while sampling is off.  Starts
+        and cold pulls are the pump's own counters (placements, and
+        placements less warm starts); the other tenant aggregates fold
+        in one pass, in tenant order, so ``wait_sum`` adds up in the
+        order the report's does.
         """
         reg = run.metrics
         t = rec.sample(self.env.now, reg if reg.enabled else None)
         shard_keys, tenant_keys = self._sample_keys
         stats = self.stats
-        starts = cold = pulled = failed = 0
+        starts = self._placements
+        cold = starts - self._warm_starts
+        pulled = failed = 0
         wait_sum = wait_max = 0.0
         for st in stats:
-            starts += st.starts
-            cold += st.cold_pulls
             pulled += st.pulled_bytes
             failed += st.failed
             wait_sum += st.wait_sum

@@ -202,3 +202,98 @@ def test_refusal_above_the_bound_touches_no_bucket():
     index.remove_node(1)
     index.restore_node(1)  # a rebooted node is fully free
     assert index.alloc(8) == 1
+
+
+# head script: allocs, releases, crashes and restores as in the mixed
+# script, plus ("h", (k, extra)), which releases the k-th oldest live
+# claim carrying a queue head larger than every other node's free
+# capacity (the pump's precondition), ``extra`` picking among those
+# sizes (0: one core above the largest other hole).  Allocs come three
+# times as often, so nodes fill up and many releases leave the head
+# without a fit.
+_alloc = st.tuples(st.just("a"), st.integers(min_value=1, max_value=NODE_CPUS))
+head_script = st.lists(
+    st.one_of(
+        _alloc, _alloc, _alloc,
+        st.tuples(st.just("r"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("c"), st.integers(min_value=0, max_value=23)),
+        st.tuples(st.just("u"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("h"), st.tuples(
+            st.integers(min_value=0, max_value=30),
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=NODE_CPUS)),
+        )),
+    ),
+    min_size=40, max_size=200,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6), head_script)
+def test_release_with_a_head_equals_release_then_alloc(n_nodes, ops):
+    """While no other up node has ``head`` free cores, a release that
+    carries the queue head decides what a release followed by a linear
+    best-fit ``alloc(head)`` decides: the same node or the same
+    refusal, with the same free vector and down set after.  Every later
+    decision stays oracle-exact and the free-core bound stays sound."""
+    index = CapacityIndex(n_nodes, NODE_CPUS)
+    oracle = LinearCapacityScan(n_nodes, NODE_CPUS)
+    live: list[tuple[int, int]] = []
+    downed: list[int] = []
+
+    for kind, arg in ops:
+        if kind == "a":
+            got = index.alloc(arg)
+            assert got == oracle.alloc(arg)
+            if got is not None:
+                live.append((got, arg))
+        elif kind in "rh" and live:
+            k, extra = (arg, 0) if kind == "r" else arg
+            node, req = live.pop(k % len(live))
+            others = max((f for n, f in enumerate(oracle.free) if n != node), default=0)
+            if kind == "r" or others == NODE_CPUS:
+                index.release(node, req)
+                oracle.release(node, req)
+            else:
+                head = others + 1 + extra % (NODE_CPUS - others)
+                handed = index.release(node, req, head)
+                oracle.release(node, req)
+                expected = oracle.alloc(head)
+                assert (node if handed else None) == expected
+                if handed:
+                    live.append((node, head))
+        elif kind == "c":
+            node = arg % n_nodes
+            assert index.remove_node(node) == oracle.remove_node(node)
+            if node not in downed:
+                downed.append(node)
+                live = [(n, r) for n, r in live if n != node]
+        elif kind == "u" and downed:
+            node = downed.pop(arg % len(downed))
+            index.restore_node(node)
+            oracle.restore_node(node)
+        assert index.free == oracle.free
+        assert index.down == oracle.down
+        assert index.max_free >= max(index.free)
+
+
+def test_release_hands_the_head_the_freed_cores():
+    index = CapacityIndex(3, 8)
+    for _ in range(3):
+        assert index.alloc(6) is not None  # every node left with 2 free
+    assert index.release(1, 4, 5)  # node 1 reaches 6 free: the head takes 5
+    assert index.free == [2, 1, 2]
+    assert index.alloc(1) == 1  # the 1 core left is indexed at its level
+    assert index.max_free >= max(index.free)
+
+
+def test_release_refusing_the_head_lowers_the_bound_without_a_scan():
+    index = CapacityIndex(3, 8)
+    for _ in range(3):
+        assert index.alloc(6) is not None  # every node left with 2 free
+    index.release(0, 2)  # node 0 holds the largest hole, 4 cores
+    buckets = [list(b) for b in index._buckets]
+    assert not index.release(1, 1, 5)  # node 1 reaches 3 free: the head waits
+    assert index.free == [4, 3, 2]
+    assert index.max_free == 4  # what a failed alloc(5) would have learned
+    assert [list(b) for b in index._buckets] == [*buckets[:3], [1], *buckets[4:]]
+    assert index.alloc(5) is None and index.alloc(4) == 0

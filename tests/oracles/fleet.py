@@ -16,6 +16,14 @@ comes from the simulator itself: fault edges are URGENT and scheduled
 first, completions are URGENT and scheduled as they are placed,
 arrivals are NORMAL.  The epoch pump's three-stream merge must
 reproduce exactly that order.
+
+Time series are sampled where the pump samples them: once after the
+last occurrence of every epoch that had one, stamped from the epoch's
+boundary, and before anything scheduled at that boundary.  The first
+occurrence in an epoch schedules that tick at the boundary, at a
+priority above URGENT; the tick folds every shard aggregate over the
+tenants and records through ``TimeSeriesRecorder.record`` by name, so
+a slip in the pump's own sampler counters shows as a series mismatch.
 """
 
 from __future__ import annotations
@@ -43,11 +51,16 @@ class _Slot:
 
 
 class OracleFleetShardEngine(_fleet.FleetShardEngine):
+    #: a sample tick runs before every occurrence at its boundary
+    SAMPLE = Environment.URGENT - 1
+
     def __init__(self, env, config, shard, plan=None):
         super().__init__(env, config, shard, plan=plan)
         self.index = LinearCapacityScan(self.n_nodes, config.node_cpus)
         self._slots: list[_Slot] = []
         self._free: list[int] = []
+        #: the boundary of the last epoch whose sample tick is scheduled
+        self._tick_at = -1.0
         for edge in self._fault_edges:
             self._schedule(edge[0], self._on_edge, edge, Environment.URGENT)
         for k, t in enumerate(self._times):
@@ -65,7 +78,23 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         yield
 
     # -- occurrences ---------------------------------------------------------
+    def _occur(self) -> None:
+        """An occurrence at ``now``: its epoch samples at its boundary."""
+        if not self._rec.enabled:
+            return
+        epoch_len = self.config.epoch
+        boundary = (int(self.env.now // epoch_len) + 1) * epoch_len
+        if boundary != self._tick_at:
+            self._tick_at = boundary
+            self._schedule(boundary, self._on_tick, None, self.SAMPLE)
+
+    def _on_tick(self, event: Event) -> None:
+        rec = self._rec
+        if self.env.now >= rec._next_due:
+            self._sample_timeseries(rec)
+
     def _on_arrival(self, event: Event) -> None:
+        self._occur()
         k = event._value
         t = self._times[k]
         req = self._cpus[k]
@@ -77,6 +106,7 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         self._note_pressure()
 
     def _on_completion(self, event: Event) -> None:
+        self._occur()
         slot_id, gen = event._value
         slot = self._slots[slot_id]
         if slot.gen != gen:
@@ -92,6 +122,7 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         self._note_pressure()
 
     def _on_edge(self, event: Event) -> None:
+        self._occur()
         t, _seq, node, phase, fault = event._value
         if phase == 0:
             run.faults.record_push(fault, t)
@@ -184,6 +215,45 @@ class OracleFleetShardEngine(_fleet.FleetShardEngine):
         self.index.remove_node(node)
         self._crashes += 1
         self._requeues += killed
+
+    def _sample_timeseries(self, rec) -> None:
+        """One sampler tick: every shard aggregate folded over the
+        tenants (floats in tenant order, as the pump adds them)."""
+        reg = run.metrics
+        t = rec.sample(self.env.now, reg if reg.enabled else None)
+        stats = self.stats
+        starts = sum(st.starts for st in stats)
+        cold = sum(st.cold_pulls for st in stats)
+        failed = sum(st.failed for st in stats)
+        wait_sum = 0.0
+        for st in stats:
+            wait_sum += st.wait_sum
+        retries = self.result.retry_attempts
+        values = (
+            len(self._pending), self._live, starts, cold,
+            (starts - cold) / starts if starts else 0.0,
+            sum(st.pulled_bytes for st in stats),
+            wait_sum / starts if starts else 0.0,
+            max((st.wait_max for st in stats), default=0.0), self._quota_total,
+            failed, len(self.index.down), self._requeues - self._last_requeues,
+            failed - self._last_failed, retries - self._last_retries,
+        )
+        self._last_requeues = self._requeues
+        self._last_failed = failed
+        self._last_retries = retries
+        shard = str(self.shard)
+        for name, value in zip(_fleet._SHARD_SERIES, values):
+            rec.record(name, t, value, shard=shard)
+        if len(self.tenant_ids) > _fleet.TENANT_SERIES_MAX:
+            return
+        for gid, st in zip(self.tenant_ids, stats):
+            n, tenant = st.starts, f"t{gid:05}"
+            rec.record("fleet.tenant.starts", t, n, tenant=tenant)
+            rec.record("fleet.tenant.cold_pulls", t, st.cold_pulls, tenant=tenant)
+            rec.record("fleet.tenant.warm_rate", t,
+                       (n - st.cold_pulls) / n if n else 0.0, tenant=tenant)
+            rec.record("fleet.tenant.wait_mean", t,
+                       st.wait_sum / n if n else 0.0, tenant=tenant)
 
     def _note_pressure(self) -> None:
         prof = run.counters

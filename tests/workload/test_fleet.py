@@ -383,6 +383,53 @@ def test_mid_epoch_audit_counts_each_undelivered_completion_once(chaos_seed):
     ]
 
 
+class _HeadAuditingIndex(CapacityIndex):
+    """A capacity index that checks the pump's hand-off precondition at
+    every release carrying a queue head (no other up node has the
+    head's cores free), and counts hand-offs, refusals and the allocs
+    that scan and place nothing."""
+
+    def release(self, node, req, head=0):
+        if not head:
+            return super().release(node, req)
+        self.rivals += [n for n, free in enumerate(self.free)
+                        if n != node and n not in self.down and free >= head]
+        handed = super().release(node, req, head)
+        self.outcomes[handed] += 1
+        return handed
+
+    def alloc(self, req):
+        node = super().alloc(req)
+        self.failed_allocs += node is None
+        return node
+
+
+@pytest.mark.parametrize("chaos_seed, failed_allocs", [
+    (None, 177),  # 334 before completions handed their cores to the head
+    (3, 182),     # 339 before
+], ids=["disarmed", "chaos"])
+def test_completion_hands_the_head_the_only_fitting_node(chaos_seed, failed_allocs):
+    """While starts are queued, every up node has fewer free cores than
+    the head asks for, so a completion's node is the head's only
+    possible fit.  Both outcomes occur, and the allocs that scan every
+    bucket and place nothing stay at their pinned count."""
+    plan = None if chaos_seed is None else generate_fleet_plan(CONTENDED, seed=chaos_seed)
+    rivals, outcomes, failed = [], [0, 0], 0
+    with observing(ObsConfig()):
+        for shard in range(CONTENDED.effective_shards):
+            engine = FleetShardEngine(Environment(), CONTENDED, shard=shard, plan=plan)
+            index = _HeadAuditingIndex(engine.n_nodes, CONTENDED.node_cpus)
+            index.rivals, index.outcomes, index.failed_allocs = rivals, outcomes, 0
+            engine.index = index
+            result = engine.run()
+            assert result.leaks == []
+            assert plan is None or result.crashes > 0
+            failed += index.failed_allocs
+    assert rivals == []
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert failed == failed_allocs
+
+
 # -- pressure counters --------------------------------------------------------
 
 def test_fleet_surfaces_queue_and_liveness_peaks(monkeypatch):

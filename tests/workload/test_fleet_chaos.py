@@ -17,7 +17,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
@@ -54,6 +54,16 @@ def _scored_run(config, plan, jobs=1, interval=5.0):
     with observing(ObsConfig(timeseries=interval)):
         result = run_fleet(config, jobs=jobs, plan=plan)
         return result, score_fleet_slo(result)
+
+
+def _sampled_run(config, plan, interval=5.0):
+    """A run sampled every ``interval`` s in a session of its own: its
+    report, its ``fleet.*`` time series and its scorecard as JSON."""
+    with observing(ObsConfig(timeseries=interval)) as sampled:
+        result = run_fleet(config, plan=plan)
+        series = {name: points for name, points in sampled.recorder.snapshot().items()
+                  if name.startswith("fleet.")}
+        return fleet_report_document(result), series, score_fleet_slo(result).to_json()
 
 
 def test_merged_samples_carry_their_interval_outside_a_session(idle_run):
@@ -105,12 +115,17 @@ def test_node_crash_requeues_and_drains_clean():
 
 def test_fast_matches_naive_under_chaos(monkeypatch):
     """Crash/restore edges merged into the epoch pump land exactly where
-    one-event-per-edge delivery puts them."""
+    one-event-per-edge delivery puts them.  Sampled every 5 s, the
+    pump's ticks see what the oracle's see at each epoch boundary, so
+    the time series and the scorecards are equal too."""
     runs = [(c, generate_fleet_plan(c, seed=SEED)) for c in (SMALL, CONTENDED)]
-    fast = [fleet_report_document(run_fleet(c, plan=plan)) for c, plan in runs]
-    assert all(doc["summary"]["requeues"] > 0 for doc in fast)
+    fast = [_sampled_run(c, plan) for c, plan in runs]
+    assert all(doc["summary"]["requeues"] > 0 for doc, _, _ in fast)
+    for _, series, _ in fast:  # the ticks saw the requeues land
+        assert any(value for name, points in series.items()
+                   if name.startswith("fleet.requeues{") for _, value in points)
     use_fleet_oracle(monkeypatch)
-    assert [fleet_report_document(run_fleet(c, plan=plan)) for c, plan in runs] == fast
+    assert [_sampled_run(c, plan) for c, plan in runs] == fast
 
 
 def test_fast_matches_naive_through_an_outage_under_load(monkeypatch):
@@ -123,10 +138,11 @@ def test_fast_matches_naive_through_an_outage_under_load(monkeypatch):
                     target=fleet_node_name(1))],
         seed=0,
     )
-    fast = fleet_report_document(run_fleet(CONTENDED, plan=plan))
-    assert fast["summary"]["failed"] > 0 and fast["summary"]["pending_peak"] > 100
+    fast = _sampled_run(CONTENDED, plan)
+    summary = fast[0]["summary"]
+    assert summary["failed"] > 0 and summary["pending_peak"] > 100
     use_fleet_oracle(monkeypatch)
-    assert fleet_report_document(run_fleet(CONTENDED, plan=plan)) == fast
+    assert _sampled_run(CONTENDED, plan) == fast
 
 
 # -- registry windows: the pull table answers every pull outside them ---------
@@ -148,9 +164,8 @@ def test_registry_window_edges_match_the_oracle(monkeypatch):
     at exactly that time) and a 429 at the horizon.  Pulls inside a
     window go through the registry one by one; every other cold pull
     is a table answer.  A metered, pooled run reports and scores the
-    same, and the report and fault accounting equal the oracle's,
-    which prices every cold pull through the registry (the oracle
-    samples no time series in flight, so it has no scorecard)."""
+    same, and the report, scorecard and fault accounting equal the
+    oracle's, which prices every cold pull through the registry."""
     plan = FaultPlan([
         FaultEvent(kind=FaultKind.REGISTRY_TIMEOUT, at=0.0, duration=150.0),
         FaultEvent(kind=FaultKind.REGISTRY_429, at=20.0, duration=10.0),
@@ -180,8 +195,9 @@ def test_registry_window_edges_match_the_oracle(monkeypatch):
     assert fast.completions + fast.failed == WINDOWED.starts
     assert fast.leaks == []
     use_fleet_oracle(monkeypatch)
-    oracle = run_fleet(WINDOWED, plan=plan)
+    oracle, oracle_card = _scored_run(WINDOWED, plan)
     assert fleet_report_document(oracle) == fleet_report_document(fast)
+    assert oracle_card.to_json() == card.to_json()
     assert _fault_fields(oracle) == _fault_fields(fast)
 
 
@@ -234,6 +250,81 @@ def test_any_registry_windows_match_the_oracle(data):
         oracle = run_fleet(WINDOWED_TINY, plan=plan)
     assert fleet_report_document(oracle) == doc
     assert _fault_fields(oracle) == _fault_fields(fast)
+
+
+def _crash_plan(crashes) -> FaultPlan:
+    return FaultPlan(
+        [FaultEvent(kind=FaultKind.NODE_CRASH, at=at, duration=duration,
+                    target=fleet_node_name(node))
+         for at, duration, node in crashes],
+        seed=0,
+    )
+
+
+def _assert_crashes_match_the_oracle(plan: FaultPlan) -> None:
+    """The engine, plain and metered, and the oracle run ``plan`` on
+    CONTENDED to the same report and fault accounting, a clean leak
+    audit and every start accounted for."""
+    fast = run_fleet(CONTENDED, plan=plan)
+    assert fast.leaks == []
+    assert fast.completions + fast.failed == CONTENDED.starts
+    doc = fleet_report_document(fast)
+    with observing(ObsConfig(metrics=True)):
+        metered = run_fleet(CONTENDED, plan=plan)
+    assert fleet_report_document(metered) == doc
+    assert _fault_fields(metered) == _fault_fields(fast)
+    with pytest.MonkeyPatch.context() as patch:
+        use_fleet_oracle(patch)
+        oracle = run_fleet(CONTENDED, plan=plan)
+    assert fleet_report_document(oracle) == doc
+    assert _fault_fields(oracle) == _fault_fields(fast)
+
+
+_crash_at = st.one_of(
+    st.sampled_from([0.0, CONTENDED.day]),
+    st.floats(min_value=0.0, max_value=CONTENDED.day, allow_nan=False,
+              allow_infinity=False),
+)
+_crash_for = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=300.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(crashes=st.lists(
+    st.tuples(_crash_at, _crash_for,
+              st.integers(min_value=0, max_value=CONTENDED.nodes - 1)),
+    min_size=1, max_size=3,
+))
+@example(crashes=[(0.0, 0.0, 0), (CONTENDED.day, 40.0, 3)])
+@example(crashes=[(100.0, 120.0, 2), (150.0, 0.0, 2), (180.0, 60.0, 2)])
+def test_crash_only_plans_match_the_oracle(crashes):
+    """One to three node crashes and no registry window: of duration 0,
+    at t=0 or at the horizon, overlapping on one node, on a long queue
+    or an empty one.  The crash and restore drains hand cores to the
+    queue head exactly where one event per occurrence does."""
+    _assert_crashes_match_the_oracle(_crash_plan(crashes))
+
+
+def test_crash_on_an_empty_queue_requeues_a_new_head():
+    """A crash that finds the queue empty requeues its killed starts as
+    the new queue head; the drain at the crash then places what it can."""
+    seen = []
+    real = FleetShardEngine._deliver_edge
+
+    def deliver(self, edge):
+        before = len(self._pending)
+        real(self, edge)
+        if edge[3] == 0:
+            seen.append((before, self._requeues))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FleetShardEngine, "_deliver_edge", deliver)
+        plan = _crash_plan([(22.0, 30.0, 0)])
+        run_fleet(CONTENDED, plan=plan)
+    assert seen == [(0, 3)]
+    _assert_crashes_match_the_oracle(plan)
 
 
 def test_chaos_double_run_and_jobs_byte_identical():
