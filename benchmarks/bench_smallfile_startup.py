@@ -75,7 +75,7 @@ def strategy_squash_on_sharedfs(n_nodes: int) -> float:
         yield env.process(fs.proc_read_file("/images/app.squash"))
         view = mount_squash(image, fuse=False)
         # in-container small-file IO now hits the local squash mount
-        yield env.timeout(view.load_all("/app"))
+        yield env.sleep(view.load_all("/app"))
 
     for _ in range(n_nodes):
         env.process(one_node())
@@ -95,9 +95,9 @@ def strategy_nodelocal_extract(n_nodes: int) -> float:
     def one_node():
         yield env.process(fs.proc_open("/images/app.squash"))
         yield env.process(fs.proc_read_file("/images/app.squash"))
-        yield env.timeout(image.uncompressed_size / 450e6)  # extract
+        yield env.sleep(image.uncompressed_size / 450e6)  # extract
         per_file = tmp_model.metadata_cost(3) + tmp_model.sequential_read_cost(FILE_SIZE)
-        yield env.timeout(N_FILES * per_file)
+        yield env.sleep(N_FILES * per_file)
 
     for _ in range(n_nodes):
         env.process(one_node())

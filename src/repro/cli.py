@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import typing as _t
 
@@ -168,8 +169,10 @@ def _sample_interval(args: argparse.Namespace, needed: bool = False):
     from repro.obs.timeseries import DEFAULT_INTERVAL
 
     if args.sample_interval is not None:
-        if not args.sample_interval > 0:
-            raise _UsageError(f"--sample-interval must be positive, got {args.sample_interval}")
+        if not 0 < args.sample_interval < math.inf:
+            raise _UsageError(
+                f"--sample-interval must be positive and finite, got {args.sample_interval}"
+            )
         return args.sample_interval
     return DEFAULT_INTERVAL if needed or args.timeseries else None
 

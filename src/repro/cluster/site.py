@@ -85,9 +85,6 @@ class Site:
         self.registry.push_image(repository, tag, image)
         return image
 
-    def engine_on(self, node_name: str) -> ContainerEngine:
-        return self.engines[node_name]
-
     # -- workflow / job execution -------------------------------------------------------
     def run_workflow(self, workflow):
         """Submit a `repro.core.Workflow` onto this site's WLM."""

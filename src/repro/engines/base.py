@@ -84,10 +84,6 @@ class PulledImage:
     pull_cost: float = 0.0
     from_cache: bool = False
 
-    @property
-    def is_sif(self) -> bool:
-        return isinstance(self.image, SIFImage)
-
 
 @dataclasses.dataclass
 class RunResult:
@@ -570,11 +566,6 @@ class ContainerEngine:
         return proc
 
     # ------------------------------------------------------------------- misc
-    def supports_image(self, image: OCIImage | SIFImage) -> bool:
-        if isinstance(image, SIFImage):
-            return "SIF" in getattr(self, "native_formats", ("OCI",))
-        return True
-
     def oci_compat_gaps(self, image: OCIImage) -> list[str]:
         """Why a vanilla cloud container may misbehave here (§4.1.3)."""
         gaps: list[str] = []

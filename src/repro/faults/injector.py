@@ -166,7 +166,7 @@ class FaultInjector:
         assert env is not None
         for when, _i, event, phase in edges:
             if when > env.now:
-                yield env.timeout_until(when)
+                yield env.sleep_until(when)
             if not self.enabled:
                 return
             if phase == "crash":

@@ -38,7 +38,7 @@ class StorageBackend:
         self.env = env
         self.tree = FileTree()
         #: running totals used by benchmarks
-        self.stats = {"opens": 0, "bytes_read": 0, "bytes_written": 0}
+        self.stats = {"opens": 0, "bytes_read": 0}
 
     # -- estimate-style API ---------------------------------------------------
     def est_open(self, path: str) -> float:
@@ -57,11 +57,6 @@ class StorageBackend:
             n_ops = max(1, node.size // 4096)
             return self.cost_model.random_read_cost(n_ops)
         return self.cost_model.sequential_read_cost(node.size)
-
-    def est_write_file(self, path: str, size: int) -> float:
-        self.tree.create_file(path, size=size)
-        self.stats["bytes_written"] += size
-        return self.cost_model.write_cost(size)
 
     def est_load_tree(self, top: str = "/") -> float:
         """Cost of opening+reading every file under ``top`` (e.g. an
@@ -204,7 +199,7 @@ class SharedFS(StorageBackend):
             if fault is None:
                 return 1.0
             if fault.kind is _FaultKind.MDS_OUTAGE:
-                yield env.timeout_until(fault.until)
+                yield env.sleep_until(fault.until)
                 continue
             return max(1.0, fault.factor)
 

@@ -295,7 +295,7 @@ class Kubelet:
                             self._idle_epoch, self.sync_interval, self.env.now
                         )
                         count_skipped_ticks(self.env, skipped)
-                        yield self.env.timeout_until(tick)
+                        yield self.env.sleep_until(tick)
                 self.stats["sync_loops"] += 1
                 if run.metrics.enabled:
                     run.metrics.inc_series(self._series_keys()[0])

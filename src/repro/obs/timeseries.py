@@ -106,8 +106,8 @@ class TimeSeriesRecorder:
         capacity: int = DEFAULT_CAPACITY,
         reset: bool = True,
     ) -> "TimeSeriesRecorder":
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval}")
+        if not 0 < interval < math.inf:
+            raise ValueError(f"sample interval must be positive and finite, got {interval}")
         if reset:
             self.reset()
         self.enabled = True
@@ -298,12 +298,12 @@ _TIMESERIES = {
 
 def check_timeseries(doc: object) -> list[str]:
     """Strict shape check of a ``repro-timeseries/1`` document: exact
-    keys and leaf types, the schema string, a positive interval, a
-    sample count that is not negative, well-formed series names and
-    two-element points.  Points are not checked for order: a sharded
-    run appends each cell's points in cell order, and every cell starts
-    its own virtual clock.  Returns the problems found (empty when the
-    document is well formed)."""
+    keys and leaf types, the schema string, a positive finite interval,
+    a sample count that is not negative, well-formed series names and
+    two-element points with a finite time.  Points are not checked for
+    order: a sharded run appends each cell's points in cell order, and
+    every cell starts its own virtual clock.  Returns the problems found
+    (empty when the document is well formed)."""
     problems = shape_problems(doc, _TIMESERIES, "timeseries")
     if problems:
         return problems
@@ -312,16 +312,16 @@ def check_timeseries(doc: object) -> list[str]:
         problems.append(
             f"timeseries.schema: expected {TIMESERIES_SCHEMA!r}, got {doc['schema']!r}"
         )
-    if not doc["interval"] > 0:
-        problems.append("timeseries.interval: expected a positive interval")
+    if not 0 < doc["interval"] < math.inf:
+        problems.append("timeseries.interval: expected a finite positive interval")
     if doc["samples"] < 0:
         problems.append("timeseries.samples: expected a count")
     problems += series_name_problems(doc["series"], "timeseries.series")
     for name, points in sorted(doc["series"].items()):
         problems += [
-            f"timeseries.series.{name}[{i}]: expected a [t, value] pair"
+            f"timeseries.series.{name}[{i}]: expected a [t, value] pair with a finite t"
             for i, point in enumerate(points)
-            if len(point) != 2
+            if len(point) != 2 or not math.isfinite(point[0])
         ]
     return problems
 
@@ -373,7 +373,7 @@ def install_sampler(
             boundary = math.floor(env.now / rec.interval + 1.0) * rec.interval
             if boundary < rec._next_due:
                 boundary = rec._next_due
-            yield env.timeout_until(boundary)
+            yield env.sleep_until(boundary)
             rec.sample_due(env.now, registry)
             if env.drained():
                 return

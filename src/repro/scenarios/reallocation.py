@@ -109,7 +109,7 @@ class OnDemandReallocationScenario(IntegrationScenario):
             tick += 10.0
             skipped += 1
         count_skipped_ticks(self.env, skipped)
-        yield self.env.timeout_until(tick)
+        yield self.env.sleep_until(tick)
         yield self.env.sleep(self.return_after_idle)
         for name in names:
             kubelet = self.kubelets.pop(name, None)

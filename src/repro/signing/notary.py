@@ -40,9 +40,6 @@ class NotaryService:
         self._roots[repository] = key
         return key
 
-    def root_key(self, repository: str) -> KeyPair | None:
-        return self._roots.get(repository)
-
     def sign_target(
         self, repository: str, tag: str, manifest_digest: str, key: KeyPair
     ) -> TrustRecord:

@@ -8,19 +8,21 @@ are Python generators that ``yield`` events; the :class:`Environment`
 advances virtual time and resumes processes when their events trigger.
 
 A process waits in one of three ways: it yields an :class:`Event` (a
-:class:`Timeout`, a :class:`Resource` request, another
-:class:`Process`); it sleeps (``yield env.sleep(d)``); or it parks on a
-:class:`Signal` until a producer fires it or a deadline passes.  A
-sleep and a park are each one queue record that an interrupt (or, for
-a park, a fire) cancels in place.  A :class:`Bell` runs a scheduler's
-coalescing pass loop on records of its own.
+:class:`Resource` request, another :class:`Process`, an
+``env.timeout(d)`` that others share); it sleeps, for a delay
+(``yield env.sleep(d)``) or until an absolute time
+(``yield env.sleep_until(t)``); or it parks on a :class:`Signal` until
+a producer fires it or a deadline passes.  A sleep and a park are each
+one queue record that an interrupt (or, for a park, a fire) cancels in
+place.  A :class:`Bell` runs a scheduler's coalescing pass loop on
+records of its own.
 
 The simulator is deterministic: given the same seed and the same process
 creation order, a simulation produces bit-identical timelines, which the
 benchmark harness relies on for reproducible "shape" comparisons.
 """
 
-from repro.sim.events import Event, Interrupt, SimulationError, Timeout
+from repro.sim.events import Event, Interrupt, SimulationError
 from repro.sim.environment import Environment, Process
 from repro.sim.resources import Resource
 from repro.sim.rng import DeterministicRNG
@@ -36,6 +38,5 @@ __all__ = [
     "Resource",
     "Signal",
     "SimulationError",
-    "Timeout",
     "next_tick",
 ]

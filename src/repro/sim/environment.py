@@ -19,9 +19,10 @@ bit-identical to a single-heap implementation.
 Process resumes additionally bypass event allocation: instead of a
 throwaway carrier :class:`Event` per resume, the queue carries a slotted
 :class:`_Resume` record that invokes the generator directly.  A process
-that only sleeps (``yield env.sleep(d)``) queues such a record too,
-under the key ``timeout(d)`` would have drawn, instead of a
-:class:`Timeout` with its callback list.
+that sleeps (``yield env.sleep(d)``, or ``yield env.sleep_until(t)``
+for an absolute time) queues such a record too, under the key an
+``Event`` scheduled ``d`` from now (or at ``t``) would have drawn,
+instead of an event with its callback list.
 
 Reserved keys
 -------------
@@ -47,7 +48,7 @@ import typing as _t
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.sim.events import Event, Interrupt, SimulationError, Timeout
+from repro.sim.events import Event, Interrupt, SimulationError
 
 ProcessGenerator = _t.Generator[Event, object, object]
 
@@ -67,9 +68,10 @@ class _Resume:
     interrupt already restarted the generator, and by
     :meth:`~repro.sim.signal.Signal.fire` for a park it wakes).
 
-    A process waits on a record by yielding it: :meth:`Environment.sleep`
-    and :meth:`~repro.sim.signal.Signal.park` return the record they
-    queued or registered as the process's pending resume.
+    A process waits on a record by yielding it: :meth:`Environment.sleep`,
+    :meth:`Environment.sleep_until` and
+    :meth:`~repro.sim.signal.Signal.park` return the record they queued
+    or registered as the process's pending resume.
     """
 
     __slots__ = ("process", "value", "exception")
@@ -128,27 +130,37 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: object = None) -> Event:
+        """An event that triggers ``delay`` from now with ``value``.
 
-    def sleep(self, delay: float, value: object = None) -> _Resume:
-        """Resume the active process ``delay`` from now with ``value``.
+        For an event stored or waited on by others; a process that only
+        waits uses :meth:`sleep`, which queues under the same key.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay}")
+        event = Event(self)
+        event._value = value
+        self._schedule(event, delay)
+        return event
+
+    def sleep(self, delay: float) -> _Resume:
+        """Resume the active process ``delay`` from now.
 
         A yielded ``env.sleep(d)`` runs key for key as a yielded
         ``env.timeout(d)`` does: one ``_Resume`` record is queued under
         the key the timeout would have drawn (the immediate FIFO for a
         zero delay, the heap otherwise) and counted as the timeout's
         push was, but no Event or callback list is built.  The returned
-        record must be yielded at once.  An interrupt cancels the record
-        in place; it still pops, as an abandoned timeout did.  Use
-        ``timeout`` for an event that is stored or waited on by others.
+        record must be yielded at once; the yield delivers ``None``.  An
+        interrupt cancels the record in place; it still pops, as an
+        abandoned timeout did.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         process = self._active_process
         if process is None:
             raise SimulationError("sleep() must be called from a running process")
-        resume = _Resume(process, value, None)
+        resume = _Resume(process, None, None)
         if delay == 0.0:
             immediate = True
             self._immediate.append((next(self._counter), resume))
@@ -161,22 +173,27 @@ class Environment:
             self._count_push(prof, immediate)
         return resume
 
-    def timeout_until(self, when: float, value: object = None) -> Event:
-        """An event at the **absolute** virtual time ``when``.
+    def sleep_until(self, when: float) -> _Resume:
+        """Resume the active process at the **absolute** virtual time
+        ``when``: :meth:`sleep`'s twin for tickless loops.
 
-        Unlike ``timeout(when - now)``, the event fires at exactly
-        ``when`` — no float round-trip through a delay — which tickless
-        loops rely on to land precisely on a poll-grid boundary another
-        process (or a previous incarnation of the same loop) computed by
-        sequential addition.
+        The record is queued at exactly ``when`` (the immediate FIFO if
+        that is now, the heap otherwise), with no float round-trip
+        through a delay, which those loops rely on to land precisely on
+        a poll-grid boundary another process (or a previous incarnation
+        of the same loop) computed by sequential addition.  A ``when``
+        before now, or NaN, raises ``ValueError``.
         """
         when = float(when)
-        if when < self._now:
-            raise ValueError(f"until={when} is in the past (now={self._now})")
-        event = Event(self)
-        event._value = value
-        self._schedule_at(event, when)
-        return event
+        if not when >= self._now:
+            raise ValueError(f"until={when} is not at or after now={self._now}")
+        process = self._active_process
+        if process is None:
+            raise SimulationError("sleep_until() must be called from a running process")
+        resume = _Resume(process, None, None)
+        self._schedule_at(resume, when)
+        process._pending_resume = resume
+        return resume
 
     def process(self, generator: ProcessGenerator, name: str | None = None) -> "Process":
         return Process(self, generator, name=name)
@@ -453,7 +470,7 @@ class Process(Event):
         env._active_process = None
 
         if target.__class__ is _Resume:
-            return  # sleep() or Signal.park() set _pending_resume
+            return  # sleep(), sleep_until() or Signal.park() set _pending_resume
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"

@@ -65,11 +65,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True once the event triggered successfully."""
-        return self.triggered and self._exception is None
-
-    @property
     def value(self) -> object:
         if not self.triggered:
             raise SimulationError("event value read before trigger")
@@ -101,19 +96,3 @@ class Event:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
-
-class Timeout(Event):
-    """An event that triggers after a fixed virtual-time delay."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: object = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._value = value
-        env._schedule(self, delay=delay)
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"

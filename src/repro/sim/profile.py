@@ -132,17 +132,6 @@ class SimCounters:
         """A plain-dict copy of the current counter values."""
         return {field: getattr(self, field) for field in _FIELDS}
 
-    def snapshot_delta(self, baseline: dict[str, int]) -> dict[str, int]:
-        """Per-field difference against an earlier :meth:`snapshot`.
-
-        This is the nesting-safe way to measure a sub-workload while
-        counting is already on (a benchmark harness inside a traced
-        scenario): take a snapshot, run, diff — no reset required.
-        Note ``peak_queue_depth`` is a high-water mark, so its delta is
-        only meaningful when the inner workload pushed a new peak.
-        """
-        return {field: getattr(self, field) - baseline.get(field, 0) for field in _FIELDS}
-
     def merge(self, snap: dict[str, int]) -> None:
         """Fold another block's :meth:`snapshot` into this one.
 
@@ -176,13 +165,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def enable(reset: bool = True) -> SimCounters:
-    """Start counting into the current run's block (zeroed first by
-    default); returns the block."""
+def enable() -> SimCounters:
+    """Zero the current run's block and start counting into it; returns
+    the block."""
     from repro.run import run
 
-    if reset:
-        run.counters.reset()
+    run.counters.reset()
     run.counters.enabled = True
     return run.counters
 

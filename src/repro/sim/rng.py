@@ -36,10 +36,6 @@ class DeterministicRNG:
     def exponential(self, mean: float) -> float:
         return float(self._rng.exponential(mean))
 
-    def lognormal_jitter(self, sigma: float = 0.05) -> float:
-        """Multiplicative jitter centered on 1.0 (sigma in log-space)."""
-        return float(np.exp(self._rng.normal(0.0, sigma)))
-
     def choice(self, seq):
         return seq[int(self._rng.integers(0, len(seq)))]
 

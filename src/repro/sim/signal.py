@@ -11,11 +11,10 @@ producers that create work (pod binds, API object writes, job state
 changes) fire the signal to wake it.
 
 There is one way to wait on a signal, ``park(deadline)``.  It registers
-the *active process* against a slotted ``_Resume`` queue record, the
-kind ``Environment.sleep`` queues: with a deadline (an **absolute**
-virtual time, scheduled exactly, without float re-derivation) the
-record is queued there, with ``None`` it is only registered.  The
-returned record must be yielded at once.  ``fire()`` cancels each live
+the *active process* against a slotted ``_Resume`` queue record: with a
+deadline (an **absolute** virtual time) the record is the one
+``Environment.sleep_until(deadline)`` queues, with ``None`` it is only
+registered.  The returned record must be yielded at once.  ``fire()`` cancels each live
 registration's record in place and queues the process's resume with
 :data:`Signal.FIRED`, so a signal-woken process resumes in exactly the
 queue slot a hand-rolled wakeup event would have used; a deadline that
@@ -34,11 +33,11 @@ Tick alignment
 
 A converted loop must keep every observable virtual time bit-identical
 to the polling version it replaces.  :func:`next_tick` computes where a
-``yield timeout(interval)`` spinner starting at ``epoch`` would next wake
+``yield sleep(interval)`` spinner starting at ``epoch`` would next wake
 after an event at time ``after`` — by replaying the same sequential
 float additions the spinner would have performed, so the result is
 bit-identical even where ``epoch + k*interval`` is not.  The woken loop
-then sleeps until that boundary (``Environment.timeout_until``) and runs
+then sleeps until that boundary (``Environment.sleep_until``) and runs
 its body there, indistinguishable from a loop that never stopped
 polling — except for the thousands of idle heap events it no longer
 schedules (counted in ``run.counters.poll_ticks_skipped``).
@@ -76,7 +75,7 @@ class _Fired:
 
 def next_tick(epoch: float, interval: float, after: float) -> tuple[float, int]:
     """First tick boundary strictly after ``after`` on the grid a
-    ``yield timeout(interval)`` loop starting at ``epoch`` would produce.
+    ``yield sleep(interval)`` loop starting at ``epoch`` would produce.
 
     Replays the spinner's sequential additions (``t += interval``) so the
     boundary is bit-identical to the polling loop's wake time even when
@@ -133,16 +132,15 @@ class Signal:
         passed.  Call :meth:`unpark` with the record after waking.
         """
         env = self.env
-        process = env._active_process
-        if process is None:
-            raise SimulationError("park() must be called from a running process")
-        record = _Resume(process, None, None)
         if deadline is not None:
-            deadline = float(deadline)
-            if deadline < env._now:
-                raise ValueError(f"until={deadline} is in the past (now={env._now})")
-            env._schedule_at(record, deadline)
-        process._pending_resume = record
+            record = env.sleep_until(deadline)
+            process = record.process
+        else:
+            process = env._active_process
+            if process is None:
+                raise SimulationError("park() must be called from a running process")
+            record = _Resume(process, None, None)
+            process._pending_resume = record
         self._parked[record] = process
         prof = env._profile
         if prof.enabled:

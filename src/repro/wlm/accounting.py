@@ -70,9 +70,6 @@ class AccountingDB:
     def total_cpu_seconds(self, uid: int | None = None) -> float:
         return sum(r.cpu_seconds for r in self._records if uid is None or r.user_uid == uid)
 
-    def total_gpu_seconds(self, uid: int | None = None) -> float:
-        return sum(r.gpu_seconds for r in self._records if uid is None or r.user_uid == uid)
-
     def by_comment_prefix(self, prefix: str) -> list[AccountingRecord]:
         return [r for r in self._records if r.comment.startswith(prefix)]
 

@@ -374,12 +374,6 @@ class SlurmController:
             self.restore_node(event.target)
 
     # ------------------------------------------------------------- views
-    def sinfo(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.state.value] = counts.get(node.state.value, 0) + 1
-        return counts
-
     def squeue(self) -> list[Job]:
         return sorted(
             [*self.queue, *self.running.values()], key=lambda j: j.job_id

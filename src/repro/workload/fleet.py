@@ -972,7 +972,7 @@ class FleetShardEngine:
                 )
             boundary = (epoch + 1) * epoch_len
             if boundary > env.now:
-                yield env.timeout_until(boundary)
+                yield env.sleep_until(boundary)
             # claim this epoch's completion bucket, sorted once latest-first
             bucket = calendar.pop(epoch, None)
             if bucket is None:

@@ -15,9 +15,27 @@ from tests.oracles.capacity import LinearCapacityScan
 
 NODE_CPUS = 8
 
-# an op script: each entry either allocates (1..cap cores) or releases
-# the oldest live allocation (value == 0)
-op_script = st.lists(st.integers(min_value=0, max_value=NODE_CPUS), max_size=120)
+
+def _scripts(kinds: str, max_size: int = 200):
+    """Op scripts of ``(kind, arg)`` pairs, ``kind`` a letter of
+    ``kinds`` and ``arg`` in 0..63, each pair drawn as one integer so
+    long scripts stay cheap.  A letter listed n times is drawn n times
+    as often: the scripts list allocs ("a") several times and are at
+    least 60 ops long, so pools fill and refusals, with the free-core
+    bound they lower, are common rather than a rare corner."""
+    return st.lists(
+        st.integers(0, 64 * len(kinds) - 1).map(lambda v: (kinds[v >> 6], v & 63)),
+        min_size=60, max_size=max_size,
+    )
+
+
+def _req(arg: int) -> int:
+    return 1 + arg % NODE_CPUS
+
+
+# an op script: ("a", arg) allocates 1..cap cores, ("r", _) releases the
+# oldest live allocation
+op_script = _scripts("aaaar", max_size=160)
 
 
 @settings(max_examples=60, deadline=None)
@@ -27,23 +45,25 @@ def test_index_matches_linear_oracle(n_nodes, ops):
     oracle = LinearCapacityScan(n_nodes, NODE_CPUS)
     live: list[tuple[int, int]] = []  # (node, req) in allocation order
 
-    for op in ops:
-        if op == 0:
+    for kind, arg in ops:
+        if kind == "r":
             if not live:
                 continue
             node, req = live.pop(0)
             index.release(node, req)
             oracle.release(node, req)
         else:
-            got = index.alloc(op)
-            expected = oracle.alloc(op)
+            req = _req(arg)
+            got = index.alloc(req)
+            expected = oracle.alloc(req)
             assert got == expected, (
-                f"index placed req={op} on {got}, oracle on {expected}"
+                f"index placed req={req} on {got}, oracle on {expected}"
             )
             if got is not None:
-                live.append((got, op))
+                live.append((got, req))
         assert index.free == oracle.free
         assert index.total_free == oracle.total_free
+        assert index.max_free >= max(index.free)
 
     # drain: every release lands both structures back in step
     for node, req in live:
@@ -53,11 +73,9 @@ def test_index_matches_linear_oracle(n_nodes, ops):
     assert index.total_free == n_nodes * NODE_CPUS
 
 
-# crash/restore script: -1 crashes the next node round-robin, -2
-# restores the oldest downed node, 0 releases, 1..cap allocates
-chaos_script = st.lists(
-    st.integers(min_value=-2, max_value=NODE_CPUS), max_size=120
-)
+# crash/restore script: "c" crashes the next node round-robin, "u"
+# restores the oldest downed node, "r" releases, "a" allocates
+chaos_script = _scripts("aaaarcu", max_size=160)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,8 +90,8 @@ def test_index_matches_oracle_through_crash_restore(n_nodes, ops):
     downed: list[int] = []
     next_crash = 0
 
-    for op in ops:
-        if op == -1:
+    for kind, arg in ops:
+        if kind == "c":
             node = next_crash % n_nodes
             next_crash += 1
             assert index.remove_node(node) == oracle.remove_node(node)
@@ -82,28 +100,30 @@ def test_index_matches_oracle_through_crash_restore(n_nodes, ops):
                 # claims on the dead node die with it: the restore
                 # resets free to full capacity, never via release
                 live = [(n, r) for n, r in live if n != node]
-        elif op == -2:
+        elif kind == "u":
             if not downed:
                 continue
             node = downed.pop(0)
             index.restore_node(node)
             oracle.restore_node(node)
-        elif op == 0:
+        elif kind == "r":
             if not live:
                 continue
             node, req = live.pop(0)
             index.release(node, req)
             oracle.release(node, req)
         else:
-            got = index.alloc(op)
-            expected = oracle.alloc(op)
+            req = _req(arg)
+            got = index.alloc(req)
+            expected = oracle.alloc(req)
             assert got == expected
             if got is not None:
                 assert got not in downed
-                live.append((got, op))
+                live.append((got, req))
         assert index.free == oracle.free
         assert index.down == oracle.down
         assert index.total_free == oracle.total_free
+        assert index.max_free >= max(index.free)
 
     for node in list(downed):
         index.restore_node(node)
@@ -137,18 +157,10 @@ def test_best_fit_prefers_tightest_hole_lowest_id():
     assert index2.alloc(4) == 1
 
 
-# mixed script: ("a", req) allocates, ("r", k) releases the k-th oldest
+# mixed script: ("a", arg) allocates, ("r", k) releases the k-th oldest
 # live claim, ("c", node) crashes a node, ("u", k) restores the k-th
 # oldest downed node
-mixed_script = st.lists(
-    st.one_of(
-        st.tuples(st.just("a"), st.integers(min_value=1, max_value=NODE_CPUS)),
-        st.tuples(st.just("r"), st.integers(min_value=0, max_value=30)),
-        st.tuples(st.just("c"), st.integers(min_value=0, max_value=23)),
-        st.tuples(st.just("u"), st.integers(min_value=0, max_value=5)),
-    ),
-    max_size=200,
-)
+mixed_script = _scripts("aaaarcu")
 
 
 @settings(max_examples=80, deadline=None)
@@ -165,10 +177,11 @@ def test_max_free_bound_stays_sound_and_oracle_exact(n_nodes, ops):
 
     for kind, arg in ops:
         if kind == "a":
-            got = index.alloc(arg)
-            assert got == oracle.alloc(arg)
+            req = _req(arg)
+            got = index.alloc(req)
+            assert got == oracle.alloc(req)
             if got is not None:
-                live.append((got, arg))
+                live.append((got, req))
         elif kind == "r" and live:
             node, req = live.pop(arg % len(live))
             index.release(node, req)
@@ -205,26 +218,11 @@ def test_refusal_above_the_bound_touches_no_bucket():
 
 
 # head script: allocs, releases, crashes and restores as in the mixed
-# script, plus ("h", (k, extra)), which releases the k-th oldest live
+# script, plus ("h", arg), which releases the (arg % 8)-th oldest live
 # claim carrying a queue head larger than every other node's free
-# capacity (the pump's precondition), ``extra`` picking among those
-# sizes (0: one core above the largest other hole).  Allocs come three
-# times as often, so nodes fill up and many releases leave the head
-# without a fit.
-_alloc = st.tuples(st.just("a"), st.integers(min_value=1, max_value=NODE_CPUS))
-head_script = st.lists(
-    st.one_of(
-        _alloc, _alloc, _alloc,
-        st.tuples(st.just("r"), st.integers(min_value=0, max_value=30)),
-        st.tuples(st.just("c"), st.integers(min_value=0, max_value=23)),
-        st.tuples(st.just("u"), st.integers(min_value=0, max_value=5)),
-        st.tuples(st.just("h"), st.tuples(
-            st.integers(min_value=0, max_value=30),
-            st.one_of(st.just(0), st.integers(min_value=0, max_value=NODE_CPUS)),
-        )),
-    ),
-    min_size=40, max_size=200,
-)
+# capacity (the pump's precondition), ``arg // 8`` picking among those
+# sizes (0..3: one core above the largest other hole).
+head_script = _scripts("aaaarcuhh")
 
 
 @settings(max_examples=80, deadline=None)
@@ -242,12 +240,13 @@ def test_release_with_a_head_equals_release_then_alloc(n_nodes, ops):
 
     for kind, arg in ops:
         if kind == "a":
-            got = index.alloc(arg)
-            assert got == oracle.alloc(arg)
+            req = _req(arg)
+            got = index.alloc(req)
+            assert got == oracle.alloc(req)
             if got is not None:
-                live.append((got, arg))
+                live.append((got, req))
         elif kind in "rh" and live:
-            k, extra = (arg, 0) if kind == "r" else arg
+            k, extra = (arg, 0) if kind == "r" else (arg % 8, max(0, arg // 8 - 3))
             node, req = live.pop(k % len(live))
             others = max((f for n, f in enumerate(oracle.free) if n != node), default=0)
             if kind == "r" or others == NODE_CPUS:

@@ -25,6 +25,7 @@ from repro.world import WorldState
 from tests.k8s.conftest import make_cri, make_registry
 from tests.k8s.test_kubelet_and_bridges import make_pod
 from tests.oracles.kubelet import ReferenceKubelet
+from tests.oracles.signal import event_at
 from tests.sim.test_signal import _LoggedEnvironment
 
 #: heartbeat RPC and scheduler pass latencies, exact in binary
@@ -94,7 +95,7 @@ def run_kubelet(kubelet_cls, script, deaf=False):
             else:
                 when = _targets(writes[-1])[anchor]
             if when > env.now:
-                yield env.timeout_until(when)
+                yield event_at(env, when)
             if action in ("bound", "pod"):
                 pod = make_pod(f"p{len(pods):02}", duration=duration, cpu=1.0)
                 if action == "bound":
@@ -211,7 +212,7 @@ def _race_a_pod_against_the_interrupt(kubelet_cls, halt):
             kubelets[0].start()
             yield env.timeout(1.0)
             kubelets[1].start()
-            yield env.timeout_until(race)
+            yield event_at(env, race)
             parked = [kubelet._wakeup.waiting for kubelet in kubelets]
             for kubelet in kubelets:
                 getattr(kubelet, halt)()

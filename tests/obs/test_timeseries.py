@@ -1,6 +1,7 @@
 """Virtual-time time-series recorder (repro.obs.timeseries)."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,10 @@ def test_enable_rejects_nonpositive_interval():
         rec.enable(interval=0.0)
     with pytest.raises(ValueError):
         rec.enable(interval=-1.0)
+    for interval in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            rec.enable(interval=interval)
+    assert not rec.enabled
 
 
 def test_samples_stamp_on_the_grid():
@@ -282,6 +287,20 @@ def test_timeseries_document_passes_the_strict_check(tmp_path):
     assert check_timeseries_file(str(path)) == 1
 
 
+def test_timeseries_file_with_an_infinite_interval_fails(tmp_path, capsys):
+    """What an unchecked ``--sample-interval inf`` run wrote: JSON's
+    ``Infinity`` interval and ``NaN`` point times."""
+    path = tmp_path / "series.json"
+    path.write_text(
+        '{"schema": "repro-timeseries/1", "interval": Infinity, "samples": 1, '
+        '"series": {"fleet.pending": [[NaN, 3.0]]}}'
+    )
+    assert check_timeseries_file(str(path)) == 1
+    err = capsys.readouterr()
+    out = err.out + err.err
+    assert "timeseries.interval" in out and "fleet.pending[0]" in out
+
+
 _PENDING = 'fleet.pending{shard="s0"}'
 
 
@@ -293,6 +312,8 @@ _PENDING = 'fleet.pending{shard="s0"}'
         (lambda d: d.update(schema="repro-timeseries/2"), "timeseries.schema"),
         (lambda d: d.update(interval=5), "timeseries.interval: expected float"),
         (lambda d: d.update(interval=0.0), "positive interval"),
+        (lambda d: d.update(interval=math.inf), "finite positive interval"),
+        (lambda d: d.update(interval=math.nan), "finite positive interval"),
         (lambda d: d.update(samples=-1), "timeseries.samples: expected a count"),
         (lambda d: d.update(samples=True), "timeseries.samples: expected int"),
         (lambda d: d.update(series=[]), "timeseries.series: expected an object"),
@@ -300,6 +321,8 @@ _PENDING = 'fleet.pending{shard="s0"}'
         (lambda d: d["series"].update({"x": {}}), "series.x: expected a list"),
         (lambda d: d["series"][_PENDING].append([15.0]), "[2]: expected a [t, value] pair"),
         (lambda d: d["series"][_PENDING].append([15.0, 1.0, 2.0]), "a [t, value] pair"),
+        (lambda d: d["series"][_PENDING][1].__setitem__(0, math.nan), "[1]: expected a [t"),
+        (lambda d: d["series"][_PENDING][0].__setitem__(0, -math.inf), "[0]: expected a [t"),
         (lambda d: d["series"][_PENDING][0].__setitem__(1, 3), "[0][1]: expected float"),
         (lambda d: d["series"][_PENDING][1].__setitem__(0, None), "[1][0]: expected float"),
     ],

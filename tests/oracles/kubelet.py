@@ -9,7 +9,7 @@ from repro.run import run
 from repro.sim import Interrupt, Signal
 from repro.sim.signal import count_skipped_ticks, next_tick
 
-from tests.oracles.signal import ReferenceSignal
+from tests.oracles.signal import ReferenceSignal, event_at
 
 
 class _UnkeyedWatch:
@@ -66,10 +66,11 @@ class StoreScanKubelet(Kubelet):
 class ReferenceKubelet(Kubelet):
     """Runs its idle loop in the ``_main`` generator: each idle cycle
     parks the process on a :class:`ReferenceSignal` token, resumes it at
-    the tick, yields an RPC ``Timeout`` for the heartbeat and writes the
-    Node from the generator.  ``Kubelet`` runs that cycle as a callback
-    chain under the same queue keys.  Its sleeps are ``Timeout`` events,
-    the keys ``Environment.sleep`` is held to."""
+    the tick, yields an RPC ``timeout`` event for the heartbeat and
+    writes the Node from the generator.  ``Kubelet`` runs that cycle as
+    a callback chain under the same queue keys.  Its sleeps are
+    ``timeout`` and :func:`event_at` events, the keys
+    ``Environment.sleep`` and ``Environment.sleep_until`` are held to."""
 
     def __init__(self, env, *args, **kwargs):
         super().__init__(env, *args, **kwargs)
@@ -130,7 +131,7 @@ class ReferenceKubelet(Kubelet):
                     if cause is Signal.FIRED:
                         tick, skipped = next_tick(epoch, self.sync_interval, self.env.now)
                         count_skipped_ticks(self.env, skipped)
-                        yield self.env.timeout_until(tick)
+                        yield event_at(self.env, tick)
                     else:
                         count_skipped_ticks(self.env, skipped)
                 self.stats["sync_loops"] += 1

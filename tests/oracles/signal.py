@@ -1,18 +1,35 @@
 """Reference for ``repro.sim.Signal``: the token-``Event`` park it
 replaced.
 
-A park here is an ``Event`` the process yields: a ``timeout_until`` at
+A park here is an ``Event`` the process yields: an :func:`event_at` at
 the deadline, or an event that never triggers.  A fire detaches the
 process's resume callback from its token and queues the resume with
 :data:`Signal.FIRED`; a deadline token that passes first resumes the
 process with ``None``, and one abandoned by a fire or an interrupt still
 pops at its key.  ``Signal`` parks a ``_Resume`` record instead and is
 held to this class key for key.
+
+:func:`event_at` is the same token as a plain wait: the absolute-time
+``Event`` that ``Environment.sleep_until`` queues a ``_Resume`` record
+in place of, and is held to.
 """
 
 from __future__ import annotations
 
 from repro.sim import Environment, Event, Process, Signal, SimulationError
+
+
+def event_at(env: Environment, when: float) -> Event:
+    """An ``Event`` that triggers at exactly the absolute virtual time
+    ``when`` (the immediate FIFO if that is now, the heap otherwise);
+    a ``when`` before now, or NaN, raises ``ValueError``."""
+    when = float(when)
+    if not when >= env.now:
+        raise ValueError(f"until={when} is in the past (now={env.now})")
+    event = Event(env)
+    event._value = None
+    env._schedule_at(event, when)
+    return event
 
 
 class ReferenceSignal:
@@ -37,7 +54,7 @@ class ReferenceSignal:
         if deadline is None:
             token = Event(self.env)
         else:
-            token = self.env.timeout_until(deadline)
+            token = event_at(self.env, deadline)
         self._parked[token] = process
         prof = self.env._profile
         if prof.enabled:

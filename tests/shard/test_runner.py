@@ -155,8 +155,7 @@ def test_runner_restores_parent_state(snapshot, _obs_clean):
     assert {n: set(c) for n, c in after.caches.items()} == {
         n: set(c) for n, c in before.caches.items()
     }
-    delta = run.counters.snapshot_delta(prof_before)
-    assert delta["shard_cells_run"] == 1
+    assert run.counters.shard_cells_run - prof_before["shard_cells_run"] == 1
 
 
 def test_observing_arms_the_selected_sinks_then_restores_all_four(_obs_clean):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, SimulationError, Timeout
+from repro.sim import Environment, Event, Interrupt, SimulationError
 
 
 def test_clock_starts_at_zero():

@@ -103,10 +103,6 @@ def test_nested_enable_does_not_reset_outer_counters():
         before = prof.snapshot()
         assert before["processes_spawned"] == 2
 
-        # a nested harness that opts out of the reset keeps the totals
-        assert profile.enable(reset=False) is prof
-        assert prof.snapshot() == before
-
         with observing(ObsConfig()) as inner:
             assert inner.counters is not prof and inner.counters.enabled
             env2 = Environment()
@@ -161,8 +157,9 @@ def test_snapshot_delta_measures_a_sub_workload():
     env2 = Environment()  # a sub-workload measured without a reset
     _workload(env2)
     env2.run()
-    delta = prof.snapshot_delta(baseline)
+    after = prof.snapshot()
     profile.disable()
+    delta = {field: after[field] - baseline[field] for field in after}
 
     assert delta["processes_spawned"] == 2
     assert delta["events_processed"] > 0

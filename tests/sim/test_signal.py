@@ -350,8 +350,8 @@ class _LoggedEnvironment(Environment):
         self.pushes.append((self._now, self._now, priority, self._counter.last))
         return resume
 
-    def sleep(self, delay, value=None):
-        slept = super().sleep(delay, value)
+    def sleep(self, delay):
+        slept = super().sleep(delay)
         self.pushes.append((self._now, self._now + delay, Environment.NORMAL, self._counter.last))
         return slept
 
@@ -598,28 +598,6 @@ def test_stale_park_registration_is_skipped():
     env.process(producer(env))
     env.run()
     assert log == [("slept-through", 11.0)]
-
-
-# -- timeout_until ------------------------------------------------------------
-
-def test_timeout_until_rejects_past():
-    env = Environment()
-    env.run(until=5)
-    with pytest.raises(ValueError):
-        env.timeout_until(4.0)
-
-
-def test_timeout_until_exact_time():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        yield env.timeout_until(2.5, value="at-2.5")
-        log.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert log == [2.5]
 
 
 # -- tick-boundary alignment --------------------------------------------------

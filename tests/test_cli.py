@@ -457,6 +457,13 @@ def test_cli_accepts_zero_pods(capsys, _obs_clean):
     assert "0 pods on 1 nodes" in capsys.readouterr().out
 
 
-def test_cli_rejects_non_positive_sample_interval(capsys):
-    assert main(["chaos", *SMALL_SCENARIO, "--sample-interval", "0"]) == 2
-    assert "--sample-interval must be positive" in capsys.readouterr().err
+def test_cli_rejects_non_positive_sample_interval(tmp_path, capsys):
+    series = tmp_path / "ts.json"
+    for verb in (["chaos", *SMALL_SCENARIO], ["slo", *SMALL_SCENARIO],
+                 ["fleet", *SMALL_FLEET], ["replay", *SMALL_FLEET]):
+        for value in ("0", "-1", "nan", "inf"):
+            args = [*verb, "--sample-interval", value, "--timeseries", str(series)]
+            assert main(args) == 2, args
+            err = capsys.readouterr().err
+            assert "--sample-interval must be positive and finite" in err, args
+            assert not series.exists(), args

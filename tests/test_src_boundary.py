@@ -178,3 +178,24 @@ def test_run_module_imports_without_a_cycle(first):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.returncode == 0 and out.stdout.strip() == "Run", out.stderr
+
+
+# -- one timer: src processes wait through sleep/sleep_until records ---------
+
+#: the event-building timer calls, kept only for perfbench and tests
+EVENT_TIMERS = {"timeout", "timeout_until"}
+
+
+def test_src_keeps_one_timer():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = path.relative_to(SRC.parent)
+        for node in ast.walk(tree):
+            if _called_name(node) in EVENT_TIMERS:
+                offenders.append(f"{where}:{node.lineno}: calls {_called_name(node)}")
+            elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "Timeout" for alias in node.names
+            ):
+                offenders.append(f"{where}:{node.lineno}: imports Timeout")
+    assert not offenders, offenders
