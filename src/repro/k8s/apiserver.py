@@ -140,7 +140,9 @@ class APIServer:
         return [o for o in objs if self._meta(o).namespace == namespace]
 
     def update(self, kind: str, obj: object) -> object:
-        meta = self._meta(obj)
+        meta = getattr(obj, "metadata", None)
+        if meta.__class__ is not ObjectMeta:
+            meta = self._meta(obj)
         key = (meta.namespace, meta.name)
         bucket = self._store.get(kind)
         if bucket is None or key not in bucket:

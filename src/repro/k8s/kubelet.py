@@ -18,6 +18,9 @@ generator's park and RPC sleep had, with no generator resume per cycle.
 The record is ``_main``'s pending resume and is parked on the wakeup
 signal against ``_main``, so a fire while it is parked resumes ``_main``
 and a stop or crash cancels it in place, as for a parked process.  The
+park's tick is the polling loop's sequential sum of sync intervals,
+taken in one step where that is exact (``repro.sim.signal.grid_tick``):
+with the default intervals, ``epoch + 10.0`` after a heartbeat.  The
 chain also hands the loop back to ``_main`` when pods need syncing.
 ``tests/oracles/kubelet.py`` keeps the generator loop
 (``ReferenceKubelet``) as the chain's reference.
@@ -26,6 +29,7 @@ chain also hands the loop back to ``_main`` when pods need syncing.
 from __future__ import annotations
 
 import typing as _t
+from math import ceil
 
 from repro.cluster.network import Interconnect
 from repro.k8s.apiserver import APIServer
@@ -43,7 +47,7 @@ from repro.kernel.process import SimProcess
 from repro.run import run
 from repro.sim import Environment, Interrupt, Signal
 from repro.sim.environment import _Resume
-from repro.sim.signal import count_skipped_ticks, next_tick
+from repro.sim.signal import count_skipped_ticks, grid_tick, next_tick
 
 
 class KubeletError(RuntimeError):
@@ -334,18 +338,26 @@ class Kubelet:
 
     def _park(self, epoch: float) -> None:
         """Park the chain until the first grid tick from ``epoch`` that
-        is due for a heartbeat.  The tick is summed one interval at a
-        time, as the polling loop's wake times were: ``epoch +
-        k*interval`` rounds differently where the sum crosses a power
-        of two."""
+        is due for a heartbeat.  The tick is the polling loop's wake
+        time, summed as the loop summed it (:func:`grid_tick`): ``epoch
+        + k*interval`` rounds differently where the sum crosses a power
+        of two.  The tick count is estimated in reals (after a
+        heartbeat, with the default intervals, ``epoch + 10.0`` after 19
+        skipped ticks) and checked against the loop's condition on the
+        sums; a miss replays the loop."""
         interval = self.sync_interval
         heartbeat = self.heartbeat_interval
         last = self._last_heartbeat
-        tick = epoch + interval
-        skipped = 0
-        while tick - last < heartbeat:
-            tick += interval
-            skipped += 1
+        span = heartbeat - (epoch - last)
+        skipped = ceil(span / interval) - 1 if span > interval else 0
+        prev = grid_tick(epoch, interval, skipped)
+        tick = prev + interval
+        if tick - last < heartbeat or (skipped and prev - last >= heartbeat):
+            tick = epoch + interval
+            skipped = 0
+            while tick - last < heartbeat:
+                tick += interval
+                skipped += 1
         self._idle_epoch = epoch
         self._idle_skipped = skipped
         self._idle_rpc = False

@@ -48,10 +48,10 @@ class K8sScheduler:
         #: iff its seq matches _node_seq[name]
         self._heap: list[tuple[float, str, int]] = []
         self._node_seq: dict[str, int] = {}
-        self._nodes: dict[str, K8sNode] = {}
-        #: name -> ratio of the node's live heap entry, absent while the
-        #: node has none (popped as a pick's winner, or never indexed)
-        self._node_ratio: dict[str, float] = {}
+        #: name -> (node, ratio) of the node's live heap entry, absent
+        #: while the node has none (popped as a pick's winner, or never
+        #: indexed)
+        self._live: dict[str, tuple[K8sNode, float]] = {}
         #: interned per-node metric keys for the bind counter
         self._bind_keys: dict[str, tuple] = {}
         self._unsched_key = None
@@ -80,30 +80,38 @@ class K8sScheduler:
             self._bell.ring()
 
     def _on_node_event(self, event: WatchEvent) -> None:
-        self._index_node(event.obj, event.type)
+        node = event.obj
+        # One probe answers a heartbeat: the node's live entry is exact.
+        # The ring stays, since an empty pass reserves the key a pod
+        # created before it passes binds at.
+        live = self._live.get(node.metadata.name)  # type: ignore[attr-defined]
+        if (
+            live is None
+            or live[0] is not node
+            or event.type is WatchEventType.DELETED
+            or live[1] != node.allocated.cpu / max(node.capacity.cpu, 1e-9)  # type: ignore[attr-defined]
+        ):
+            self._index_node(node, event.type)
         self._bell.ring()
 
     def _index_node(self, node: object, type_: WatchEventType) -> None:
-        """Keep ``node``'s pick-index entry exact after a Node event."""
+        """Re-key ``node``'s pick-index entry after a Node event that
+        may have changed it."""
         if not isinstance(node, K8sNode):
             return
         name = node.metadata.name
         if type_ is WatchEventType.DELETED:
             self._node_seq.pop(name, None)
-            self._nodes.pop(name, None)
-            self._node_ratio.pop(name, None)
+            self._live.pop(name, None)
             return
         ratio = node.allocated.cpu / max(node.capacity.cpu, 1e-9)
-        if self._node_ratio.get(name) == ratio and self._nodes.get(name) is node:
-            return  # e.g. a heartbeat: the live entry is still exact
         seq = self._node_seq.get(name, 0) + 1
         self._node_seq[name] = seq
-        self._nodes[name] = node
-        self._node_ratio[name] = ratio
+        self._live[name] = (node, ratio)
         heapq.heappush(self._heap, (ratio, name, seq))
         # Stale entries accumulate one per node update; compact before
         # the heap outgrows the live node set by a wide margin.
-        if len(self._heap) > 64 + 4 * len(self._nodes):
+        if len(self._heap) > 64 + 4 * len(self._node_seq):
             self._compact_heap()
 
     def _compact_heap(self) -> None:
@@ -194,7 +202,7 @@ class K8sScheduler:
             return None
         heap = self._heap
         seqs = self._node_seq
-        nodes = self._nodes
+        live_entries = self._live
         rejected: list[tuple[float, str, int]] = []
         target: K8sNode | None = None
         while heap:
@@ -204,14 +212,14 @@ class K8sScheduler:
                 heapq.heappop(heap)
                 continue
             heapq.heappop(heap)
-            node = nodes[name]
+            node = live_entries[name][0]
             live = node.allocated.cpu / max(node.capacity.cpu, 1e-9)
             if live != ratio:
                 # Node mutated without an apiserver update (tests poking
                 # `allocated` directly): re-key under a fresh seq so the
                 # heap order stays the true (ratio, name) order.
                 seq = seqs[name] = seq + 1
-                self._node_ratio[name] = live
+                live_entries[name] = (node, live)
                 heapq.heappush(heap, (live, name, seq))
                 continue
             if (
@@ -225,7 +233,7 @@ class K8sScheduler:
                 continue
             target = node
             # its entry is off the heap until the bind's Node update
-            del self._node_ratio[name]
+            del live_entries[name]
             break
         for entry in rejected:
             heapq.heappush(heap, entry)

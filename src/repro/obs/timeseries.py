@@ -25,11 +25,12 @@ boundary and **self-terminates when it is the only pending work**, so
 ``env.run()`` drains and ``env.run(until=...)`` deadlines behave exactly
 as they would without it.
 
-Sample timestamps are snapped to the grid (``floor(now/interval) *
-interval``), so a cell sampled inline at irregular epoch times and a
-cell sampled by the process land points on the same time axis.  Like the
-registry, the recorder is **one per run** (``repro.run.run.recorder``),
-**off by default, and shard-mergeable**: :meth:`capture_state` /
+Sample timestamps are snapped to the grid (``k * interval`` for the
+grid index ``k`` at or below ``now``), so a cell sampled inline at
+irregular epoch times and a cell sampled by the process land points on
+the same time axis.  Like the registry, the recorder is **one per
+run** (``repro.run.run.recorder``), **off by default, and
+shard-mergeable**: :meth:`capture_state` /
 :meth:`absorb` mirror the registry's contract, concatenating per-series
 points in the order cells are merged (deterministic cell-index order),
 keeping ``--jobs N`` byte-identical to serial.
@@ -166,16 +167,31 @@ class TimeSeriesRecorder:
             return None
         return self.sample(now, registry)
 
-    def sample(self, now: float, registry: MetricsRegistry | None = None) -> float:
-        """Take one sample tick, stamped at the grid point below ``now``."""
+    def grid_index(self, now: float) -> int:
+        """The grid index ``k`` with ``k*interval <= now <
+        (k+1)*interval``: ``floor(now/interval)`` corrected where the
+        quotient rounds across an integer (``4.3/0.1`` is
+        ``42.99999999999999``, but ``43*0.1`` is ``4.3``)."""
         interval = self.interval
-        t = math.floor(now / interval) * interval
+        k = math.floor(now / interval)
+        if (k + 1) * interval <= now:
+            k += 1
+        elif k * interval > now:
+            k -= 1
+        return k
+
+    def sample(self, now: float, registry: MetricsRegistry | None = None) -> float:
+        """Take one sample tick, stamped at the grid point at or below
+        ``now``; the next is due at the grid point after it."""
+        interval = self.interval
+        k = self.grid_index(now)
+        t = k * interval
         for probe in self._probes:
             probe(t)
         if registry is not None:
             self._sample_registry(t, registry)
         self._last_t = t
-        self._next_due = t + interval
+        self._next_due = (k + 1) * interval
         self.samples += 1
         return t
 
@@ -300,10 +316,13 @@ def check_timeseries(doc: object) -> list[str]:
     """Strict shape check of a ``repro-timeseries/1`` document: exact
     keys and leaf types, the schema string, a positive finite interval,
     a sample count that is not negative, well-formed series names and
-    two-element points with a finite time.  Points are not checked for
-    order: a sharded run appends each cell's points in cell order, and
-    every cell starts its own virtual clock.  Returns the problems found
-    (empty when the document is well formed)."""
+    two-element points with a finite time, and a time that differs from
+    the point before it.  Within one cell a series's times strictly
+    increase; a sharded run appends each cell's points in cell order and
+    every cell starts its own virtual clock, so a time below its
+    predecessor starts the next cell, but a repeated time is a sampler
+    that stamped one instant twice.  Returns the problems found (empty
+    when the document is well formed)."""
     problems = shape_problems(doc, _TIMESERIES, "timeseries")
     if problems:
         return problems
@@ -322,6 +341,11 @@ def check_timeseries(doc: object) -> list[str]:
             f"timeseries.series.{name}[{i}]: expected a [t, value] pair with a finite t"
             for i, point in enumerate(points)
             if len(point) != 2 or not math.isfinite(point[0])
+        ]
+        problems += [
+            f"timeseries.series.{name}[{i}]: time {point[0]} repeats the point before it"
+            for i, point in enumerate(points)
+            if i and point and points[i - 1] and point[0] == points[i - 1][0]
         ]
     return problems
 
@@ -370,7 +394,7 @@ def install_sampler(
 
     def _tick():
         while rec.enabled:
-            boundary = math.floor(env.now / rec.interval + 1.0) * rec.interval
+            boundary = (rec.grid_index(env.now) + 1) * rec.interval
             if boundary < rec._next_due:
                 boundary = rec._next_due
             yield env.sleep_until(boundary)

@@ -7,15 +7,15 @@ process-interaction style (as popularized by SimPy): simulation processes
 are Python generators that ``yield`` events; the :class:`Environment`
 advances virtual time and resumes processes when their events trigger.
 
-A process waits in one of three ways: it yields an :class:`Event` (a
-:class:`Resource` request, another :class:`Process`, an
-``env.timeout(d)`` that others share); it sleeps, for a delay
-(``yield env.sleep(d)``) or until an absolute time
-(``yield env.sleep_until(t)``); or it parks on a :class:`Signal` until
-a producer fires it or a deadline passes.  A sleep and a park are each
-one queue record that an interrupt (or, for a park, a fire) cancels in
-place.  A :class:`Bell` runs a scheduler's coalescing pass loop on
-records of its own.
+A process waits in one of four ways: it yields an :class:`Event`
+(another :class:`Process`, an ``env.timeout(d)`` that others share); it
+sleeps, for a delay (``yield env.sleep(d)``) or until an absolute time
+(``yield env.sleep_until(t)``); it parks on a :class:`Signal` until a
+producer fires it or a deadline passes; or it waits for a
+:class:`Resource` slot (``yield res.request()``).  A sleep, a park and
+a grant are each one queue record that an interrupt (or, for a park, a
+fire) cancels in place.  A :class:`Bell` runs a scheduler's coalescing
+pass loop on records of its own.
 
 The simulator is deterministic: given the same seed and the same process
 creation order, a simulation produces bit-identical timelines, which the

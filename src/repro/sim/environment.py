@@ -69,9 +69,9 @@ class _Resume:
     :meth:`~repro.sim.signal.Signal.fire` for a park it wakes).
 
     A process waits on a record by yielding it: :meth:`Environment.sleep`,
-    :meth:`Environment.sleep_until` and
-    :meth:`~repro.sim.signal.Signal.park` return the record they queued
-    or registered as the process's pending resume.
+    :meth:`Environment.sleep_until`, :meth:`~repro.sim.signal.Signal.park`
+    and :meth:`~repro.sim.resources.Resource.request` return the record
+    they queued or registered as the process's pending resume.
     """
 
     __slots__ = ("process", "value", "exception")
@@ -470,7 +470,7 @@ class Process(Event):
         env._active_process = None
 
         if target.__class__ is _Resume:
-            return  # sleep(), sleep_until() or Signal.park() set _pending_resume
+            return  # a sleep, a park or a grant set _pending_resume
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"

@@ -32,15 +32,21 @@ Tick alignment
 --------------
 
 A converted loop must keep every observable virtual time bit-identical
-to the polling version it replaces.  :func:`next_tick` computes where a
-``yield sleep(interval)`` spinner starting at ``epoch`` would next wake
-after an event at time ``after`` — by replaying the same sequential
-float additions the spinner would have performed, so the result is
-bit-identical even where ``epoch + k*interval`` is not.  The woken loop
-then sleeps until that boundary (``Environment.sleep_until``) and runs
-its body there, indistinguishable from a loop that never stopped
-polling — except for the thousands of idle heap events it no longer
-schedules (counted in ``run.counters.poll_ticks_skipped``).
+to the polling version it replaces.  The ``k``-th wake time of a
+``yield sleep(interval)`` spinner starting at ``epoch`` is the
+sequential sum ``epoch + interval + ... + interval``; :func:`grid_tick`
+returns it, in one step where every partial addition is provably exact
+(so the one-step sum is the sequential one) and by replaying the
+additions otherwise, so the result is bit-identical even where
+``epoch + k*interval`` rounds differently.  :func:`next_tick` finds the
+first such tick after an event at time ``after`` (the kubelet's idle
+park finds the first one due for a heartbeat the same way): it
+estimates the tick count in reals and checks it against the sums,
+replaying the spinner on a miss.  The woken loop then sleeps until that
+boundary (``Environment.sleep_until``) and runs its body there,
+indistinguishable from a loop that never stopped polling — except for
+the thousands of idle heap events it no longer schedules (counted in
+``run.counters.poll_ticks_skipped``).
 
 Scheduler passes
 ----------------
@@ -59,9 +65,15 @@ the bell's reference.
 from __future__ import annotations
 
 import typing as _t
+from math import ulp
 
 from repro.sim.environment import Environment, Process, _Resume
 from repro.sim.events import SimulationError
+
+
+#: ``epoch`` must sit below this many intervals for :func:`grid_tick`'s
+#: one-step sum
+_TWO52 = 2.0**52
 
 
 class _Fired:
@@ -73,15 +85,40 @@ class _Fired:
         return "<Signal.FIRED>"
 
 
+def grid_tick(epoch: float, interval: float, k: int) -> float:
+    """The ``k``-th tick ``epoch + interval + ... + interval`` (``k``
+    intervals, added left to right) of the grid a ``yield
+    sleep(interval)`` loop starting at ``epoch`` wakes on.
+
+    The sum is taken in one step, ``epoch + k*interval``, only when
+    every partial addition is provably exact: ``interval`` is a multiple
+    of ``ulp(epoch)``, ``epoch < 2**52 * interval``, and the sum stays in
+    ``epoch``'s binade (it has ``epoch``'s ulp).  Then every partial sum
+    is a multiple of that ulp below the binade's top, so representable,
+    and the one-step sum equals the sequential one bit for bit.
+    Otherwise (a sum that crosses a power of two, an interval such as
+    0.1 that is not a multiple of the ulp) the additions are replayed.
+    """
+    tick = epoch + k * interval
+    if 0.0 < epoch < _TWO52 * interval:
+        unit = ulp(epoch)
+        if ulp(tick) == unit and interval % unit == 0.0:
+            return tick
+    tick = epoch
+    for _ in range(k):
+        tick += interval
+    return tick
+
+
 def next_tick(epoch: float, interval: float, after: float) -> tuple[float, int]:
     """First tick boundary strictly after ``after`` on the grid a
     ``yield sleep(interval)`` loop starting at ``epoch`` would produce.
 
-    Replays the spinner's sequential additions (``t += interval``) so the
-    boundary is bit-identical to the polling loop's wake time even when
-    float rounding makes ``epoch + k*interval`` differ.  Returns
-    ``(boundary, skipped)`` where ``skipped`` counts the idle polls the
-    spinner would have executed in ``(epoch, after]``.
+    The boundary is bit-identical to the polling loop's wake time even
+    where float rounding makes ``epoch + k*interval`` differ: it is the
+    loop's own sum (:func:`grid_tick`).  Returns ``(boundary, skipped)``
+    where ``skipped`` counts the idle polls the spinner would have
+    executed in ``(epoch, after]``.
 
     "Strictly after" mirrors event-queue sequence order: a state change
     landing exactly on a boundary was produced by an event scheduled
@@ -90,6 +127,15 @@ def next_tick(epoch: float, interval: float, after: float) -> tuple[float, int]:
     """
     if interval <= 0:
         raise ValueError(f"interval must be positive, got {interval}")
+    t = epoch + interval
+    if not t <= after:
+        return t, 0
+    # the grid index estimated in reals, then checked on the loop's sums
+    skipped = int((after - epoch) // interval)
+    prev = grid_tick(epoch, interval, skipped)
+    t = prev + interval
+    if prev <= after < t:
+        return t, skipped
     t = epoch + interval
     skipped = 0
     while t <= after:

@@ -269,3 +269,65 @@ def test_park_sums_its_ticks_across_a_power_of_two():
     assert closed_form == 4101.822505609352
     assert closed_form - epoch < Kubelet.heartbeat_interval
     assert next_tick(epoch, Kubelet.sync_interval, closed_form) == (4102.322505609352, 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epoch=st.one_of(
+        st.floats(min_value=1.0, max_value=2.0**40),
+        st.integers(1, 40).map(lambda e: 2.0**e - 5.0),
+        st.integers(1, 40).map(lambda e: 2.0**e - 10.0),
+    ),
+    since=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)),
+    sync_interval=st.sampled_from([0.5, 0.1, 0.3, 5.0]),
+    heartbeat_interval=st.sampled_from([10.0, 1.0, 3.3, 0.5]),
+)
+def test_park_tick_is_the_polling_loops(epoch, since, sync_interval, heartbeat_interval):
+    """Whatever the intervals and however long ago the last heartbeat
+    was, the park waits for the tick (and counts the skipped ticks) the
+    polling loop's sequential sums reach first."""
+    env = Environment(initial_time=epoch)
+    kubelet = Kubelet(env, APIServer(), "knode", cri=None)
+    kubelet.sync_interval = sync_interval
+    kubelet.heartbeat_interval = heartbeat_interval
+    kubelet.start()
+    last = max(0.0, epoch - since)
+    kubelet._last_heartbeat = last
+    kubelet._park(epoch)
+    tick = epoch + sync_interval
+    skipped = 0
+    while tick - last < heartbeat_interval:
+        tick += sync_interval
+        skipped += 1
+    ((when, _priority, _seq, _record),) = env._queue
+    assert (when, kubelet._idle_skipped) == (tick, skipped)
+
+
+def test_idle_heartbeat_ring_holds_the_pass_a_new_pod_binds_at():
+    """A heartbeat's Node write changes nothing the scheduler reads, yet
+    its ring matters: the empty pass it starts reserves the key
+    ``h + pass_latency``, and a pod created inside that sleep binds
+    there, not at its own creation plus ``pass_latency``."""
+    WorldState.pristine().install()
+    env = Environment()
+    api = APIServer()
+    api.request_latency = RPC
+    _Scheduler(env, api)
+    cri, _host = make_cri(make_registry())
+    Kubelet(env, api, "knode", cri).start()
+    writes = []
+    api.watch("Node", lambda event: writes.append(env.now), replay_existing=False)
+    while len(writes) < 2:  # the registration, then the first heartbeat
+        env.step()
+    heartbeat = env.now
+    assert writes == [Kubelet.startup_cost + RPC, heartbeat]
+    env.run(until=heartbeat + PASS / 2)
+    binds = []
+    api.watch(
+        "Pod",
+        lambda event: event.obj.node_name and not binds and binds.append(env.now),
+        replay_existing=False,
+    )
+    api.create("Pod", make_pod("p", duration=1.0, cpu=1.0))
+    env.run(until=heartbeat + 4 * PASS)
+    assert binds == [heartbeat + PASS]

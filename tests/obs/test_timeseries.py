@@ -325,6 +325,7 @@ _PENDING = 'fleet.pending{shard="s0"}'
         (lambda d: d["series"][_PENDING][0].__setitem__(0, -math.inf), "[0]: expected a [t"),
         (lambda d: d["series"][_PENDING][0].__setitem__(1, 3), "[0][1]: expected float"),
         (lambda d: d["series"][_PENDING][1].__setitem__(0, None), "[1][0]: expected float"),
+        (lambda d: d["series"][_PENDING][1].__setitem__(0, 5.0), "[1]: time 5.0 repeats"),
     ],
 )
 def test_timeseries_check_rejects_drift(tamper, expected):
@@ -332,3 +333,79 @@ def test_timeseries_check_rejects_drift(tamper, expected):
     tamper(doc)
     problems = check_timeseries(doc)
     assert any(expected in p for p in problems), problems
+
+
+def test_timeseries_check_reads_a_time_below_its_predecessor_as_the_next_cell():
+    """A sharded run appends each cell's points after the last cell's,
+    so a series's time may fall back, but never repeat."""
+    doc = _timeseries_document()
+    doc["series"][_PENDING] += [[5.0, 1.0], [10.0, 2.0]]
+    assert check_timeseries(doc) == []
+    doc["series"][_PENDING].append([10.0, 2.0])
+    assert check_timeseries(doc) == [
+        f"timeseries.series.{_PENDING}[4]: time 10.0 repeats the point before it"
+    ]
+
+
+# -- the sampler's grid ---------------------------------------------------------
+
+
+def _sample_until(interval: float, horizon: float, start: float = 0.0):
+    """Sample a run that ends at ``horizon`` through the sampler process,
+    stepping at most a bounded number of records; returns the stamps,
+    the clock and how many records ran."""
+    stamps = []
+    with observing(ObsConfig(timeseries=interval)):
+        run.recorder.add_probe(stamps.append)
+        env = Environment(initial_time=start)
+
+        def work(env):
+            yield env.sleep(horizon - start)
+
+        env.process(work(env))
+        install_sampler(env)
+        limit = 4 * int((horizon - start) / interval) + 16
+        steps = 0
+        while env.peek() < math.inf and steps < limit:
+            env.step()
+            steps += 1
+        return stamps, env.now, steps, limit
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    interval=st.one_of(
+        st.sampled_from([0.1, 0.3, 1.1, 2.7, 5.0, 20.0]),
+        st.floats(min_value=0.05, max_value=50.0),
+    ),
+    horizon=st.floats(min_value=0.0, max_value=60.0),
+    start=st.sampled_from([0.0, 0.3, 4.3, 17.5]),
+)
+def test_sampler_stamps_strictly_increase_and_time_reaches_the_horizon(
+    interval, horizon, start
+):
+    """Each stamp sits on the grid at or below the instant it was taken,
+    stamps strictly increase, and the clock reaches the horizon: the
+    sampler once re-sampled t = 4.3 forever at a 0.1 s interval, because
+    ``4.3 / 0.1`` rounds to ``42.99999999999999``."""
+    horizon += start
+    stamps, now, steps, limit = _sample_until(interval, horizon, start)
+    assert steps < limit
+    # the sampler's last tick is the first boundary after the work ends
+    assert horizon <= now and now - horizon <= interval * (1 + 1e-9)
+    assert all(a < b for a, b in zip(stamps, stamps[1:])), stamps
+    assert not stamps or start <= stamps[0] and stamps[-1] <= now
+
+
+def test_sampler_at_a_tenth_of_a_second_passes_four_point_three():
+    stamps, now, steps, limit = _sample_until(0.1, 5.0)
+    assert steps < limit and now > 5.0
+    assert stamps[42:44] == [4.3, 4.4]
+    assert len(stamps) == len(set(stamps)) == 51
+
+
+@pytest.mark.parametrize("interval", [5.0, 20.0])
+def test_sampler_stamps_at_whole_intervals_are_the_multiples(interval):
+    stamps, _now, _steps, _limit = _sample_until(interval, 1000.0)
+    # (the last tick is the boundary after the work's process ends)
+    assert stamps == [k * interval for k in range(1, int(1000.0 / interval) + 2)]

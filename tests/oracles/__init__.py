@@ -20,6 +20,11 @@ compare every decision, timing and report byte against them:
   write) runs in the ``_main`` generator instead of a callback chain;
 - :mod:`tests.oracles.fleet` — ``OracleFleetShardEngine``, one simulator
   event per arrival, completion and fault edge, on the linear scan;
+- :mod:`tests.oracles.signal` — ``ReferenceSignal``, the token-event
+  park behind ``repro.sim.Signal``'s park records, and ``event_at``,
+  the absolute-time event ``Environment.sleep_until`` stands in for;
+- :mod:`tests.oracles.resources` — ``ReferenceResource``, whose grants
+  are ``Request`` events where ``repro.sim.Resource`` queues records;
 - :mod:`tests.oracles.control_plane` — swaps the k8s, WLM and kubelet
   oracles into the §6.5 kubelet-in-allocation scenario at once.
 

@@ -8,12 +8,15 @@ control loops rely on that to keep virtual-time results bit-identical.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Bell, Environment, Signal, next_tick
 from repro.sim.environment import _Resume
 from repro.sim.events import SimulationError
+from repro.sim.signal import grid_tick
 
 from tests.oracles.k8s import ReferenceBell
 
@@ -628,6 +631,57 @@ def test_next_tick_matches_sequential_spinner(epoch, interval, n_idle, frac):
     boundary, skipped = next_tick(epoch, interval, fire_at)
     assert boundary == ticks[n_idle]  # bit-identical, not just approx
     assert skipped == n_idle
+
+
+def _sequential(epoch: float, interval: float, k: int) -> float:
+    tick = epoch
+    for _ in range(k):
+        tick += interval
+    return tick
+
+
+GRID_INTERVALS = (0.5, 5.0, 0.1, 0.3)
+
+
+@st.composite
+def _grid_epochs(draw):
+    """Epochs at 0, at and a few ulps around powers of two (so sums
+    start at, or cross, a binade's edge), a whole number of intervals
+    below one, and anywhere up to 2**60."""
+    interval = draw(st.sampled_from(GRID_INTERVALS))
+    power = 2.0 ** draw(st.integers(-4, 60))
+    kind = draw(st.sampled_from(["zero", "power", "below", "anywhere"]))
+    if kind == "zero":
+        epoch = 0.0
+    elif kind == "power":
+        epoch = power
+    elif kind == "below":
+        epoch = max(0.0, power - draw(st.integers(0, 40)) * interval)
+    else:
+        epoch = draw(st.floats(min_value=0.0, max_value=2.0**60))
+    for _ in range(abs(nudge := draw(st.integers(-3, 3)))):
+        epoch = math.nextafter(epoch, math.inf if nudge > 0 else 0.0)
+    return epoch, interval
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid=_grid_epochs(), k=st.integers(0, 60))
+def test_grid_tick_is_the_sequential_sum(grid, k):
+    """One step or replayed, the k-th tick is the loop's sum bit for bit,
+    across binade edges and for intervals that are not a multiple of
+    the epoch's ulp."""
+    epoch, interval = grid
+    assert grid_tick(epoch, interval, k) == _sequential(epoch, interval, k)
+
+
+def test_grid_tick_takes_one_step_within_a_binade_only():
+    """0.1 is a multiple of ``ulp(0.24)``, but the sum leaves the binade
+    [0.125, 0.25) at once, and ``0.24 + 2*0.1`` rounds differently from
+    two additions; inside a binade the one-step sum is the loop's."""
+    assert 0.1 % math.ulp(0.24) == 0.0
+    assert 0.24 + 2 * 0.1 == 0.44
+    assert grid_tick(0.24, 0.1, 2) == _sequential(0.24, 0.1, 2) == 0.43999999999999995
+    assert grid_tick(1234.5678, 0.5, 20) == _sequential(1234.5678, 0.5, 20) == 1234.5678 + 10.0
 
 
 def test_next_tick_on_boundary_is_strictly_after():

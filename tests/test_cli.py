@@ -467,3 +467,21 @@ def test_cli_rejects_non_positive_sample_interval(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "--sample-interval must be positive and finite" in err, args
             assert not series.exists(), args
+
+
+@pytest.mark.parametrize("verb", [
+    ["chaos", "bridge-operator", "--seed", "1", "--trace", "{tmp}/t.json"],
+    ["chaos", "bridge-operator", "--seeds", "0..1", "--metrics", "--trace", "{tmp}/t.json"],
+    ["slo", *SMALL_SCENARIO, "--seed", "1"],
+    ["fleet", *SMALL_FLEET],
+    ["replay", *SMALL_FLEET],
+], ids=["chaos", "chaos-seeds", "slo", "fleet", "replay"])
+def test_cli_samples_at_a_tenth_of_a_second(verb, tmp_path, capsys, _obs_clean):
+    """At 0.1 s the sampler used to stamp ``floor(4.3 / 0.1) * 0.1 = 4.2``,
+    find the next tick due at 4.3 and re-sample t = 4.3 forever."""
+    series = tmp_path / "ts.json"
+    verb = [arg.replace("{tmp}", str(tmp_path)) for arg in verb]
+    assert main([*verb, "--sample-interval", "0.1", "--timeseries", str(series)]) == 0
+    capsys.readouterr()
+    assert check_timeseries_file(str(series)) == 0
+    assert json.loads(series.read_text())["interval"] == 0.1
